@@ -96,6 +96,8 @@ _CHAIN_ALIASES = {"pow2": "powers_of_two", "pow4": "powers_of_four"}
 def _cmd_density(args) -> int:
     desc = _load_set(args.set)
     if args.mode == "windows":
+        if args.format == "csv":
+            raise UsageError("--mode windows reports in json only")
         report = dens.window_densities(desc, args.horizon).to_json_dict()
         _emit(_json_dumps(report), args.output)
         return EXIT_OK
@@ -128,7 +130,7 @@ def _cmd_sumset(args) -> int:
     moduli = [int(m) for m in args.mods.split(",") if m]
     table = []
     for m in moduli:
-        attained, exact = dens.attained_residues(total, m, args.horizon)
+        attained, exact = dens.attained_residues(total, m, args.horizon, lambda: members)
         table.append(
             {
                 "m": m,
@@ -163,26 +165,23 @@ def _cmd_classify(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     cls = classify_structure(s, args.require_nonempty_remainder)
-    payload: dict = {"modulus": args.mod, "members": sorted(args.elems), "tag": cls.tag}
-    if cls.ap_witness is not None:
-        payload["ap_witness"] = {
-            "start": cls.ap_witness.start,
-            "difference": cls.ap_witness.difference,
-            "length": cls.ap_witness.length,
-        }
-    if cls.qp_witness is not None:
-        payload["qp_witness"] = {
-            "subgroup_generator": cls.qp_witness.subgroup.generator,
-            "shift": cls.qp_witness.shift,
-            "trace": sorted(cls.qp_witness.trace),
-            "periodic_part": sorted(cls.qp_witness.periodic_part),
-        }
+    payload = {"modulus": args.mod, "members": sorted(args.elems), **cls.to_json_dict()}
     _emit(_json_dumps(payload), args.output)
     return EXIT_OK
 
 
+def _worker_count(value: Optional[str]) -> int:
+    """Workers for the exhaustive sweeps from BUCKDENS_THREADS: unset or
+    empty means 1; otherwise a positive integer, capped at the CPU count."""
+    if not value:
+        return 1
+    if not value.isdecimal() or int(value) < 1:
+        raise UsageError(f"BUCKDENS_THREADS must be a positive integer, got {value!r}")
+    return min(int(value), os.cpu_count() or 1)
+
+
 def _cmd_verify(args) -> int:
-    workers = int(os.environ.get("BUCKDENS_THREADS", "1") or "1")
+    workers = _worker_count(os.environ.get("BUCKDENS_THREADS"))
     try:
         results = suite_mod.run_suite(args.suite, seed=args.seed, workers=workers)
     except ValueError as exc:
@@ -226,14 +225,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="text"):
-        p.add_argument("--format", choices=("text", "json", "csv"), default=fmt_default)
+    def common(p, formats=()):
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", default=None, help="write the report to a file")
 
     p = sub.add_parser("gen", help="list members of a set description")
     p.add_argument("set", help="family JSON, inline or a file path")
     p.add_argument("--horizon", type=int, default=dens.DEFAULT_HORIZON)
-    common(p)
+    common(p, ("text", "json"))
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("density", help="density estimates for a set description")
@@ -247,34 +247,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--horizon", type=int, default=dens.DEFAULT_HORIZON)
-    common(p, fmt_default="json")
+    common(p, ("json", "csv"))
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("sumset", help="members and residue profiles of a sumset")
     p.add_argument("sets", nargs="+", help="two or more set descriptions")
     p.add_argument("--horizon", type=int, default=dens.DEFAULT_HORIZON)
     p.add_argument("--mods", default="2,4,8,16", help="comma-separated profile moduli")
-    common(p, fmt_default="json")
+    common(p, ("json", "csv"))
     p.set_defaults(func=_cmd_sumset)
 
     p = sub.add_parser("analyze", help="minimal-modulus structure report for a sumset")
     p.add_argument("sets", nargs="+", help="one (doubled) or more set descriptions")
     p.add_argument("--qmax", type=int, default=None)
     p.add_argument("--horizon", type=int, default=dens.DEFAULT_HORIZON)
-    common(p, fmt_default="json")
+    common(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("classify", help="structure class of a subset of Z/mZ")
     p.add_argument("--mod", type=int, required=True)
     p.add_argument("--elems", type=int, nargs="+", required=True)
     p.add_argument("--require-nonempty-remainder", action="store_true")
-    common(p, fmt_default="json")
+    common(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=suite_mod.SUITE_NAMES + ("all",))
     p.add_argument("--seed", type=int, default=suite_mod.DEFAULT_SEED)
-    common(p)
+    common(p, ("text", "json", "csv"))
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from math import isqrt
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .generators import SetDescription, from_periodic
 from .periodic import EventuallyPeriodicSet
@@ -81,6 +82,11 @@ def modulus_chain(kind: str, depth: int) -> ModulusChain:
     raise ValueError(f"unknown chain kind {kind!r}")
 
 
+def fraction_json(x: Optional[Fraction]) -> Optional[dict]:
+    """A rational as {"num", "den"}; None stays None."""
+    return None if x is None else {"num": x.numerator, "den": x.denominator}
+
+
 @dataclass(frozen=True)
 class DensityEstimate:
     """A density value with provenance.
@@ -100,23 +106,33 @@ class DensityEstimate:
     certified: Optional[str] = None
     warnings: tuple[str, ...] = ()
 
-    def midpoint(self) -> Fraction:
+    def point(self) -> tuple[Fraction, bool]:
+        """(value, certified-exact): the value, or the low end of an interval."""
         if isinstance(self.value, tuple):
-            return (self.value[0] + self.value[1]) / 2
-        return self.value
+            return self.value[0], False
+        return self.value, self.kind == "exact"
+
+    def certified_upper(self) -> Optional[Fraction]:
+        if self.kind in ("exact", "upper_bound_sequence"):
+            return self.value
+        return None
+
+    def certified_lower(self) -> Optional[Fraction]:
+        if self.kind in ("exact", "lower_bound_sequence"):
+            return self.value
+        if self.kind == "sampled" and self.certified == "lower" and isinstance(self.value, tuple):
+            return self.value[0]
+        return None
 
     def to_json_dict(self) -> dict:
-        def frac(x: Fraction) -> dict:
-            return {"num": x.numerator, "den": x.denominator}
-
         if isinstance(self.value, tuple):
-            value = {"lo": frac(self.value[0]), "hi": frac(self.value[1])}
+            value = {"lo": fraction_json(self.value[0]), "hi": fraction_json(self.value[1])}
         else:
-            value = frac(self.value)
+            value = fraction_json(self.value)
         out = {
             "value": value,
             "kind": self.kind,
-            "sequence": [[m, frac(r)] for m, r in self.sequence],
+            "sequence": [[m, fraction_json(r)] for m, r in self.sequence],
         }
         if self.chain_kind is not None:
             out["chain"] = self.chain_kind
@@ -135,15 +151,29 @@ def as_description(x: SetLike) -> SetDescription:
     return x
 
 
-def attained_residues(x: SetLike, m: int, horizon: int = DEFAULT_HORIZON) -> tuple[ResidueSet, bool]:
-    """Residues mod m hit by x: (set, certified-exact flag)."""
+def lazy_members(x: SetLike, horizon: int) -> Callable[[], list[int]]:
+    """The members of x up to the horizon, enumerated on the first call only."""
+    return cache(partial(as_description(x).members, horizon))
+
+
+def attained_residues(
+    x: SetLike,
+    m: int,
+    horizon: int = DEFAULT_HORIZON,
+    members: Optional[Callable[[], list[int]]] = None,
+) -> tuple[ResidueSet, bool]:
+    """Residues mod m hit by x: (set, certified-exact flag).
+
+    The exact profile answers where x has one at m; otherwise the
+    residues are read off the members up to the horizon.  A caller that
+    asks many moduli passes ``members`` (a :func:`lazy_members` of x, or
+    a function returning the list it holds) to enumerate them at most once.
+    """
     desc = as_description(x)
     if desc.has_profile(m):
         return desc.profile(m).attained, True
-    bits = 0
-    for n in desc.members(horizon):
-        bits |= 1 << (n % m)
-    return ResidueSet(m, bits), False
+    listed = desc.members(horizon) if members is None else members()
+    return ResidueSet.of(m, {n % m for n in listed}), False
 
 
 def buck_upper(
@@ -173,13 +203,11 @@ def buck_upper(
             sequence=seq,
             certified="upper",
         )
-    members = desc.members(horizon)
-    seq = []
-    for m in chain.values:
-        bits = 0
-        for n in members:
-            bits |= 1 << (n % m)
-        seq.append((m, Fraction(bits.bit_count(), m)))
+    members = lazy_members(desc, horizon)
+    seq = [
+        (m, Fraction(attained_residues(desc, m, horizon, members)[0].cardinality, m))
+        for m in chain.values
+    ]
     best = max(r for _, r in seq)
     return DensityEstimate(
         (best, Fraction(1)),
@@ -300,9 +328,11 @@ def density_chain_report(
     x: SetLike, chain: ModulusChain, horizon: int = DEFAULT_HORIZON
 ) -> list[ChainReportRow]:
     """One row per chain modulus: attained-residue count and ratio."""
+    desc = as_description(x)
+    members = lazy_members(desc, horizon)
     rows = []
     for m in chain.values:
-        attained, exact = attained_residues(x, m, horizon)
+        attained, exact = attained_residues(desc, m, horizon, members)
         rows.append(
             ChainReportRow(
                 m,

@@ -9,14 +9,15 @@ sequences are presented finitely: a prefix plus a closed-form rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Callable, Iterable, Optional
 
 from . import periodic as zper
 from .periodic import EventuallyPeriodicSet, ModularProfile
-from .zmod import ResidueSet, sumset as residue_sumset
+from .zmod import CertificateError, ResidueSet, sumset as residue_sumset
 
 
 class UnsupportedModulusError(ValueError):
@@ -38,7 +39,6 @@ class SetDescription:
     membership: Callable[[int], bool]
     profile_fn: Optional[Callable[[int], ModularProfile]] = None
     supports: Optional[Callable[[int], bool]] = None
-    all_attained_are_infinite: bool = False
     cofinite_exact: bool = False
     member_iter: Optional[Callable[[int], list[int]]] = None
     periodic_form: Optional[EventuallyPeriodicSet] = None
@@ -82,7 +82,6 @@ def from_periodic(eps: EventuallyPeriodicSet, family: str = "periodic") -> SetDe
         family=family,
         params=eps.to_json_dict(),
         membership=lambda n: n in eps,
-        all_attained_are_infinite=not eps.tail.is_empty(),
         cofinite_exact=True,
         periodic_form=eps,
     )
@@ -121,7 +120,6 @@ def gen_b_alpha(bits: str) -> SetDescription:
         family="b_alpha",
         params={"bits": bits},
         membership=member,
-        all_attained_are_infinite=True,
         cofinite_exact=True,
         periodic_form=eps,
     )
@@ -152,23 +150,20 @@ class DKDescription(SetDescription):
     k_prefix: tuple[int, ...] = ()
     rule: Optional[str] = None
     step: int = 1
-    _cache: list[int] = field(default_factory=list, compare=False)
 
     def k(self, t: int) -> int:
-        """The t-th forbidden position (0-indexed)."""
-        if not self._cache:
-            self._cache.extend(self.k_prefix)
-        while t >= len(self._cache):
-            if self.rule is None:
-                raise IndexError(f"finite position sequence has no index {t}")
-            last = self._cache[-1]
-            if self.rule == "double_gap":
-                self._cache.append(2 * last + 1)
-            elif self.rule == "powers_of_two":
-                self._cache.append(2 * last)
-            else:  # arithmetic
-                self._cache.append(last + self.step)
-        return self._cache[t]
+        """The t-th forbidden position (0-indexed), in closed form past the prefix."""
+        if t < len(self.k_prefix):
+            return self.k_prefix[t]
+        if self.rule is None:
+            raise IndexError(f"finite position sequence has no index {t}")
+        j = t - len(self.k_prefix) + 1  # rule steps past the last prefix entry
+        last = self.k_prefix[-1]
+        if self.rule == "double_gap":
+            return ((last + 1) << j) - 1
+        if self.rule == "powers_of_two":
+            return last << j
+        return last + j * self.step  # arithmetic
 
     def positions_below(self, bound: int) -> list[int]:
         out = []
@@ -183,9 +178,6 @@ class DKDescription(SetDescription):
             out.append(v)
             t += 1
         return out
-
-    def is_finite_rule(self) -> bool:
-        return self.rule is None
 
     def free_positions_are_infinite(self) -> bool:
         # Only a step-1 arithmetic tail eventually forbids every position.
@@ -265,22 +257,25 @@ def gen_d_k(
         if rule == "arithmetic" and step < 1:
             raise ValueError("arithmetic rule needs step >= 1")
 
+    params = {"k_prefix": list(prefix), "rule": rule, **({"step": step} if rule == "arithmetic" else {})}
+    return _dk_description("d_k", params, prefix, rule, step)
+
+
+def _dk_description(
+    family: str, params: dict, prefix: tuple[int, ...], rule: Optional[str], step: int
+) -> DKDescription:
     desc = DKDescription(
-        family="d_k",
-        params={"k_prefix": list(prefix), "rule": rule, **({"step": step} if rule == "arithmetic" else {})},
+        family=family,
+        params=params,
         membership=lambda n: _dk_member(desc, n),
         supports=lambda m: m >= 1 and m & (m - 1) == 0,
         profile_fn=lambda m: _dk_profile(desc, m),
-        all_attained_are_infinite=False,
         cofinite_exact=True,
         member_iter=lambda horizon: _dk_members(desc, horizon),
         periodic_form=_dk_periodic_form(prefix) if rule is None else None,
         k_prefix=prefix,
         rule=rule,
         step=step,
-    )
-    object.__setattr__(
-        desc, "all_attained_are_infinite", desc.free_positions_are_infinite()
     )
     return desc
 
@@ -332,7 +327,7 @@ def _dk_profile(desc: DKDescription, m: int) -> ModularProfile:
     empty = ResidueSet(m, 0)
     high_positions_free = desc.free_positions_are_infinite()
     infinite = attained if high_positions_free else empty
-    no_high_forbidden = desc.is_finite_rule() and all(p < e for p in desc.k_prefix)
+    no_high_forbidden = desc.rule is None and all(p < e for p in desc.k_prefix)
     cofinite = attained if no_high_forbidden else empty
     return ModularProfile(m, attained, infinite, cofinite)
 
@@ -344,10 +339,7 @@ def gen_x0() -> DKDescription:
     the K = (1, 3, 5, ...) instance of the digit construction; profiles
     mod 4^m have exactly 2^m attained residues.
     """
-    desc = gen_d_k((1,), rule="arithmetic", step=2)
-    object.__setattr__(desc, "family", "x0")
-    object.__setattr__(desc, "params", {})
-    return desc
+    return _dk_description("x0", {}, (1,), "arithmetic", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -520,15 +512,18 @@ def thin_basis(m: int) -> tuple[int, ...]:
     q = isqrt(m)
     s = q - 1 if q * q <= m < q * (q + 1) else q
     members = sorted(set(range(s + 1)) | {j * s + (j - 1) for j in range(2, q + 1)})
-    assert members[-1] < m
+    if members[-1] >= m:
+        raise CertificateError(f"basis element {members[-1]} outside {{0..{m - 1}}}")
     bits = 0
     for a in members:
         bits |= 1 << a
     cover = 0
     for a in members:
         cover |= bits << a
-    assert cover & ((1 << m) - 1) == (1 << m) - 1, "basis fails to cover {0..m-1}"
-    assert len(members) ** 2 < 4 * m, "basis size bound violated"
+    if cover & ((1 << m) - 1) != (1 << m) - 1:
+        raise CertificateError(f"basis fails to cover {{0..{m - 1}}}")
+    if len(members) ** 2 >= 4 * m:
+        raise CertificateError("basis size bound violated")
     return tuple(members)
 
 
@@ -568,11 +563,11 @@ def basis_chain(moduli: list[int], sparsify: bool = False) -> tuple[int, ...]:
         expected *= len(comp)
         members = {x + c for x in members for c in comp}
     result = tuple(sorted(members))
-    assert len(result) <= expected
-    assert len(result) ** 2 < (4 ** len(moduli)) * total, "size bound violated"
+    if len(result) > expected or len(result) ** 2 >= (4 ** len(moduli)) * total:
+        raise CertificateError("size bound violated")
     residues = ResidueSet.of(total, {x % total for x in result})
-    doubled = residue_sumset([residues, residues])
-    assert doubled.is_full(), "doubled chain does not cover the ring"
+    if not residue_sumset([residues, residues]).is_full():
+        raise CertificateError("doubled chain does not cover the ring")
     return result
 
 
@@ -632,11 +627,9 @@ def gen_hook(rule: str = "factorial") -> SetDescription:
 @dataclass(frozen=True, eq=False)
 class ThreeDensityDescription(SetDescription):
     alpha: Fraction = Fraction(1, 2)
-    beta: Fraction = Fraction(1, 2)
     gamma: Fraction = Fraction(1, 2)
     n_base: int = 10
     weyl: Optional[WeylDescription] = None
-    _residue_chain: list[frozenset[int]] = field(default_factory=list, compare=False)
 
     def window(self, k: int) -> tuple[int, int]:
         """Inclusive block bounds [N_k, N_k / (1 - gamma)]."""
@@ -649,20 +642,24 @@ class ThreeDensityDescription(SetDescription):
 
     def residues(self, k: int) -> frozenset[int]:
         """R_k: the lexicographically smallest nested residue chain."""
-        if not self._residue_chain:
-            self._residue_chain.append(frozenset())  # placeholder for k = 0
-        while len(self._residue_chain) <= k:
-            j = len(self._residue_chain)
-            prev = self._residue_chain[j - 1]
-            lifted = set(prev) | {r + (1 << (j - 1)) for r in prev}
-            want = self.r_value(j)
-            extra = 0
-            while len(lifted) < want:
-                if extra not in lifted:
-                    lifted.add(extra)
-                extra += 1
-            self._residue_chain.append(frozenset(lifted))
-        return self._residue_chain[k]
+        return _nested_residues(self.alpha, k)
+
+
+@lru_cache(maxsize=256)
+def _nested_residues(alpha: Fraction, k: int) -> frozenset[int]:
+    """R_k mod 2^k: R_(k-1) lifted to both halves, topped up with the
+    smallest missing residues to floor(alpha 2^k) members."""
+    if k == 0:
+        return frozenset()
+    prev = _nested_residues(alpha, k - 1)
+    lifted = set(prev) | {r + (1 << (k - 1)) for r in prev}
+    want = int(alpha * (1 << k))
+    extra = 0
+    while len(lifted) < want:
+        if extra not in lifted:
+            lifted.add(extra)
+        extra += 1
+    return frozenset(lifted)
 
 
 def gen_three_density(
@@ -695,7 +692,6 @@ def gen_three_density(
         },
         membership=lambda n: _three_density_member(desc, n),
         alpha=alpha,
-        beta=beta,
         gamma=gamma,
         n_base=n_base,
         weyl=weyl,
@@ -721,6 +717,10 @@ def _three_density_member(desc: ThreeDensityDescription, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _params_of(parts: list[SetDescription]) -> dict:
+    return {"of": [p.params | {"family": p.family} for p in parts]}
+
+
 def union_description(parts: list[SetDescription]) -> SetDescription:
     """Pointwise union; profiles combine exactly for attained and
     infinitely-attained residues, and fully when every part is periodic."""
@@ -732,9 +732,7 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
         eps = parts[0].periodic_form
         for p in parts[1:]:
             eps = zper.union(eps, p.periodic_form)
-        out = from_periodic(eps, family="union")
-        object.__setattr__(out, "params", {"of": [p.params | {"family": p.family} for p in parts]})
-        return out
+        return replace(from_periodic(eps, family="union"), params=_params_of(parts))
 
     def member(n: int) -> bool:
         return any(p.membership(n) for p in parts)
@@ -763,11 +761,10 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
 
     return SetDescription(
         family="union",
-        params={"of": [p.params | {"family": p.family} for p in parts]},
+        params=_params_of(parts),
         membership=member,
         profile_fn=profile,
         supports=supports,
-        all_attained_are_infinite=all(p.all_attained_are_infinite for p in parts),
         cofinite_exact=False,  # a class may be covered only jointly
         member_iter=members,
     )
@@ -788,9 +785,7 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
         return parts[0]
     if all(p.periodic_form is not None for p in parts):
         eps = zper.sumset([p.periodic_form for p in parts])
-        out = from_periodic(eps, family="sumset")
-        object.__setattr__(out, "params", {"of": [p.params | {"family": p.family} for p in parts]})
-        return out
+        return replace(from_periodic(eps, family="sumset"), params=_params_of(parts))
 
     from .oracle import brute_sumset_members
 
@@ -830,11 +825,10 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
 
     return SetDescription(
         family="sumset",
-        params={"of": [p.params | {"family": p.family} for p in parts]},
+        params=_params_of(parts),
         membership=member,
         profile_fn=profile,
         supports=supports,
-        all_attained_are_infinite=all(p.all_attained_are_infinite for p in parts),
         cofinite_exact=False,
         member_iter=members,
     )

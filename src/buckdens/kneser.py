@@ -22,10 +22,13 @@ from .density import (
     DensityEstimate,
     SetLike,
     as_description,
+    attained_residues,
     buck_lower,
     buck_upper,
+    fraction_json,
+    lazy_members,
 )
-from .generators import SetDescription, sumset_description
+from .generators import sumset_description
 from .periodic import EventuallyPeriodicSet
 from .zmod import (
     ResidueSet,
@@ -36,29 +39,6 @@ from .zmod import (
 )
 
 MAX_AUTO_QMAX = 1 << 12
-
-
-class _ProfileCache:
-    """Per-description cache so sampled residue profiles enumerate the
-    member list only once across many moduli."""
-
-    def __init__(self, desc: SetDescription, horizon: int):
-        self.desc = desc
-        self.horizon = horizon
-        self._members: Optional[list[int]] = None
-
-    def members(self) -> list[int]:
-        if self._members is None:
-            self._members = self.desc.members(self.horizon)
-        return self._members
-
-    def attained(self, m: int) -> tuple[ResidueSet, bool]:
-        if self.desc.has_profile(m):
-            return self.desc.profile(m).attained, True
-        bits = 0
-        for n in self.members():
-            bits |= 1 << (n % m)
-        return ResidueSet(m, bits), False
 
 
 @dataclass(frozen=True)
@@ -89,11 +69,12 @@ def verify_sparse_periodicity(
     """
     if q < 1 or m_max < 1:
         raise ValueError("q and m_max must be positive")
-    cache = _ProfileCache(as_description(x), horizon)
-    base, base_exact = cache.attained(q)
+    desc = as_description(x)
+    members = lazy_members(desc, horizon)
+    base, base_exact = attained_residues(desc, q, horizon, members)
     rows = []
     for m in range(1, m_max + 1):
-        actual, actual_exact = cache.attained(m * q)
+        actual, actual_exact = attained_residues(desc, m * q, horizon, members)
         missing = tuple(
             r + q * j
             for j in range(m)
@@ -196,26 +177,8 @@ class BuckInequalityReport:
             "consistent": self.consistent,
         }
         if self.margin is not None:
-            out["margin"] = {"num": self.margin.numerator, "den": self.margin.denominator}
+            out["margin"] = fraction_json(self.margin)
         return out
-
-
-def _certified_upper(est: DensityEstimate) -> Optional[Fraction]:
-    if est.kind == "exact":
-        return est.value
-    if est.kind == "upper_bound_sequence":
-        return est.value
-    return None
-
-
-def _certified_lower(est: DensityEstimate) -> Optional[Fraction]:
-    if est.kind == "exact":
-        return est.value
-    if est.kind == "lower_bound_sequence":
-        return est.value
-    if est.kind == "sampled" and est.certified == "lower" and isinstance(est.value, tuple):
-        return est.value[0]
-    return None
 
 
 def buck_inequality_report(
@@ -238,9 +201,9 @@ def buck_inequality_report(
         margin = bdo_aa.value**2 - bdo_a.value * bup_aa.value
         consistent = margin >= 0
     else:
-        lhs_hi = _certified_upper(bdo_aa)
-        rhs_lo_a = _certified_lower(bdo_a)
-        rhs_lo_aa = _certified_lower(bup_aa)
+        lhs_hi = bdo_aa.certified_upper()
+        rhs_lo_a = bdo_a.certified_lower()
+        rhs_lo_aa = bup_aa.certified_lower()
         if lhs_hi is not None and rhs_lo_a is not None and rhs_lo_aa is not None:
             consistent = lhs_hi**2 >= rhs_lo_a * rhs_lo_aa
         else:
@@ -275,29 +238,9 @@ class KneserReport:
     periodic_hulls: tuple[EventuallyPeriodicSet, ...]
 
     def to_json_dict(self) -> dict:
-        def frac(x: Optional[Fraction]):
-            return None if x is None else {"num": x.numerator, "den": x.denominator}
-
         def rset(s: Optional[ResidueSet]):
             return None if s is None else {"modulus": s.modulus, "members": list(s.members)}
 
-        classification = None
-        if self.classification is not None:
-            classification = {"tag": self.classification.tag}
-            if self.classification.ap_witness is not None:
-                w = self.classification.ap_witness
-                classification["ap_witness"] = {
-                    "start": w.start,
-                    "difference": w.difference,
-                    "length": w.length,
-                }
-            if self.classification.qp_witness is not None:
-                w = self.classification.qp_witness
-                classification["qp_witness"] = {
-                    "subgroup_generator": w.subgroup.generator,
-                    "shift": w.shift,
-                    "trace": sorted(w.trace),
-                }
         return {
             "k": self.k,
             "q": self.q,
@@ -306,28 +249,18 @@ class KneserReport:
             "multiplicities": list(self.multiplicities),
             "sumset_profile": rset(self.sumset_profile),
             "sum_size": self.sum_size,
-            "classification": classification,
-            "eta": frac(self.eta),
-            "sigma": frac(self.sigma),
+            "classification": None if self.classification is None else self.classification.to_json_dict(),
+            "eta": fraction_json(self.eta),
+            "sigma": fraction_json(self.sigma),
             "sigma_certified": self.sigma_certified,
             "density_identity_holds": self.density_identity_holds,
             "density_identity_certified": self.density_identity_certified,
-            "q_bound": frac(self.q_bound),
+            "q_bound": fraction_json(self.q_bound),
             "q_bound_ok": self.q_bound_ok,
             "mean_gap_ok": self.mean_gap_ok,
             "sparse_periodicity": [r.to_json_dict() for r in self.sparse_periodicity],
             "periodic_hulls": [h.to_json_dict() for h in self.periodic_hulls],
         }
-
-
-def _point_estimate(est: DensityEstimate) -> tuple[Fraction, bool]:
-    """(value, certified-exact) summary of a density estimate."""
-    if est.kind == "exact":
-        return est.value, True
-    if est.kind in ("upper_bound_sequence", "lower_bound_sequence"):
-        return est.value, False
-    lo, _ = est.value
-    return lo, False
 
 
 def analyze_sumset(
@@ -360,11 +293,11 @@ def analyze_sumset(
     sigma = Fraction(0)
     sigma_certified = True
     for d in descs:
-        value, exact = _point_estimate(buck_upper(d, horizon=horizon))
+        value, exact = buck_upper(d, horizon=horizon).point()
         sigma += value
         sigma_certified &= exact
 
-    bup_sum_est, bup_sum_certified = _point_estimate(buck_upper(sum_desc, horizon=horizon))
+    bup_sum_est, bup_sum_certified = buck_upper(sum_desc, horizon=horizon).point()
 
     if q_max is None:
         q_max = MAX_AUTO_QMAX
@@ -373,12 +306,12 @@ def analyze_sumset(
             if eta_hat > 0:
                 q_max = min(MAX_AUTO_QMAX, int((2 * k - 2) / (eta_hat * sigma)) + 1)
 
-    caches = [_ProfileCache(d, horizon) for d in descs]
+    member_lists = [lazy_members(d, horizon) for d in descs]
     for q in range(2, q_max + 1):
         profiles = []
         all_exact = True
-        for cache in caches:
-            prof, exact = cache.attained(q)
+        for d, members in zip(descs, member_lists):
+            prof, exact = attained_residues(d, q, horizon, members)
             profiles.append(prof)
             all_exact &= exact
         if any(p.is_empty() for p in profiles):

@@ -151,10 +151,12 @@ def _build(q: int, t: int, prefix: Iterable[int], tail_bits: int) -> EventuallyP
     """Canonicalize an arbitrary (q, T, prefix, tail) description."""
     prefix_set = set(prefix)
     if tail_bits == 0:
-        q2, tail2 = 1, 0
-    else:
-        q2 = stabilizer_generator_bits(tail_bits, q)
-        tail2 = tail_bits & ((1 << q2) - 1)
+        # a finite set: the threshold is one past its largest member
+        kept = [n for n in prefix_set if n < t]
+        t = max(kept) + 1 if kept else 0
+        return EventuallyPeriodicSet(1, t, frozenset(kept), ResidueSet(1, 0))
+    q2 = stabilizer_generator_bits(tail_bits, q)
+    tail2 = tail_bits & ((1 << q2) - 1)
     # threshold stays a multiple of the reduced period
     while t >= q2 and all(
         (n in prefix_set) == (((tail2 >> (n % q2)) & 1) == 1)
@@ -226,7 +228,13 @@ def from_json_dict(obj: dict) -> EventuallyPeriodicSet:
         if not 0 <= r < q:
             raise ValueError(f"tail residue {r} not in [0, {q})")
         tail_bits |= 1 << r
-    return _build(q, t, obj.get("prefix", []), tail_bits)
+    if t < 0:
+        raise ValueError(f"T must be nonnegative, got {t}")
+    prefix = obj.get("prefix", [])
+    for n in prefix:
+        if not 0 <= n < t:
+            raise ValueError(f"prefix member {n} not in [0, {t})")
+    return _build(q, t, prefix, tail_bits)
 
 
 # -- pointwise algebra -----------------------------------------------------
@@ -338,14 +346,3 @@ def sumset(sets: list[EventuallyPeriodicSet]) -> EventuallyPeriodicSet:
         acc = add(acc, s)
     return acc
 
-
-def natural_density(a: EventuallyPeriodicSet) -> Fraction:
-    return a.natural_density()
-
-
-def modular_profile(a: EventuallyPeriodicSet, m: int) -> ModularProfile:
-    return a.modular_profile(m)
-
-
-def contains(a: EventuallyPeriodicSet, n: int) -> bool:
-    return n in a

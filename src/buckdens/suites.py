@@ -15,6 +15,7 @@ from math import isqrt
 
 from . import generators as gen
 from . import periodic as zper
+from .density import attained_residues
 from .generators import (
     DKDescription,
     gen_b_alpha,
@@ -29,7 +30,7 @@ from .generators import (
 )
 from .kneser import analyze_sumset, ruzsa_inequality_check, verify_sparse_periodicity
 from .oracle import brute_quasi_periodic, exhaustive_kemperman_ap, exhaustive_kneser
-from .zmod import ResidueSet, detect_quasi_periodic
+from .zmod import CertificateError, ResidueSet, detect_quasi_periodic, sumset
 
 SUITE_NAMES = (
     "kneser-exhaustive",
@@ -320,8 +321,8 @@ def suite_thin_basis(m_max: int = 10**4) -> SuiteResult:
     refined_misses = []
     for m in range(2, m_max + 1):
         try:
-            members = thin_basis(m)  # coverage and |A| < 2 sqrt(m) assert inside
-        except AssertionError as exc:
+            members = thin_basis(m)  # coverage and |A| < 2 sqrt(m) checked inside
+        except CertificateError as exc:
             failures.append((m, str(exc)))
             continue
         if len(members) > thin_basis_refined_bound(m):
@@ -361,15 +362,16 @@ def suite_basis_chain() -> SuiteResult:
         total = 1
         for m in moduli:
             total *= m
-        plain = basis_chain(moduli)  # bound/coverage asserts inside
-        sparse = basis_chain(moduli, sparsify=True)
+        label = f"chain {moduli}: doubled coverage mod {total}, size bound, sparsify keeps residues"
+        try:
+            plain = basis_chain(moduli)  # bound/coverage checked inside
+            sparse = basis_chain(moduli, sparsify=True)
+        except CertificateError as exc:
+            rows.append(_row(label, False, str(exc)))
+            continue
         same_residues = {x % total for x in plain} == {x % total for x in sparse}
         rows.append(
-            _row(
-                f"chain {moduli}: doubled coverage mod {total}, size bound, sparsify keeps residues",
-                same_residues,
-                f"|B| = {len(plain)}, bound {2 ** len(moduli)} * sqrt({total})",
-            )
+            _row(label, same_residues, f"|B| = {len(plain)}, bound {2 ** len(moduli)} * sqrt({total})")
         )
     return _finish("basis-chain", rows)
 
@@ -381,6 +383,7 @@ def suite_basis_chain() -> SuiteResult:
 
 def suite_weyl(horizon: int = 10**6, q_max: int = 64) -> SuiteResult:
     rows = []
+    residues_by_alpha = {}
     for alpha in (Fraction(3, 10), Fraction(1, 2)):
         desc = gen_weyl("sqrt2", alpha)
         members = desc.members(horizon)
@@ -392,11 +395,10 @@ def suite_weyl(horizon: int = 10**6, q_max: int = 64) -> SuiteResult:
                 f"ratio {float(ratio):.6f}",
             )
         )
-        uncovered = []
-        for m in range(1, q_max + 1):
-            seen = {n % m for n in members}
-            if len(seen) != m:
-                uncovered.append(m)
+        residues = [attained_residues(desc, m, horizon, lambda: members)[0]
+                    for m in range(1, q_max + 1)]
+        uncovered = [r.modulus for r in residues if not r.is_full()]
+        residues_by_alpha[alpha] = residues
         rows.append(
             _row(
                 f"alpha = {alpha}: every residue class mod m <= {q_max} attained",
@@ -410,8 +412,6 @@ def suite_weyl(horizon: int = 10**6, q_max: int = 64) -> SuiteResult:
     # class mod q <= q_max -- so no modulus q admits the long-interval
     # inclusion at this scale.
     alpha = Fraction(3, 10)
-    desc = gen_weyl("sqrt2", alpha)
-    members = desc.members(horizon)
     envelope = gen_weyl("sqrt2", 2 * alpha)
     longest = run = 0
     for n in range(horizon + 1):
@@ -427,12 +427,7 @@ def suite_weyl(horizon: int = 10**6, q_max: int = 64) -> SuiteResult:
             f"longest run in the 2*alpha envelope: {longest}",
         )
     )
-    bad_q = []
-    for q in range(1, q_max + 1):
-        base = {n % q for n in members}
-        sums = {(a + b) % q for a in base for b in base}
-        if len(sums) != q:
-            bad_q.append(q)
+    bad_q = [r.modulus for r in residues_by_alpha[alpha] if not sumset([r, r]).is_full()]
     rows.append(
         _row(
             f"doubled set attains every class mod q <= {q_max} (so interval structure fails for every q)",

@@ -20,6 +20,10 @@ class LimitExceededError(ValueError):
     """Raised when a modulus exceeds the dense-representation cap."""
 
 
+class CertificateError(RuntimeError):
+    """A computed certificate failed its own check (none is expected)."""
+
+
 def divisors(m: int) -> list[int]:
     """All positive divisors of m, ascending."""
     small, large = [], []
@@ -177,6 +181,21 @@ class StructureClass:
     tag: str  # periodic | quasi-periodic | arithmetic-progression | ap-and-quasi-periodic | none
     qp_witness: Optional[QuasiPeriodicWitness] = None
     ap_witness: Optional[APWitness] = None
+
+    def to_json_dict(self) -> dict:
+        out: dict = {"tag": self.tag}
+        if self.ap_witness is not None:
+            w = self.ap_witness
+            out["ap_witness"] = {"start": w.start, "difference": w.difference, "length": w.length}
+        if self.qp_witness is not None:
+            w = self.qp_witness
+            out["qp_witness"] = {
+                "subgroup_generator": w.subgroup.generator,
+                "shift": w.shift,
+                "trace": sorted(w.trace),
+                "periodic_part": sorted(w.periodic_part),
+            }
+        return out
 
 
 def _require_same_modulus(sets: Iterable[ResidueSet]) -> int:
@@ -346,7 +365,7 @@ def kneser_deficiency(sets: list[ResidueSet]) -> KneserDeficiency:
 
     When the sumset is deficient the equality case of Kneser's theorem
     and the multiplicity bound sum(r_i) <= (k-1)/eta' are re-checked and
-    an AssertionError signals any violation (none is expected).
+    a CertificateError signals any violation (none is expected).
     """
     if not sets:
         raise ValueError("need at least one set")
@@ -361,9 +380,11 @@ def kneser_deficiency(sets: list[ResidueSet]) -> KneserDeficiency:
     card_sum = sum(s.cardinality for s in sets)
     deficient = total.cardinality < card_sum - (k - 1)
     if deficient:
-        assert total.cardinality == bound, "Kneser equality case violated"
+        if total.cardinality != bound:
+            raise CertificateError("Kneser equality case violated")
         eta = 1 - Fraction(total.cardinality, card_sum)
-        assert sum(mult) <= Fraction(k - 1, 1) / eta, "multiplicity bound violated"
+        if sum(mult) > Fraction(k - 1, 1) / eta:
+            raise CertificateError("multiplicity bound violated")
     return KneserDeficiency(h, mult, total.cardinality, bound, deficient)
 
 

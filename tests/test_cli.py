@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from buckdens import cli
+from buckdens.generators import SetDescription
 
 
 def run(capsys, *argv):
@@ -96,6 +99,26 @@ class TestSumset:
             "m": 2, "count": 1, "residues": [0], "kind": "exact-profile",
         }
 
+    def test_sampled_profiles_enumerate_members_once(self, capsys, monkeypatch):
+        calls = []
+        members = SetDescription.members
+
+        def counted(self, horizon):
+            calls.append(self.family)
+            return members(self, horizon)
+
+        monkeypatch.setattr(SetDescription, "members", counted)
+        code, out, _ = run(
+            capsys,
+            "sumset",
+            '{"family":"weyl","theta":"sqrt2","alpha":"3/10"}',
+            '{"family":"x0"}',
+            "--horizon", "20000",
+        )
+        assert code == 0
+        assert [p["kind"] for p in json.loads(out)["profiles"]] == ["sampled"] * 4
+        assert sorted(calls) == ["sumset", "weyl", "x0"]
+
 
 class TestAnalyze:
     def test_odds(self, capsys):
@@ -105,6 +128,22 @@ class TestAnalyze:
         assert code == 0
         payload = json.loads(out)
         assert payload["q"] == 2 and payload["minimal"] is True
+
+    def test_classification_matches_classify(self, capsys):
+        code, out, _ = run(
+            capsys, "analyze", '{"progressions":[[0,10],[1,10],[5,10]]}', "--qmax", "64"
+        )
+        assert code == 0
+        report = json.loads(out)
+        profile = report["sumset_profile"]
+        _, out, _ = run(
+            capsys, "classify", "--mod", str(profile["modulus"]),
+            "--elems", *map(str, profile["members"]),
+        )
+        classified = json.loads(out)
+        del classified["modulus"], classified["members"]
+        assert report["classification"] == classified
+        assert "periodic_part" in classified["qp_witness"]
 
 
 class TestClassify:
@@ -167,6 +206,49 @@ class TestErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "gen", "no_such_file.json")
         assert code == 2
+
+    def test_prefix_outside_threshold(self, capsys):
+        code, _, err = run(capsys, "gen", '{"q":2,"T":2,"prefix":[0,8],"tail":[1]}')
+        assert code == 2
+        assert "prefix" in err
+
+
+ODDS = '{"progressions":[[1,2]]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", ODDS, "--format", "csv"],
+        ["density", ODDS, "--format", "text"],
+        ["density", ODDS, "--mode", "windows", "--format", "csv"],
+        ["sumset", ODDS, ODDS, "--format", "text"],
+        *(["analyze", ODDS, "--format", f] for f in ("text", "json", "csv")),
+        *(["classify", "--mod", "4", "--elems", "1", "--format", f] for f in ("text", "json", "csv")),
+    ],
+)
+def test_unimplemented_format_is_usage_error(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", " 2"])
+    def test_invalid_rejected(self, value):
+        with pytest.raises(cli.UsageError, match="BUCKDENS_THREADS"):
+            cli._worker_count(value)
+
+    def test_default_and_cap(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert cli._worker_count(None) == cli._worker_count("") == 1
+        assert cli._worker_count("2") == 2
+        assert cli._worker_count("1000000") == 2
+
+    def test_verify_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("BUCKDENS_THREADS", "abc")
+        code, _, err = run(capsys, "verify", "x0")
+        assert code == 2
+        assert "BUCKDENS_THREADS" in err
 
 
 class TestOutputFile:

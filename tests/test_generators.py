@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -73,6 +77,8 @@ class TestDK:
         assert [d.k(i) for i in range(5)] == [1, 3, 7, 15, 31]
         p = gen.gen_d_k((1, 2), rule="powers_of_two")
         assert [p.k(i) for i in range(5)] == [1, 2, 4, 8, 16]
+        a = gen.gen_d_k((0, 3), rule="arithmetic", step=3)
+        assert [a.k(i) for i in range(5)] == [0, 3, 6, 9, 12]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -219,6 +225,22 @@ class TestThinBasis:
             sums = {a + b for a in members for b in members}
             assert set(range(m)).issubset(sums)
             assert len(members) < 2 * math.sqrt(m)
+
+    def test_broken_basis_fails_its_row_under_optimize(self):
+        # python -O strips assert statements; the certificate must survive it
+        script = (
+            "import buckdens.generators as g\n"
+            "g.isqrt = lambda n: 1\n"
+            "from buckdens.suites import suite_thin_basis\n"
+            "print(suite_thin_basis(50).rows[0]['passed'])\n"
+        )
+        src = str(Path(gen.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestBasisChain:

@@ -269,6 +269,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match="tail residue"):
             per.from_json_dict({"q": 2, "T": 0, "prefix": [], "tail": [2]})
 
+    def test_finite_form_threshold_set_directly(self):
+        # lowering T one period at a time would take hours here
+        a = per.from_json_dict({"q": 1, "T": 10**12, "prefix": [3], "tail": []})
+        assert a == per.from_finite([3])
+        assert per.from_json_dict({"q": 5, "T": 10**12, "prefix": [], "tail": []}) == per.empty()
+
 
 class TestMembers:
     def test_members_listing(self):
