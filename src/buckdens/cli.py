@@ -44,10 +44,7 @@ def _load_set(arg: str) -> SetDescription:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed JSON in set description: {exc}") from exc
-    try:
-        return parse_description(obj)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return parse_description(obj)
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -160,10 +157,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    try:
-        s = ResidueSet.of(args.mod, args.elems)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    s = ResidueSet.of(args.mod, args.elems)
     cls = classify_structure(s, args.require_nonempty_remainder)
     payload = {"modulus": args.mod, "members": sorted(args.elems), **cls.to_json_dict()}
     _emit(_json_dumps(payload), args.output)
@@ -182,10 +176,7 @@ def _worker_count(value: Optional[str]) -> int:
 
 def _cmd_verify(args) -> int:
     workers = _worker_count(os.environ.get("BUCKDENS_THREADS"))
-    try:
-        results = suite_mod.run_suite(args.suite, seed=args.seed, workers=workers)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    results = suite_mod.run_suite(args.suite, seed=args.seed, workers=workers)
     all_rows = []
     for res in results:
         for row in res.rows:
@@ -289,13 +280,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except LimitExceededError as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError included: bad input, named in the message
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

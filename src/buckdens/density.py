@@ -19,7 +19,7 @@ from typing import Callable, Optional, Union
 
 from .generators import SetDescription, from_periodic
 from .periodic import EventuallyPeriodicSet
-from .zmod import ResidueSet
+from .zmod import ResidueSet, check_width
 
 SetLike = Union[SetDescription, EventuallyPeriodicSet]
 
@@ -192,6 +192,7 @@ def buck_upper(
         return DensityEstimate(desc.periodic_form.natural_density(), "exact")
     if chain is None:
         chain = modulus_chain("powers_of_two", 10)
+    check_width(max(chain.values), "chain modulus")
     if all(desc.has_profile(m) for m in chain.values):
         seq = tuple(
             (m, Fraction(desc.profile(m).attained.cardinality, m)) for m in chain.values
@@ -238,6 +239,7 @@ def buck_lower(
     if chain is None:
         chain = modulus_chain("powers_of_two", 10)
     if desc.cofinite_exact and all(desc.has_profile(m) for m in chain.values):
+        check_width(max(chain.values), "chain modulus")
         seq = tuple(
             (m, Fraction(desc.profile(m).cofinitely_attained.cardinality, m))
             for m in chain.values
@@ -328,6 +330,7 @@ def density_chain_report(
     x: SetLike, chain: ModulusChain, horizon: int = DEFAULT_HORIZON
 ) -> list[ChainReportRow]:
     """One row per chain modulus: attained-residue count and ratio."""
+    check_width(max(chain.values), "chain modulus")
     desc = as_description(x)
     members = lazy_members(desc, horizon)
     rows = []

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isqrt
 from typing import Callable, Iterable, Optional
 
 from . import periodic as zper
 from .periodic import EventuallyPeriodicSet, ModularProfile
-from .zmod import CertificateError, ResidueSet, sumset as residue_sumset
+from .zmod import MAX_MODULUS, CertificateError, ResidueSet, sumset as residue_sumset
 
 
 class UnsupportedModulusError(ValueError):
@@ -302,28 +302,28 @@ def _dk_members(desc: DKDescription, horizon: int) -> list[int]:
     return sorted(members)
 
 
+def _digit_residues(forbidden: Iterable[int], e: int) -> int:
+    """The residues mod 2^e whose binary digits vanish at every forbidden position."""
+    bits = 1
+    for p in sorted(set(range(e)).difference(forbidden)):
+        bits |= bits << (1 << p)  # digit p may be 0 or 1
+    return bits
+
+
 def _dk_periodic_form(prefix: tuple[int, ...]) -> Optional[EventuallyPeriodicSet]:
     period = 1 << (prefix[-1] + 1)
-    if period > (1 << 20):
+    if period > MAX_MODULUS:
         return None
-    mask = 0
-    for p in prefix:
-        mask |= 1 << p
-    return zper.from_residues(period, (r for r in range(period) if r & mask == 0))
+    # already canonical: the top digit is forbidden, so no smaller period fits
+    tail = ResidueSet(period, _digit_residues(prefix, prefix[-1] + 1))
+    return EventuallyPeriodicSet(period, 0, 0, tail)
 
 
 def _dk_profile(desc: DKDescription, m: int) -> ModularProfile:
     if m < 1 or m & (m - 1):
         raise UnsupportedModulusError(f"D_K profiles exist for powers of two, not {m}")
     e = m.bit_length() - 1
-    mask = 0
-    for p in desc.positions_below(e):
-        mask |= 1 << p
-    att_bits = 0
-    for r in range(m):
-        if r & mask == 0:
-            att_bits |= 1 << r
-    attained = ResidueSet(m, att_bits)
+    attained = ResidueSet(m, _digit_residues(desc.positions_below(e), e))
     empty = ResidueSet(m, 0)
     high_positions_free = desc.free_positions_are_infinite()
     infinite = attained if high_positions_free else empty
@@ -851,36 +851,30 @@ def parse_description(obj: dict) -> SetDescription:
     if "family" not in obj:
         return from_periodic(zper.from_json_dict(obj))
     family = obj["family"]
-    try:
-        if family == "b_alpha":
-            return gen_b_alpha(obj["bits"])
-        if family == "d_k":
-            return gen_d_k(obj["k_prefix"], obj.get("rule"), obj.get("step", 1))
-        if family == "x0":
-            return gen_x0()
-        if family == "weyl":
-            return gen_weyl(obj.get("theta", "sqrt2"), Fraction(obj["alpha"]))
-        if family == "p_t":
-            return gen_p_t(obj["t"])
-        if family == "thin_basis":
-            return from_periodic(zper.from_finite(thin_basis(obj["m"])), family="thin_basis")
-        if family == "basis_chain":
-            members = basis_chain(obj["moduli"], obj.get("sparsify", False))
-            return from_periodic(zper.from_finite(members), family="basis_chain")
-        if family == "hook":
-            return gen_hook(obj.get("rule", "factorial"))
-        if family == "three_density":
-            return gen_three_density(
-                obj["alpha"],
-                obj["beta"],
-                obj["gamma"],
-                obj.get("theta", "sqrt2"),
-                obj.get("n_base", 10),
-            )
-        if family == "union":
-            return union_description([parse_description(part) for part in obj["of"]])
-        if family == "periodic":
-            return from_periodic(zper.from_json_dict(obj))
-    except KeyError as exc:
-        raise ValueError(f"family {family!r} is missing field {exc.args[0]!r}") from exc
+    field = partial(zper.json_field, obj)
+    if family == "b_alpha":
+        return gen_b_alpha(field("bits"))
+    if family == "d_k":
+        return gen_d_k(field("k_prefix"), field("rule", None), field("step", 1))
+    if family == "x0":
+        return gen_x0()
+    if family == "weyl":
+        return gen_weyl(field("theta", "sqrt2"), Fraction(field("alpha")))
+    if family == "p_t":
+        return gen_p_t(field("t"))
+    if family == "thin_basis":
+        return from_periodic(zper.from_finite(thin_basis(field("m"))), family="thin_basis")
+    if family == "basis_chain":
+        members = basis_chain(field("moduli"), field("sparsify", False))
+        return from_periodic(zper.from_finite(members), family="basis_chain")
+    if family == "hook":
+        return gen_hook(field("rule", "factorial"))
+    if family == "three_density":
+        return gen_three_density(
+            field("alpha"), field("beta"), field("gamma"), field("theta", "sqrt2"), field("n_base", 10)
+        )
+    if family == "union":
+        return union_description([parse_description(part) for part in field("of")])
+    if family == "periodic":
+        return from_periodic(zper.from_json_dict(obj))
     raise ValueError(f"unknown family {family!r}")

@@ -36,6 +36,7 @@ from .zmod import (
     classify_structure,
     is_periodic,
     sumset as residue_sumset,
+    tile_bits,
 )
 
 MAX_AUTO_QMAX = 1 << 12
@@ -75,15 +76,10 @@ def verify_sparse_periodicity(
     rows = []
     for m in range(1, m_max + 1):
         actual, actual_exact = attained_residues(desc, m * q, horizon, members)
-        missing = tuple(
-            r + q * j
-            for j in range(m)
-            for r in base
-            if (r + q * j) not in actual
-        )
+        missing = ResidueSet(m * q, tile_bits(base.bits, q, m * q) & ~actual.bits)
         rows.append(
             SparsePeriodicityRow(
-                m, tuple(sorted(missing)), not missing, base_exact and actual_exact
+                m, missing.members, missing.is_empty(), base_exact and actual_exact
             )
         )
     return rows
@@ -401,8 +397,6 @@ def verify_cofinite_refinements(
     projected = residue_sumset(profiles)
     for m in range(1, m_max + 1):
         cof = total.modular_profile(m * q).cofinitely_attained
-        for r in projected:
-            for h in range(m):
-                if (r + h * q) % (m * q) not in cof:
-                    return False
+        if tile_bits(projected.bits, q, m * q) & ~cof.bits:
+            return False
     return True

@@ -14,6 +14,7 @@ from typing import Optional
 
 from .zmod import (
     ResidueSet,
+    bit_positions,
     divisors,
     is_periodic,
     rotate_bits,
@@ -27,10 +28,6 @@ EXHAUSTIVE_MODULUS_CAP = 12
 def _check_sweep_modulus(m: int) -> None:
     if not 1 <= m <= EXHAUSTIVE_MODULUS_CAP:
         raise ValueError(f"exhaustive sweeps support 1 <= m <= {EXHAUSTIVE_MODULUS_CAP}, got {m}")
-
-
-def _bits_to_set(bits: int) -> frozenset[int]:
-    return frozenset(i for i in range(bits.bit_length()) if (bits >> i) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +179,4 @@ def brute_sumset_members(xs: list[int], ys: list[int], horizon: int) -> list[int
         if x + first_y > horizon:
             break
         acc |= y_bits << x
-    acc &= (1 << (horizon + 1)) - 1
-    out = []
-    while acc:
-        low = acc & -acc
-        out.append(low.bit_length() - 1)
-        acc ^= low
-    return out
+    return bit_positions(acc & ((1 << (horizon + 1)) - 1))

@@ -1,10 +1,12 @@
 """Exact algebra on eventually periodic subsets of N.
 
 A member is stored in canonical form (q, T, prefix, tail): below the
-threshold T membership is given by the explicit prefix, at and above T
-by the tail residues mod q.  The period q is minimal for the tail and T
-is the smallest multiple of q consistent with the set, which makes
-structural equality coincide with set equality.  Finite unions of
+threshold T membership is given by the prefix bitmask (bit n set iff n
+is a member), at and above T by the tail residues mod q.  The period q
+is minimal for the tail and T is the smallest multiple of q consistent
+with the set, which makes structural equality coincide with set
+equality.  Every width a construction needs is checked against the
+dense-vector cap before any mask is built.  Finite unions of
 arithmetic progressions a + kN, their unions, intersections,
 complements, shifts and exact sumsets all stay inside the family, with
 densities as exact rationals.
@@ -17,7 +19,16 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .zmod import ResidueSet, rotate_bits, stabilizer_generator_bits
+from .zmod import (
+    ResidueSet,
+    bit_positions,
+    check_width,
+    fold_bits,
+    rotate_bits,
+    stabilizer_generator_bits,
+    sumset_bits,
+    tile_bits,
+)
 
 
 @dataclass(frozen=True)
@@ -44,11 +55,20 @@ class ModularProfile:
             raise ValueError("infinitely attained residues must be attained")
 
 
+def _mask(members: Iterable[int]) -> int:
+    """The bitmask of a collection of nonnegative integers."""
+    members = list(members)
+    buf = bytearray(max(members, default=0) // 8 + 1)
+    for n in members:
+        buf[n >> 3] |= 1 << (n & 7)
+    return int.from_bytes(buf, "little")
+
+
 @dataclass(frozen=True)
 class EventuallyPeriodicSet:
     period: int
     threshold: int
-    prefix: frozenset[int]
+    prefix: int
     tail: ResidueSet
 
     def __post_init__(self) -> None:
@@ -57,21 +77,14 @@ class EventuallyPeriodicSet:
             raise ValueError("threshold must be a nonnegative multiple of the period")
         if self.tail.modulus != q:
             raise ValueError("tail modulus must equal the period")
-        if any(not 0 <= n < t for n in self.prefix):
+        if self.prefix < 0 or self.prefix >> t:
             raise ValueError("prefix members must lie below the threshold")
-        # canonical form: minimal tail period, then minimal threshold
-        if self.tail.is_empty():
-            if q != 1:
-                raise ValueError("empty tail requires period 1")
-        elif stabilizer_generator_bits(self.tail.bits, q) != q and q > 1:
+        # canonical form: minimal tail period (1 for the empty tail), then
+        # minimal threshold
+        if stabilizer_generator_bits(self.tail.bits, q) != q:
             raise ValueError("tail period is not minimal")
-        if t > 0:
-            block_ok = all(
-                (n in self.prefix) == ((n % q) in self.tail)
-                for n in range(t - q, t)
-            )
-            if block_ok:
-                raise ValueError("threshold is not minimal")
+        if t > 0 and self.prefix >> (t - q) == self.tail.bits:
+            raise ValueError("threshold is not minimal")
 
     # -- membership ----------------------------------------------------
 
@@ -79,20 +92,20 @@ class EventuallyPeriodicSet:
         if n < 0:
             raise ValueError("membership is defined on N only")
         if n < self.threshold:
-            return n in self.prefix
+            return (self.prefix >> n) & 1 == 1
         return (n % self.period) in self.tail
 
     def members(self, horizon: int) -> list[int]:
         """All members n <= horizon, ascending."""
-        out = [n for n in sorted(self.prefix) if n <= horizon]
-        for r in self.tail:
-            first = self.threshold + r
-            out.extend(range(first, horizon + 1, self.period))
+        below = min(max(horizon + 1, 0), self.threshold)
+        out = bit_positions(self.prefix & ((1 << below) - 1))
+        for r in bit_positions(self.tail.bits):
+            out.extend(range(self.threshold + r, horizon + 1, self.period))
         out.sort()
         return out
 
     def is_empty(self) -> bool:
-        return not self.prefix and self.tail.is_empty()
+        return self.prefix == 0 and self.tail.is_empty()
 
     def is_finite(self) -> bool:
         return self.tail.is_empty()
@@ -103,30 +116,23 @@ class EventuallyPeriodicSet:
         return Fraction(self.tail.cardinality, self.period)
 
     def modular_profile(self, m: int) -> ModularProfile:
-        """Exact attained / infinitely attained / cofinitely attained residues mod m."""
+        """Exact attained / infinitely attained / cofinitely attained residues mod m.
+
+        With g = gcd(q, m), the tail meets the class s mod m infinitely
+        often iff some tail residue is s mod g, and covers it cofinitely
+        iff every residue mod q that is s mod g is in the tail.
+        """
         if m < 1:
             raise ValueError("modulus must be positive")
+        check_width(m, "modulus")
         q = self.period
         g = gcd(q, m)
-        tail_mod_g = {r % g for r in self.tail}
-        inf_bits = 0
-        for s in range(m):
-            if s % g in tail_mod_g:
-                inf_bits |= 1 << s
-        att_bits = inf_bits
-        for n in self.prefix:
-            att_bits |= 1 << (n % m)
-        big = lcm(q, m)
-        cof_bits = 0
-        for s in range(m):
-            if all(((s + m * t) % q) in self.tail for t in range(big // m)):
-                cof_bits |= 1 << s
-        return ModularProfile(
-            m,
-            ResidueSet(m, att_bits),
-            ResidueSet(m, inf_bits),
-            ResidueSet(m, cof_bits),
-        )
+        tail = self.tail.bits
+        inf_bits = tile_bits(fold_bits(tail, g), g, m)
+        gaps = fold_bits(tail ^ ((1 << q) - 1), g)
+        cof_bits = tile_bits(gaps ^ ((1 << g) - 1), g, m)
+        att_bits = inf_bits | fold_bits(self.prefix, m)
+        return ModularProfile(m, *(ResidueSet(m, b) for b in (att_bits, inf_bits, cof_bits)))
 
     # -- serialization ---------------------------------------------------
 
@@ -134,45 +140,46 @@ class EventuallyPeriodicSet:
         return {
             "q": self.period,
             "T": self.threshold,
-            "prefix": sorted(self.prefix),
-            "tail": sorted(self.tail),
+            "prefix": bit_positions(self.prefix),
+            "tail": bit_positions(self.tail.bits),
         }
 
     def __repr__(self) -> str:
-        tail = ",".join(map(str, sorted(self.tail)))
-        pre = ",".join(map(str, sorted(self.prefix)))
+        tail = ",".join(map(str, bit_positions(self.tail.bits)))
+        pre = ",".join(map(str, bit_positions(self.prefix)))
         return f"EventuallyPeriodicSet(q={self.period}, T={self.threshold}, prefix={{{pre}}}, tail={{{tail}}} mod {self.period})"
+
+
+def _members_below(s: EventuallyPeriodicSet, width: int) -> int:
+    """The members of s below width (at least its threshold), as a bitmask."""
+    t = s.threshold
+    return s.prefix | (tile_bits(s.tail.bits, s.period, width) >> t << t)
 
 
 # -- canonical construction ----------------------------------------------
 
 
-def _build(q: int, t: int, prefix: Iterable[int], tail_bits: int) -> EventuallyPeriodicSet:
-    """Canonicalize an arbitrary (q, T, prefix, tail) description."""
-    prefix_set = set(prefix)
-    if tail_bits == 0:
-        # a finite set: the threshold is one past its largest member
-        kept = [n for n in prefix_set if n < t]
-        t = max(kept) + 1 if kept else 0
-        return EventuallyPeriodicSet(1, t, frozenset(kept), ResidueSet(1, 0))
+def _build(q: int, t: int, prefix: int, tail_bits: int) -> EventuallyPeriodicSet:
+    """Canonicalize a raw (q, T, prefix, tail) description: prefix < 2^T,
+    T any nonnegative integer.
+
+    The minimal period is the tail's stabilizer (1 for a finite set), and
+    the minimal threshold the first multiple of it past the highest bit
+    where the prefix disagrees with the tiled tail.
+    """
     q2 = stabilizer_generator_bits(tail_bits, q)
     tail2 = tail_bits & ((1 << q2) - 1)
-    # threshold stays a multiple of the reduced period
-    while t >= q2 and all(
-        (n in prefix_set) == (((tail2 >> (n % q2)) & 1) == 1)
-        for n in range(t - q2, t)
-    ):
-        t -= q2
-    pruned = frozenset(n for n in prefix_set if n < t)
-    return EventuallyPeriodicSet(q2, t, pruned, ResidueSet(q2, tail2))
+    diff = prefix ^ tile_bits(tail2, q2, t)
+    t2 = -(-diff.bit_length() // q2) * q2
+    return EventuallyPeriodicSet(q2, t2, diff ^ tile_bits(tail2, q2, t2), ResidueSet(q2, tail2))
 
 
 def empty() -> EventuallyPeriodicSet:
-    return _build(1, 0, (), 0)
+    return _build(1, 0, 0, 0)
 
 
 def naturals() -> EventuallyPeriodicSet:
-    return _build(1, 0, (), 1)
+    return _build(1, 0, 0, 1)
 
 
 def from_finite(members: Iterable[int]) -> EventuallyPeriodicSet:
@@ -180,17 +187,13 @@ def from_finite(members: Iterable[int]) -> EventuallyPeriodicSet:
     if any(n < 0 for n in members):
         raise ValueError("members must be nonnegative")
     t = max(members) + 1 if members else 0
-    return _build(1, t, members, 0)
+    check_width(t, "threshold")
+    return _build(1, t, _mask(members), 0)
 
 
 def from_residues(q: int, residues: Iterable[int]) -> EventuallyPeriodicSet:
     """Union of the full classes r + qN over the given residues mod q."""
-    bits = 0
-    for r in residues:
-        if not 0 <= r < q:
-            raise ValueError(f"residue {r} not in [0, {q})")
-        bits |= 1 << r
-    return _build(q, 0, (), bits)
+    return _build(q, 0, 0, ResidueSet.of(q, residues).bits)
 
 
 def from_progressions(terms: list[tuple[int, int]]) -> EventuallyPeriodicSet:
@@ -202,39 +205,84 @@ def from_progressions(terms: list[tuple[int, int]]) -> EventuallyPeriodicSet:
             raise ValueError(f"progression step must be positive, got {k}")
         if a < 0:
             raise ValueError(f"progression start must be nonnegative, got {a}")
-    q = 1
-    for _, k in terms:
-        q = lcm(q, k)
-    top = max(a for a, _ in terms)
-    t = -(-top // q) * q  # first multiple of q at or above every start
-    tail_bits = 0
-    for r in range(q):
-        if any(r % k == a % k for a, k in terms):
-            tail_bits |= 1 << r
-    prefix = {
-        n
-        for a, k in terms
-        for n in range(a, t, k)
-    }
+    q = lcm(*(k for _, k in terms))
+    check_width(q, "period")
+    t = max(a for a, _ in terms)  # every progression has started by here
+    check_width(t, "threshold")
+    prefix = tail_bits = 0
+    for a, k in terms:
+        prefix |= tile_bits(1, k, t - a) << a
+        tail_bits |= tile_bits(1 << (a % k), k, q)
     return _build(q, t, prefix, tail_bits)
+
+
+# -- JSON ------------------------------------------------------------------
+
+
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# what a JSON field may hold, keyed by the phrase an error names it with
+_JSON_KINDS = {
+    "an integer": _is_int,
+    "a string": lambda v: isinstance(v, str),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a number or a string": lambda v: isinstance(v, (int, float, str)) and not isinstance(v, bool),
+    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "a list of [start, step] pairs": lambda v: isinstance(v, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(map(_is_int, p)) for p in v
+    ),
+    "a list of objects": lambda v: isinstance(v, list) and all(isinstance(p, dict) for p in v),
+}
+
+# the kind of every field of a set description, in any family
+_FIELD_KINDS = {
+    **dict.fromkeys(("q", "T", "t", "m", "step", "n_base"), "an integer"),
+    **dict.fromkeys(("prefix", "tail", "k_prefix", "moduli"), "a list of integers"),
+    **dict.fromkeys(("bits", "rule"), "a string"),
+    **dict.fromkeys(("theta", "alpha", "beta", "gamma"), "a number or a string"),
+    "sparsify": "a boolean",
+    "progressions": "a list of [start, step] pairs",
+    "of": "a list of objects",
+}
+
+_REQUIRED = object()
+
+
+def json_field(obj: dict, name: str, default: object = _REQUIRED):
+    """obj[name], or ``default`` when it is absent (or null where the
+    default is).  A missing required field, or a value not of the field's
+    kind, is a ValueError naming the field."""
+    value = obj.get(name, default)
+    if value is _REQUIRED:
+        raise ValueError(f"missing field {name!r}")
+    kind = _FIELD_KINDS[name]
+    if value is not default and not _JSON_KINDS[kind](value):
+        raise ValueError(f"field {name!r} must be {kind}, got {value!r:.40}")
+    return value
 
 
 def from_json_dict(obj: dict) -> EventuallyPeriodicSet:
     if "progressions" in obj:
-        return from_progressions([tuple(p) for p in obj["progressions"]])
-    q, t = obj["q"], obj["T"]
-    tail_bits = 0
-    for r in obj.get("tail", []):
-        if not 0 <= r < q:
-            raise ValueError(f"tail residue {r} not in [0, {q})")
-        tail_bits |= 1 << r
+        return from_progressions([tuple(p) for p in json_field(obj, "progressions")])
+    q, t = json_field(obj, "q"), json_field(obj, "T")
+    tail, prefix = json_field(obj, "tail", []), json_field(obj, "prefix", [])
+    if q < 1:
+        raise ValueError(f"q must be positive, got {q}")
     if t < 0:
         raise ValueError(f"T must be nonnegative, got {t}")
-    prefix = obj.get("prefix", [])
+    for r in tail:
+        if not 0 <= r < q:
+            raise ValueError(f"tail residue {r} not in [0, {q})")
     for n in prefix:
         if not 0 <= n < t:
             raise ValueError(f"prefix member {n} not in [0, {t})")
-    return _build(q, t, prefix, tail_bits)
+    check_width(q, "period q")
+    if not tail:  # a finite set: its threshold is one past its largest member
+        t = max(prefix) + 1 if prefix else 0
+    check_width(t, "threshold T")
+    return _build(q, t, _mask(prefix), _mask(tail))
 
 
 # -- pointwise algebra -----------------------------------------------------
@@ -243,25 +291,15 @@ def from_json_dict(obj: dict) -> EventuallyPeriodicSet:
 def _aligned(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet):
     """Common-(q, T) raw descriptions of two sets."""
     q = lcm(a.period, b.period)
-    top = max(a.threshold, b.threshold)
-    t = -(-top // q) * q
-    def expand(s: EventuallyPeriodicSet):
-        tail_bits = 0
-        for r in range(q):
-            if (r % s.period) in s.tail:
-                tail_bits |= 1 << r
-        prefix = {n for n in range(t) if n in s}
-        return prefix, tail_bits
-    pa, ta = expand(a)
-    pb, tb = expand(b)
-    return q, t, pa, ta, pb, tb
+    check_width(q, "aligned period")
+    t = max(a.threshold, b.threshold)
+    ta, tb = tile_bits(a.tail.bits, a.period, q), tile_bits(b.tail.bits, b.period, q)
+    return q, t, _members_below(a, t), ta, _members_below(b, t), tb
 
 
 def complement(a: EventuallyPeriodicSet) -> EventuallyPeriodicSet:
     q, t = a.period, a.threshold
-    prefix = {n for n in range(t) if n not in a.prefix}
-    tail_bits = a.tail.bits ^ ((1 << q) - 1)
-    return _build(q, t, prefix, tail_bits)
+    return _build(q, t, a.prefix ^ ((1 << t) - 1), a.tail.bits ^ ((1 << q) - 1))
 
 
 def union(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet) -> EventuallyPeriodicSet:
@@ -282,60 +320,36 @@ def shift(a: EventuallyPeriodicSet, c: int) -> EventuallyPeriodicSet:
     """The set {n + c : n in A}."""
     if c < 0:
         raise ValueError("shift must be nonnegative")
-    q = a.period
-    t = -(-(a.threshold + c) // q) * q
-    prefix = set()
-    for n in range(t):
-        if n >= c and (n - c) in a:
-            prefix.add(n)
-    tail_bits = rotate_bits(a.tail.bits, c, q)
-    return _build(q, t, prefix, tail_bits)
+    t = a.threshold + c
+    check_width(t, "threshold")
+    return _build(a.period, t, a.prefix << c, rotate_bits(a.tail.bits, c, a.period))
 
 
 def add(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet) -> EventuallyPeriodicSet:
     """Exact sumset A + B inside the eventually periodic family.
 
-    Aligned to a common period q and threshold T, every sum above
-    2T + 2q comes from a tail class plus a tail class or a prefix
+    With q the common period and T the larger threshold, every sum at or
+    above 2T + 2q comes from a tail class plus a tail class or a prefix
     element plus a tail class, so its membership depends only on the
-    residue; below that bound membership is computed outright by a
+    residue mod q; below that bound membership is computed outright by a
     bitmask convolution.
     """
-    from .zmod import sumset_bits
-
     if a.is_empty() or b.is_empty():
         return empty()
-    q, t, pa, ta, pb, tb = _aligned(a, b)
-    pa_res = 0
-    for p in pa:
-        pa_res |= 1 << (p % q)
-    pb_res = 0
-    for p in pb:
-        pb_res |= 1 << (p % q)
-    tail_bits = sumset_bits([ta, tb], q)
-    if pa_res and tb:
-        tail_bits |= sumset_bits([pa_res, tb], q)
-    if pb_res and ta:
-        tail_bits |= sumset_bits([pb_res, ta], q)
-    bound = 2 * t + 2 * q  # all tail-backed classes have started by here
-    mask = (1 << bound) - 1
-    a_bits = 0
-    for n in range(bound):
-        if (n < t and n in pa) or (n >= t and (ta >> (n % q)) & 1):
-            a_bits |= 1 << n
-    b_bits = 0
-    for n in range(bound):
-        if (n < t and n in pb) or (n >= t and (tb >> (n % q)) & 1):
-            b_bits |= 1 << n
+    q = lcm(a.period, b.period)
+    check_width(q, "aligned period")
+    bound = 2 * max(a.threshold, b.threshold) + 2 * q
+    check_width(bound, "sumset window 2T + 2q")
+    ta = tile_bits(a.tail.bits, a.period, q)
+    tb = tile_bits(b.tail.bits, b.period, q)
+    # tail + tail, prefix + tail and tail + prefix, as residues mod q
+    pa, pb = fold_bits(a.prefix, q), fold_bits(b.prefix, q)
+    tail_bits = sumset_bits([ta | pa, tb], q) | sumset_bits([pb, ta], q)
+    a_bits, b_bits = _members_below(a, bound), _members_below(b, bound)
     sum_bits = 0
-    rest = a_bits
-    while rest:
-        low = rest & -rest
-        sum_bits |= b_bits << (low.bit_length() - 1)
-        rest ^= low
-    sum_bits &= mask
-    prefix = {n for n in range(bound) if (sum_bits >> n) & 1}
-    return _build(q, bound, prefix, tail_bits)
+    for n in bit_positions(a_bits):
+        sum_bits |= b_bits << n
+    return _build(q, bound, sum_bits & ((1 << bound) - 1), tail_bits)
 
 
 def sumset(sets: list[EventuallyPeriodicSet]) -> EventuallyPeriodicSet:
@@ -345,4 +359,3 @@ def sumset(sets: list[EventuallyPeriodicSet]) -> EventuallyPeriodicSet:
     for s in sets[1:]:
         acc = add(acc, s)
     return acc
-

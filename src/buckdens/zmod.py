@@ -37,11 +37,16 @@ def divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
+def check_width(width: int, what: str) -> None:
+    """Refuse a dense vector of ``width`` bits above the cap, before it is built."""
+    if width > MAX_MODULUS:
+        raise LimitExceededError(f"{what} {width} exceeds cap {MAX_MODULUS}")
+
+
 def _check_modulus(m: int) -> None:
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
-    if m > MAX_MODULUS:
-        raise LimitExceededError(f"modulus {m} exceeds cap {MAX_MODULUS}")
+    check_width(m, "modulus")
 
 
 def rotate_bits(bits: int, t: int, m: int) -> int:
@@ -51,6 +56,28 @@ def rotate_bits(bits: int, t: int, m: int) -> int:
         return bits
     mask = (1 << m) - 1
     return ((bits << t) | (bits >> (m - t))) & mask
+
+
+def tile_bits(pattern: int, q: int, width: int) -> int:
+    """The width-bit vector whose bit n is bit n mod q of a q-bit pattern."""
+    out, span = pattern, q
+    while span < width:  # doubling: out holds the pattern repeated over span bits
+        out |= out << span
+        span *= 2
+    return out & ((1 << width) - 1)
+
+
+def bit_positions(bits: int) -> list[int]:
+    """The set bits of a vector, ascending."""
+    return [n for n, c in enumerate(bin(bits)[:1:-1]) if c == "1"]
+
+
+def fold_bits(bits: int, g: int) -> int:
+    """OR of the g-bit chunks of a vector: bit r is set iff some n = r mod g is."""
+    while bits >> g:  # fold the upper half of the chunks onto the lower half
+        cut = -(-bits.bit_length() // (2 * g)) * g
+        bits = (bits & ((1 << cut) - 1)) | (bits >> cut)
+    return bits
 
 
 @dataclass(frozen=True)
@@ -149,9 +176,6 @@ class Subgroup:
     @property
     def members(self) -> tuple[int, ...]:
         return tuple(range(0, self.modulus, self.generator)) if not self.is_trivial() else (0,)
-
-    def as_residue_set(self) -> ResidueSet:
-        return ResidueSet.of(self.modulus, self.members)
 
 
 @dataclass(frozen=True)
@@ -256,10 +280,7 @@ def is_periodic(s: ResidueSet) -> bool:
 
 def saturate_bits(bits: int, d: int, m: int) -> int:
     """S + H for the subgroup generated by divisor d of m."""
-    out = bits
-    for t in range(d, m, d):
-        out |= rotate_bits(bits, t, m)
-    return out
+    return tile_bits(fold_bits(bits, d), d, m)
 
 
 def detect_arithmetic_progression(s: ResidueSet) -> Optional[APWitness]:
@@ -313,9 +334,7 @@ def detect_quasi_periodic(
     if m > 1 and is_periodic(s):
         return None
     for d in _subgroup_candidates(m):
-        k_bits = 0
-        for t in range(0, m, d):
-            k_bits |= 1 << t
+        k_bits = tile_bits(1, d, m)
         for shift in s:
             trace_bits = rotate_bits(s.bits, -shift, m) & k_bits
             if trace_bits == k_bits:
@@ -324,8 +343,8 @@ def detect_quasi_periodic(
             if require_nonempty_periodic_part and remainder == 0:
                 continue
             if rotate_bits(remainder, d, m) == remainder:
-                trace = frozenset(i for i in range(m) if (trace_bits >> i) & 1)
-                periodic_part = frozenset(i for i in range(m) if (remainder >> i) & 1)
+                trace = frozenset(bit_positions(trace_bits))
+                periodic_part = frozenset(bit_positions(remainder))
                 return QuasiPeriodicWitness(Subgroup(m, d), shift, trace, periodic_part)
     return None
 
@@ -420,7 +439,4 @@ def project(s: ResidueSet, d: int) -> ResidueSet:
     """Image of S under reduction mod d, for d | m."""
     if d < 1 or s.modulus % d != 0:
         raise ValueError(f"{d} does not divide modulus {s.modulus}")
-    bits = 0
-    for x in s:
-        bits |= 1 << (x % d)
-    return ResidueSet(d, bits)
+    return ResidueSet(d, fold_bits(s.bits, d))

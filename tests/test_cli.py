@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -211,6 +212,47 @@ class TestErrors:
         code, _, err = run(capsys, "gen", '{"q":2,"T":2,"prefix":[0,8],"tail":[1]}')
         assert code == 2
         assert "prefix" in err
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"q":2,"T":2,"prefix":["a"],"tail":[1]}', "prefix"),
+        ('{"family":"d_k","k_prefix":"13"}', "k_prefix"),
+        ('{"family":"thin_basis","m":"5"}', "m"),
+        ('{"q":2.5,"T":0,"tail":[1]}', "q"),
+        ('{"family":"b_alpha","bits":101}', "bits"),
+        ('{"T":3}', "q"),
+    ],
+)
+def test_wrong_typed_or_missing_field_is_usage_error(capsys, text, field):
+    code, out, err = run(capsys, "gen", text)
+    assert code == 2 and out == ""
+    assert f"field {field!r}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # limits met while reading the input
+        ["gen", '{"q":2000000,"T":0,"tail":[1]}'],
+        ["gen", '{"family":"basis_chain","moduli":[1025,1025]}'],
+        ["classify", "--mod", "2000000", "--elems", "1"],
+        # widths over the cap, refused before any mask is built
+        ["analyze", '{"family":"basis_chain","moduli":[97,101],"sparsify":true}'],
+        ["sumset", '{"progressions":[[3000000,2]]}', '{"progressions":[[1,3]]}'],
+        ["sumset", '{"q":1,"T":1000000000000,"prefix":[],"tail":[0]}', '{"progressions":[[0,2]]}'],
+        ["sumset", '{"progressions":[[1,997],[5,1009]]}', '{"progressions":[[3,991]]}'],
+        ["density", '{"family":"d_k","k_prefix":[1,3],"rule":"double_gap"}',
+         "--chain", "pow2", "--depth", "25"],
+    ],
+)
+def test_limit_exits_three_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "exceeds cap" in err
+    assert time.perf_counter() - start < 5
 
 
 ODDS = '{"progressions":[[1,2]]}'

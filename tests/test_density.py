@@ -5,6 +5,7 @@ import pytest
 from buckdens import density as dens
 from buckdens import generators as gen
 from buckdens import periodic as per
+from buckdens.zmod import LimitExceededError
 
 
 class TestModulusChain:
@@ -156,6 +157,48 @@ class TestChainReport:
             gen.gen_p_t(1), dens.modulus_chain("powers_of_two", 3), horizon=1000
         )
         assert all(r.kind == "sampled" for r in rows)
+
+
+class TestChainCap:
+    """A chain modulus over the dense cap is refused before any profile."""
+
+    DK = gen.gen_d_k((1, 3), rule="double_gap")  # exact profiles mod 2^e
+    HOOK = gen.gen_hook()  # sampled residues
+
+    @pytest.mark.parametrize(
+        "report, desc",
+        [
+            (dens.buck_upper, DK),
+            (dens.buck_upper, HOOK),
+            (dens.buck_lower, DK),
+            (dens.density_chain_report, DK),
+            (dens.density_chain_report, HOOK),
+        ],
+    )
+    def test_checked_before_any_profile(self, monkeypatch, report, desc):
+        calls = []
+
+        def recorder(name, fn):
+            def record(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return record
+
+        for owner, name in (
+            (gen.SetDescription, "profile"),
+            (gen.SetDescription, "members"),
+            (gen, "_dk_profile"),
+            (dens, "attained_residues"),
+        ):
+            monkeypatch.setattr(owner, name, recorder(name, getattr(owner, name)))
+        deep = dens.modulus_chain("powers_of_two", 25)
+        with pytest.raises(LimitExceededError, match="chain modulus"):
+            report(desc, deep)
+        assert calls == []
+
+    def test_exact_periodic_path_ignores_the_chain(self):
+        est = dens.buck_upper(per.from_progressions([(1, 3)]), dens.modulus_chain("factorial", 12))
+        assert est.kind == "exact" and est.value == Fraction(1, 3)
 
 
 class TestPeriodicDensitiesAgree:

@@ -1,5 +1,8 @@
 import json
 from fractions import Fraction
+from functools import partial
+from math import lcm
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from buckdens import periodic as per
 from buckdens.periodic import EventuallyPeriodicSet
+from buckdens.zmod import LimitExceededError
 
 
 progressions = st.lists(
@@ -16,6 +20,47 @@ progressions = st.lists(
 
 def naive_member(terms, n):
     return any(n >= a and (n - a) % k == 0 for a, k in terms)
+
+
+@st.composite
+def raw_forms(draw):
+    """A raw {"q", "T", "prefix", "tail"} form with an arbitrary prefix."""
+    q = draw(st.integers(1, 12))
+    t = q * draw(st.integers(0, 4))
+    mask = draw(st.integers(0, (1 << t) - 1))
+    tail = draw(st.sets(st.integers(0, q - 1)))
+    return {"q": q, "T": t, "prefix": [n for n in range(t) if mask >> n & 1], "tail": sorted(tail)}
+
+
+def raw_member(raw, n):
+    return n in raw["prefix"] if n < raw["T"] else n % raw["q"] in raw["tail"]
+
+
+class Case(NamedTuple):
+    """A set, its plain membership test, and a start past which that
+    test is periodic with the given period."""
+
+    eps: EventuallyPeriodicSet
+    member: Callable[[int], bool]
+    start: int
+    period: int
+
+
+def _progression_case(terms):
+    return Case(
+        per.from_progressions(terms),
+        partial(naive_member, terms),
+        max(a for a, _ in terms),
+        lcm(*(k for _, k in terms)),
+    )
+
+
+def _raw_case(raw):
+    return Case(per.from_json_dict(raw), partial(raw_member, raw), raw["T"], raw["q"])
+
+
+# structured prefixes (unions of progressions) and arbitrary ones
+cases = st.one_of(progressions.map(_progression_case), raw_forms().map(_raw_case))
 
 
 class TestFromProgressions:
@@ -67,9 +112,9 @@ class TestCanonicalForm:
         from buckdens.zmod import ResidueSet
 
         with pytest.raises(ValueError, match="minimal"):
-            EventuallyPeriodicSet(4, 0, frozenset(), ResidueSet.of(4, [0, 2]))
+            EventuallyPeriodicSet(4, 0, 0, ResidueSet.of(4, [0, 2]))
         with pytest.raises(ValueError, match="threshold"):
-            EventuallyPeriodicSet(2, 2, frozenset({1}), ResidueSet.of(2, [1]))
+            EventuallyPeriodicSet(2, 2, 0b10, ResidueSet.of(2, [1]))
 
     def test_finite_set_representation(self):
         f = per.from_finite([5, 2])
@@ -111,18 +156,19 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             per.shift(per.naturals(), -1)
 
-    @given(progressions, progressions, st.integers(0, 9))
-    @settings(max_examples=100)
-    def test_pointwise_semantics(self, t1, t2, c):
-        a, b = per.from_progressions(t1), per.from_progressions(t2)
+    @given(cases, cases, st.integers(0, 9))
+    @settings(max_examples=150)
+    def test_pointwise_semantics(self, x, y, c):
+        a, b = x.eps, y.eps
         u, i = per.union(a, b), per.intersect(a, b)
         comp, sh = per.complement(a), per.shift(a, c)
         for n in range(0, 140):
-            in_a, in_b = n in a, n in b
+            in_a, in_b = x.member(n), y.member(n)
+            assert (n in a) == in_a and (n in b) == in_b
             assert (n in u) == (in_a or in_b)
             assert (n in i) == (in_a and in_b)
             assert (n in comp) == (not in_a)
-            assert (n in sh) == (n >= c and (n - c) in a)
+            assert (n in sh) == (n >= c and x.member(n - c))
 
     def test_multiples_of_four_with_odds(self):
         u = per.union(per.from_progressions([(0, 4)]), per.from_progressions([(1, 2)]))
@@ -198,19 +244,18 @@ class TestSumset:
             expected = (n >= 1 and n % 4 == 1) or (n >= 3 and n % 4 == 3)
             assert (n in total) == expected
 
-    @given(progressions, progressions)
-    @settings(max_examples=60, deadline=None)
-    def test_matches_brute_sums(self, t1, t2):
-        a, b = per.from_progressions(t1), per.from_progressions(t2)
-        total = per.add(a, b)
+    @given(cases, cases)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_brute_sums(self, x, y):
+        total = per.add(x.eps, y.eps)
         bound = 200
-        amem = [n for n in range(bound + 1) if n in a]
-        bmem = [n for n in range(bound + 1) if n in b]
-        sums = {x + y for x in amem for y in bmem if x + y <= bound}
+        amem = [n for n in range(bound + 1) if x.member(n)]
+        bmem = [n for n in range(bound + 1) if y.member(n)]
+        sums = {p + r for p in amem for r in bmem if p + r <= bound}
         # stay away from the horizon edge: sums near the boundary may
         # need larger summands than the window provides
         for n in range(bound // 2):
-            assert (n in total) == (n in sums), (t1, t2, n)
+            assert (n in total) == (n in sums), (x, y, n)
 
 
 class TestModularProfile:
@@ -232,26 +277,32 @@ class TestModularProfile:
         assert prof.attained.members == (0, 1, 2, 3, 4)
         assert prof.cofinitely_attained.members == (0, 1, 2, 3, 4)
 
-    @given(progressions, st.integers(1, 24))
+    @given(cases, st.integers(1, 24))
     @settings(max_examples=100)
-    def test_projection_compatibility(self, terms, m):
+    def test_projection_compatibility(self, x, m):
         from buckdens.zmod import project
 
-        a = per.from_progressions(terms)
+        a = x.eps
         prof = a.modular_profile(m)
         for d in range(1, m + 1):
             if m % d:
                 continue
             assert project(prof.attained, d) == a.modular_profile(d).attained
 
-    @given(progressions, st.integers(1, 16))
-    @settings(max_examples=60)
-    def test_profile_matches_enumeration(self, terms, m):
-        a = per.from_progressions(terms)
-        prof = a.modular_profile(m)
-        horizon = a.threshold + 40 * a.period * m
-        seen = {n % m for n in a.members(horizon)}
-        assert seen == set(prof.attained.members)
+    @given(cases, st.integers(1, 16))
+    @settings(max_examples=100)
+    def test_profile_matches_enumeration(self, x, m):
+        prof = x.eps.modular_profile(m)
+        # past x.start membership repeats with period x.period, so one
+        # window of x.period * m integers shows every class mod m
+        window = range(x.start, x.start + x.period * m)
+        seen = {n % m for n in range(window.stop) if x.member(n)}
+        infinite = {n % m for n in window if x.member(n)}
+        cofinite = {s for s in range(m) if all(x.member(n) for n in window if n % m == s)}
+        assert seen == set(prof.attained)
+        assert infinite == set(prof.infinitely_attained)
+        assert cofinite == set(prof.cofinitely_attained)
+        assert x.eps.members(window.stop) == [n for n in range(window.stop + 1) if x.member(n)]
 
 
 class TestSerialization:
@@ -274,6 +325,27 @@ class TestSerialization:
         a = per.from_json_dict({"q": 1, "T": 10**12, "prefix": [3], "tail": []})
         assert a == per.from_finite([3])
         assert per.from_json_dict({"q": 5, "T": 10**12, "prefix": [], "tail": []}) == per.empty()
+
+
+class TestWidthCap:
+    """Prefixes are dense, so widths over the cap are refused up front."""
+
+    def test_threshold_of_a_late_progression(self):
+        with pytest.raises(LimitExceededError, match="threshold"):
+            per.from_progressions([(3_000_000, 2)])
+
+    def test_threshold_of_a_sparse_finite_set(self):
+        with pytest.raises(LimitExceededError, match="threshold"):
+            per.from_finite([2**112])
+
+    def test_aligned_period(self):
+        a = per.from_progressions([(1, 997), (5, 1009)])
+        with pytest.raises(LimitExceededError, match="aligned period"):
+            per.add(a, per.from_progressions([(3, 991)]))
+
+    def test_sumset_window(self):
+        with pytest.raises(LimitExceededError, match="2T"):
+            per.add(per.from_finite([600_000]), per.naturals())
 
 
 class TestMembers:
