@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -164,19 +163,8 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _worker_count(value: Optional[str]) -> int:
-    """Workers for the exhaustive sweeps from BUCKDENS_THREADS: unset or
-    empty means 1; otherwise a positive integer, capped at the CPU count."""
-    if not value:
-        return 1
-    if not value.isdecimal() or int(value) < 1:
-        raise UsageError(f"BUCKDENS_THREADS must be a positive integer, got {value!r}")
-    return min(int(value), os.cpu_count() or 1)
-
-
 def _cmd_verify(args) -> int:
-    workers = _worker_count(os.environ.get("BUCKDENS_THREADS"))
-    results = suite_mod.run_suite(args.suite, seed=args.seed, workers=workers)
+    results = suite_mod.run_suite(args.suite, seed=args.seed)
     all_rows = []
     for res in results:
         for row in res.rows:

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Union
 
 from .generators import SetDescription, from_periodic
 from .periodic import EventuallyPeriodicSet
-from .zmod import ResidueSet, check_width
+from .zmod import ResidueSet, check_width, members_mask
 
 SetLike = Union[SetDescription, EventuallyPeriodicSet]
 
@@ -169,11 +169,14 @@ def attained_residues(
     asks many moduli passes ``members`` (a :func:`lazy_members` of x, or
     a function returning the list it holds) to enumerate them at most once.
     """
+    if m < 1:
+        raise ValueError(f"modulus must be positive, got {m}")
     desc = as_description(x)
     if desc.has_profile(m):
         return desc.profile(m).attained, True
+    check_width(m, "modulus")  # before the members are enumerated
     listed = desc.members(horizon) if members is None else members()
-    return ResidueSet.of(m, {n % m for n in listed}), False
+    return ResidueSet(m, members_mask({n % m for n in listed})), False
 
 
 def buck_upper(

@@ -1,15 +1,16 @@
 """Brute-force reference implementations for cross-validation.
 
-Everything here recomputes structure from first principles with plain
-set arithmetic (no shared bitmask machinery beyond subset encoding), so
-agreement with :mod:`buckdens.zmod` is a genuine two-route check.
-Subsets of Z/mZ are enumerated by ascending integer-encoded
-characteristic vectors, which pins down the first counterexample.
+Quasi-periodicity and arithmetic progressions are recomputed from first
+principles with plain set arithmetic, so agreement with
+:mod:`buckdens.zmod` is a genuine two-route check; the Kneser sweep still
+uses zmod's bit operations.  Subsets of Z/mZ are integer-encoded
+characteristic vectors, and the sweeps walk rotation-class
+representatives in ascending order, which pins down the first
+counterexample of a scan over all encodings.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from .zmod import (
@@ -84,50 +85,54 @@ def brute_arithmetic_progression(s: ResidueSet) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _kneser_violation_in_range(m: int, start: int, stop: int) -> Optional[tuple[int, int]]:
-    """First (enc1, enc2) violating the Kneser bound with enc1 in [start, stop)."""
-    divs = [d for d in divisors(m) if d < m] + [m]
-    full = (1 << m) - 1
-    for enc1 in range(max(start, 1), stop):
-        for enc2 in range(1, full + 1):
-            total = sumset_bits([enc1, enc2], m)
-            for d in divs:
-                if rotate_bits(total, d, m) == total:
-                    break
-            h_size = m // d
-            lhs = total.bit_count()
-            s1h = saturate_bits(enc1, d, m).bit_count()
-            s2h = saturate_bits(enc2, d, m).bit_count()
-            if lhs < s1h + s2h - h_size:
-                return (enc1, enc2)
-            if lhs < enc1.bit_count() + enc2.bit_count() - 1:
-                # deficiency forces the equality case
-                if lhs != s1h + s2h - h_size:
-                    return (enc1, enc2)
-    return None
+def _rotation_representatives(m: int) -> list[int]:
+    """The nonempty encodings least in their rotation class, ascending.
+
+    A representative is odd: rotating an even encoding down by one halves it.
+    """
+    return [
+        e for e in range(1, 1 << m, 2) if all(rotate_bits(e, t, m) >= e for t in range(1, m))
+    ]
+
+
+def _kneser_violated(m: int, divs: list[int], enc1: int, enc2: int) -> bool:
+    """Whether (enc1, enc2) breaks the Kneser bound or, under deficiency,
+    its equality case."""
+    total = sumset_bits([enc1, enc2], m)
+    for d in divs:
+        if rotate_bits(total, d, m) == total:
+            break
+    h_size = m // d
+    lhs = total.bit_count()
+    s1h = saturate_bits(enc1, d, m).bit_count()
+    s2h = saturate_bits(enc2, d, m).bit_count()
+    if lhs < s1h + s2h - h_size:
+        return True
+    # deficiency forces the equality case
+    return lhs < enc1.bit_count() + enc2.bit_count() - 1 and lhs != s1h + s2h - h_size
 
 
 def exhaustive_kneser(m: int, workers: int = 1) -> Optional[tuple[ResidueSet, ResidueSet]]:
-    """Scan all nonempty pairs in Z/mZ for a violation of
+    """First nonempty pair in Z/mZ violating
     |S1+S2| >= |S1+H| + |S2+H| - |H| with H the stabilizer of the sumset
-    (plus the equality case under deficiency); None means all hold."""
+    (plus the equality case under deficiency); None means all hold.
+
+    Translating either summand or swapping them preserves every quantity
+    in the bound, so the pairs of rotation-class representatives with
+    enc1 <= enc2 cover all pairs.  The first hit is the one a scan of all
+    pairs finds: the least violating pair has both parts least in their
+    class, and its swap also violates, so its first part is the smaller.
+    ``workers`` selects nothing (the sweep is serial); it stays for callers
+    that pass it.
+    """
     _check_sweep_modulus(m)
-    full = (1 << m) - 1
-    if workers <= 1 or full < 64:
-        hit = _kneser_violation_in_range(m, 1, full + 1)
-    else:
-        chunk = -(-full // workers)
-        ranges = [(m, 1 + i * chunk, min(1 + (i + 1) * chunk, full + 1)) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_kneser_violation_in_range, *zip(*ranges)))
-        hit = None
-        for r in results:  # ordered by chunk, so the lowest encoding wins
-            if r is not None:
-                hit = r
-                break
-    if hit is None:
-        return None
-    return ResidueSet(m, hit[0]), ResidueSet(m, hit[1])
+    divs = divisors(m)
+    reps = _rotation_representatives(m)
+    for i, enc1 in enumerate(reps):
+        for enc2 in reps[i:]:
+            if _kneser_violated(m, divs, enc1, enc2):
+                return ResidueSet(m, enc1), ResidueSet(m, enc2)
+    return None
 
 
 def exhaustive_kemperman_ap(
@@ -135,20 +140,22 @@ def exhaustive_kemperman_ap(
 ) -> Optional[ResidueSet]:
     """First S with |S+S| = 2|S| - 1 whose doubling is neither periodic
     nor quasi-periodic (under the given convention) while S is not an
-    arithmetic progression; None when the dichotomy holds throughout."""
-    _check_sweep_modulus(m)
-    from .zmod import detect_arithmetic_progression, detect_quasi_periodic
+    arithmetic progression; None when the dichotomy holds throughout.
 
-    for enc in range(1, 1 << m):
+    Every condition is unchanged by translating S, so the first hit is
+    a rotation-class representative and only those are scanned.
+    """
+    _check_sweep_modulus(m)
+    for enc in _rotation_representatives(m):
         s = ResidueSet(m, enc)
         doubled = ResidueSet(m, sumset_bits([enc, enc], m))
         if doubled.cardinality != 2 * s.cardinality - 1:
             continue
-        if is_periodic(doubled):
+        if is_periodic(doubled):  # brute_quasi_periodic is False on periodic sets
             continue
-        if detect_quasi_periodic(doubled, require_nonempty_periodic_part) is not None:
+        if brute_quasi_periodic(doubled, require_nonempty_periodic_part):
             continue
-        if detect_arithmetic_progression(s) is None:
+        if not brute_arithmetic_progression(s):
             return s
     return None
 

@@ -24,6 +24,7 @@ from .zmod import (
     bit_positions,
     check_width,
     fold_bits,
+    members_mask,
     rotate_bits,
     stabilizer_generator_bits,
     sumset_bits,
@@ -53,15 +54,6 @@ class ModularProfile:
             raise ValueError("cofinitely attained residues must be infinitely attained")
         if not self.infinitely_attained.issubset(self.attained):
             raise ValueError("infinitely attained residues must be attained")
-
-
-def _mask(members: Iterable[int]) -> int:
-    """The bitmask of a collection of nonnegative integers."""
-    members = list(members)
-    buf = bytearray(max(members, default=0) // 8 + 1)
-    for n in members:
-        buf[n >> 3] |= 1 << (n & 7)
-    return int.from_bytes(buf, "little")
 
 
 @dataclass(frozen=True)
@@ -188,7 +180,7 @@ def from_finite(members: Iterable[int]) -> EventuallyPeriodicSet:
         raise ValueError("members must be nonnegative")
     t = max(members) + 1 if members else 0
     check_width(t, "threshold")
-    return _build(1, t, _mask(members), 0)
+    return _build(1, t, members_mask(members), 0)
 
 
 def from_residues(q: int, residues: Iterable[int]) -> EventuallyPeriodicSet:
@@ -282,7 +274,7 @@ def from_json_dict(obj: dict) -> EventuallyPeriodicSet:
     if not tail:  # a finite set: its threshold is one past its largest member
         t = max(prefix) + 1 if prefix else 0
     check_width(t, "threshold T")
-    return _build(q, t, _mask(prefix), _mask(tail))
+    return _build(q, t, members_mask(prefix), members_mask(tail))
 
 
 # -- pointwise algebra -----------------------------------------------------

@@ -86,10 +86,10 @@ def _floor_log2(f: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-def suite_kneser_exhaustive(m_max: int = 10, workers: int = 1) -> SuiteResult:
+def suite_kneser_exhaustive(m_max: int = 10) -> SuiteResult:
     rows = []
     for m in range(1, m_max + 1):
-        hit = exhaustive_kneser(m, workers=workers)
+        hit = exhaustive_kneser(m)
         pairs = ((1 << m) - 1) ** 2
         rows.append(
             _row(
@@ -639,11 +639,11 @@ def suite_prop67(horizon: int = 1 << 16) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED, workers: int = 1) -> list[SuiteResult]:
+def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[SuiteResult]:
     if name == "all":
-        return [results for n in SUITE_NAMES for results in run_suite(n, seed, workers)]
+        return [results for n in SUITE_NAMES for results in run_suite(n, seed)]
     if name == "kneser-exhaustive":
-        return [suite_kneser_exhaustive(workers=workers)]
+        return [suite_kneser_exhaustive()]
     if name == "kemperman-ap":
         return [suite_kemperman_ap()]
     if name == "dk-xi":

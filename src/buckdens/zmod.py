@@ -72,6 +72,16 @@ def bit_positions(bits: int) -> list[int]:
     return [n for n, c in enumerate(bin(bits)[:1:-1]) if c == "1"]
 
 
+def members_mask(members: Iterable[int]) -> int:
+    """The bitmask of a collection of nonnegative integers, built in a
+    bytearray: faster than one shift-OR per member on large sets."""
+    members = list(members)
+    buf = bytearray(max(members, default=0) // 8 + 1)
+    for n in members:
+        buf[n >> 3] |= 1 << (n & 7)
+    return int.from_bytes(buf, "little")
+
+
 def fold_bits(bits: int, g: int) -> int:
     """OR of the g-bit chunks of a vector: bit r is set iff some n = r mod g is."""
     while bits >> g:  # fold the upper half of the chunks onto the lower half

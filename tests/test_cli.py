@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -100,6 +101,14 @@ class TestSumset:
             "m": 2, "count": 1, "residues": [0], "kind": "exact-profile",
         }
 
+    @pytest.mark.parametrize("mods", ["0", "2,0"])
+    def test_zero_modulus_is_usage_error(self, capsys, mods):
+        code, out, err = run(
+            capsys, "sumset", '{"family":"weyl","alpha":"1/3"}', '{"family":"x0"}', "--mods", mods
+        )
+        assert code == 2 and out == ""
+        assert "modulus must be positive, got 0" in err
+
     def test_sampled_profiles_enumerate_members_once(self, capsys, monkeypatch):
         calls = []
         members = SetDescription.members
@@ -173,6 +182,15 @@ class TestVerify:
         code2, out2, _ = run(capsys, "verify", "x0", "--format", "json", "--seed", "7")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_full_report_is_pinned(self, capsys):
+        # sha256 of the full report at a fixed seed: any change to a row,
+        # a detail string or the JSON layout of `verify all` shows here
+        code, out, _ = run(capsys, "verify", "all", "--format", "json", "--seed", "1729")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6a358b31f6f625fe6a524cf9ae561b657d343f84f3300eaa57bf0b8b7efe10f9"
+        )
 
     def test_unknown_suite_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "everything")
@@ -272,25 +290,6 @@ ODDS = '{"progressions":[[1,2]]}'
 def test_unimplemented_format_is_usage_error(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 2 and out == ""
-
-
-class TestWorkerCount:
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", " 2"])
-    def test_invalid_rejected(self, value):
-        with pytest.raises(cli.UsageError, match="BUCKDENS_THREADS"):
-            cli._worker_count(value)
-
-    def test_default_and_cap(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        assert cli._worker_count(None) == cli._worker_count("") == 1
-        assert cli._worker_count("2") == 2
-        assert cli._worker_count("1000000") == 2
-
-    def test_verify_names_the_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("BUCKDENS_THREADS", "abc")
-        code, _, err = run(capsys, "verify", "x0")
-        assert code == 2
-        assert "BUCKDENS_THREADS" in err
 
 
 class TestOutputFile:

@@ -1,12 +1,21 @@
 import pytest
 
+from buckdens import oracle
 from buckdens.oracle import (
+    brute_arithmetic_progression,
     brute_quasi_periodic,
     brute_sumset_members,
     exhaustive_kemperman_ap,
     exhaustive_kneser,
 )
-from buckdens.zmod import ResidueSet, detect_quasi_periodic
+from buckdens.zmod import (
+    ResidueSet,
+    detect_quasi_periodic,
+    rotate_bits,
+    saturate_bits,
+    stabilizer_generator_bits,
+    sumset_bits,
+)
 
 
 def test_quasi_periodic_agreement_small_moduli():
@@ -70,10 +79,6 @@ def test_exhaustive_kneser_small():
         assert exhaustive_kneser(m) is None
 
 
-def test_exhaustive_kneser_workers_agree():
-    assert exhaustive_kneser(8, workers=2) == exhaustive_kneser(8)
-
-
 def test_exhaustive_kneser_range():
     with pytest.raises(ValueError):
         exhaustive_kneser(13)
@@ -100,3 +105,94 @@ def test_brute_sumset_members_x0():
     got = brute_sumset_members(x0, x0, 21)
     assert 2 in got and 5 in got and 6 in got and 8 in got
     assert all(n % 4 != 3 for n in got)
+
+
+def _orbit(enc, m):
+    return {rotate_bits(enc, t, m) for t in range(m)}
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_representatives_cover_every_subset(m):
+    reps = oracle._rotation_representatives(m)
+    assert reps == sorted(reps)
+    assert all(enc == min(_orbit(enc, m)) for enc in reps)
+    covered = set().union(*(_orbit(enc, m) for enc in reps))
+    assert covered == set(range(1, 1 << m))
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_swept_pairs_cover_every_pair(monkeypatch, m):
+    # rotating each part and swapping close the pairs the Kneser sweep
+    # visits up to all (2^m - 1)^2 ordered nonempty pairs
+    visited = []
+    monkeypatch.setattr(
+        oracle, "_kneser_violated", lambda m, divs, a, b: visited.append((a, b))
+    )
+    assert exhaustive_kneser(m) is None
+    pairs = set()
+    for a, b in visited:
+        for x in _orbit(a, m):
+            for y in _orbit(b, m):
+                pairs.update({(x, y), (y, x)})
+    assert len(pairs) == ((1 << m) - 1) ** 2
+
+
+def _kneser_quantities(enc1, enc2, m):
+    """|S1+S2|, the stabilizer generator, and (|S_i+H|, |S_i|) per part."""
+    total = sumset_bits([enc1, enc2], m)
+    d = stabilizer_generator_bits(total, m)
+    parts = tuple((saturate_bits(e, d, m).bit_count(), e.bit_count()) for e in (enc1, enc2))
+    return total.bit_count(), d, parts
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_kneser_quantities_invariant_under_rotation(m):
+    full = 1 << m
+    for enc1 in range(1, full):
+        for enc2 in range(enc1, full):
+            want = _kneser_quantities(enc1, enc2, m)
+            size, d, parts = _kneser_quantities(enc2, enc1, m)
+            assert (size, d, parts[::-1]) == want, (m, enc1, enc2)
+            for t in range(1, m):
+                assert _kneser_quantities(rotate_bits(enc1, t, m), enc2, m) == want
+                assert _kneser_quantities(enc1, rotate_bits(enc2, t, m), m) == want
+
+
+def test_kneser_first_hit_matches_full_scan(monkeypatch):
+    # no Kneser violation exists, so plant a predicate with the same
+    # symmetries and check the sweep reports the full scan's first pair
+    def planted(m, divs, enc1, enc2):
+        a, b = enc1.bit_count(), enc2.bit_count()
+        return min(a, b) >= 2 and a != b and sumset_bits([enc1, enc2], m).bit_count() == a + b
+
+    monkeypatch.setattr(oracle, "_kneser_violated", planted)
+    hits = 0
+    for m in range(3, 9):
+        full = range(1, 1 << m)
+        want = next(((a, b) for a in full for b in full if planted(m, [], a, b)), None)
+        got = exhaustive_kneser(m)
+        assert (got and (got[0].bits, got[1].bits)) == want, m
+        hits += want is not None
+    assert hits == 4
+
+
+def test_kemperman_first_hit_matches_full_scan(monkeypatch):
+    # with no set called quasi-periodic, the first hit is the first S
+    # whose critical doubling is not periodic while S is not an AP
+    monkeypatch.setattr(oracle, "brute_quasi_periodic", lambda s, flag=False: False)
+    hits = 0
+    for m in range(3, 10):
+        want = None
+        for enc in range(1, 1 << m):
+            s = ResidueSet(m, enc)
+            doubled = sumset_bits([enc, enc], m)
+            if (
+                doubled.bit_count() == 2 * s.cardinality - 1
+                and stabilizer_generator_bits(doubled, m) == m
+                and not brute_arithmetic_progression(s)
+            ):
+                want = s
+                break
+        assert exhaustive_kemperman_ap(m) == want, m
+        hits += want is not None
+    assert hits == 3
