@@ -346,79 +346,83 @@ def gen_x0() -> DKDescription:
 # fractional-part (three-distance) sets  A = { n : {theta n} < alpha }
 # ---------------------------------------------------------------------------
 
-#: fractional bits carried by the fixed-point evaluation of theta
-WEYL_PRECISION = 64
-#: membership is only trusted for n below this (error < 2^-32 of a unit)
-WEYL_MAX_N = 1 << 32
-#: |{theta n} - alpha| below this is flagged as boundary-ambiguous
-WEYL_BOUNDARY = Fraction(1, 1 << 30)
+#: the named thetas (r + s sqrt(d)) / t, as (r, s, d, t)
+_QUADRATIC_THETAS = {
+    "sqrt2": (0, 1, 2, 1),
+    "sqrt3": (0, 1, 3, 1),
+    "sqrt5": (0, 1, 5, 1),
+    "golden": (1, 1, 5, 2),
+}
 
 
-def _theta_fixed_point(theta: str) -> int:
-    """floor(theta * 2^64) for a named constant or a decimal/rational string."""
-    double = 2 * WEYL_PRECISION
-    if theta == "sqrt2":
-        return isqrt(2 << double)
-    if theta == "sqrt3":
-        return isqrt(3 << double)
-    if theta == "sqrt5":
-        return isqrt(5 << double)
-    if theta == "golden":
-        return ((1 << WEYL_PRECISION) + isqrt(5 << double)) // 2
-    try:
-        frac = Fraction(theta)
-    except ValueError as exc:
-        raise ValueError(f"unknown theta constant {theta!r}") from exc
-    if frac <= 0:
-        raise ValueError("theta must be positive")
-    return (frac.numerator << WEYL_PRECISION) // frac.denominator
+def _weyl_kernel(theta: str, alpha: Fraction) -> Callable[[int], tuple[int, int, int]]:
+    """Exact integer test for {theta n} < alpha = a/b, one per bit length.
+
+    Write theta = (r + s sqrt d)/t, with s = 0 for a rational theta = r/t.
+    For a bit length L the kernel returns (S, 2^P - 1, ceil(a 2^P / b)) with
+    S = floor(theta 2^P) + 1, so that for every 0 <= n < 2^L
+
+        {theta n} < a/b  iff  (S n mod 2^P) < ceil(a 2^P / b).
+
+    Proof.  S n / 2^P = n theta + delta with 0 < delta <= n / 2^P, so the
+    test is exact unless an integer or a point k + a/b lies in
+    (n theta, n theta + delta].  Put X = b n s sqrt d and
+    Y = t (b k + a) - b n r, so that n theta - k - a/b = (X - Y) / (b t);
+    an integer is the case a = 0, b = 1, whose Q below is no larger.  For
+    s = 0, X - Y is an integer.  For s > 0, X^2 - Y^2 is a nonzero integer
+    (sqrt d is irrational), so |X - Y| >= 1, or |Y| < X + 1 and
+    |X - Y| >= 1/(X + |Y|) > 1/(2X + 1) (Liouville's bound for a quadratic
+    irrational).  As X < b n s (isqrt(d) + 1), each such point other than
+    n theta itself is at least 1/Q(n) away, with
+    Q(n) = t b (2 b n s (isqrt(d) + 1) + 1), and P, the bit length of
+    2^L Q(2^L), makes delta <= n / 2^P < 1/Q(n).
+    """
+    if theta in _QUADRATIC_THETAS:
+        r, s, d, t = _QUADRATIC_THETAS[theta]
+    else:
+        try:
+            frac = Fraction(theta)
+        except ValueError as exc:
+            raise ValueError(f"unknown theta constant {theta!r}") from exc
+        if frac <= 0:
+            raise ValueError("theta must be positive")
+        r, s, d, t = frac.numerator, 0, 0, frac.denominator
+    a, b = alpha.numerator, alpha.denominator
+
+    @lru_cache(maxsize=None)
+    def kernel(bits: int) -> tuple[int, int, int]:
+        n_max = 1 << bits
+        p = (n_max * t * b * (2 * b * n_max * s * (isqrt(d) + 1) + 1)).bit_length()
+        return ((r << p) + isqrt(s * s * d << 2 * p)) // t + 1, (1 << p) - 1, -(-(a << p) // b)
+
+    return kernel
 
 
-@dataclass(frozen=True, eq=False)
-class WeylDescription(SetDescription):
-    theta_scaled: int = 0  # floor(theta * 2^64)
-    alpha: Fraction = Fraction(1, 2)
-
-    def frac_scaled(self, n: int) -> int:
-        """(theta n mod 1) * 2^64, up to an error below n * 2^-64."""
-        if not 0 <= n <= WEYL_MAX_N:
-            raise ValueError(f"n = {n} beyond trusted precision range")
-        return (self.theta_scaled * n) & ((1 << WEYL_PRECISION) - 1)
-
-    def margin(self, n: int) -> Fraction:
-        return Fraction(self.frac_scaled(n), 1 << WEYL_PRECISION) - self.alpha
-
-    def near_boundary(self, n: int) -> bool:
-        return abs(self.margin(n)) < WEYL_BOUNDARY
-
-
-def gen_weyl(theta: str, alpha) -> WeylDescription:
+def gen_weyl(theta: str, alpha) -> SetDescription:
     """Integers whose fractional part {theta n} falls below alpha.
 
-    theta is a named irrational ("sqrt2", "sqrt3", "sqrt5", "golden") or
-    a decimal/rational string, evaluated to 64 fractional bits; alpha is
-    a rational in (0, 1).  Membership near the boundary can be audited
-    with :meth:`WeylDescription.near_boundary`.
+    theta is a named quadratic irrational ("sqrt2", "sqrt3", "sqrt5",
+    "golden") or a positive decimal/rational string; alpha is a rational
+    in (0, 1).  Membership is exact for every n (see :func:`_weyl_kernel`).
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    scaled = _theta_fixed_point(theta)
-    bound_num = alpha.numerator << WEYL_PRECISION
-    den = alpha.denominator
-    mask = (1 << WEYL_PRECISION) - 1
+    kernel = _weyl_kernel(theta, alpha)
 
     def member(n: int) -> bool:
-        if n < 0 or n > WEYL_MAX_N:
-            raise ValueError(f"n = {n} beyond trusted precision range")
-        return ((scaled * n) & mask) * den < bound_num
+        s, mask, bound = kernel(n.bit_length())
+        return n >= 0 and (s * n & mask) < bound
 
-    return WeylDescription(
+    def generate(horizon: int) -> list[int]:
+        s, mask, bound = kernel(horizon.bit_length())
+        return [n for n in range(horizon + 1) if (s * n & mask) < bound]
+
+    return SetDescription(
         family="weyl",
         params={"theta": theta, "alpha": str(alpha)},
         membership=member,
-        theta_scaled=scaled,
-        alpha=alpha,
+        member_iter=generate,
     )
 
 
@@ -629,12 +633,12 @@ class ThreeDensityDescription(SetDescription):
     alpha: Fraction = Fraction(1, 2)
     gamma: Fraction = Fraction(1, 2)
     n_base: int = 10
-    weyl: Optional[WeylDescription] = None
+    weyl: Optional[SetDescription] = None
 
     def window(self, k: int) -> tuple[int, int]:
         """Inclusive block bounds [N_k, N_k / (1 - gamma)]."""
         n_k = self.n_base**k
-        upper = (n_k * (1 - self.gamma).denominator) // (1 - self.gamma).numerator
+        upper = n_k * self.gamma.denominator // (self.gamma.denominator - self.gamma.numerator)
         return n_k, upper
 
     def r_value(self, k: int) -> int:

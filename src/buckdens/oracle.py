@@ -11,6 +11,7 @@ counterexample of a scan over all encodings.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional
 
 from .zmod import (
@@ -18,6 +19,7 @@ from .zmod import (
     bit_positions,
     divisors,
     is_periodic,
+    members_mask,
     rotate_bits,
     saturate_bits,
     sumset_bits,
@@ -173,11 +175,7 @@ def brute_sumset_members(xs: list[int], ys: list[int], horizon: int) -> list[int
     """
     if horizon < 0 or not xs or not ys:
         return []
-    y_bits = 0
-    for y in ys:
-        if y > horizon:
-            break
-        y_bits |= 1 << y
+    y_bits = members_mask(ys[:bisect_right(ys, horizon)])
     if y_bits == 0:
         return []
     acc = 0

@@ -29,7 +29,12 @@ from .generators import (
     union_description,
 )
 from .kneser import analyze_sumset, ruzsa_inequality_check, verify_sparse_periodicity
-from .oracle import brute_quasi_periodic, exhaustive_kemperman_ap, exhaustive_kneser
+from .oracle import (
+    brute_quasi_periodic,
+    brute_sumset_members,
+    exhaustive_kemperman_ap,
+    exhaustive_kneser,
+)
 from .zmod import CertificateError, ResidueSet, detect_quasi_periodic, sumset
 
 SUITE_NAMES = (
@@ -168,15 +173,8 @@ DK_TEST_SEQUENCES = (
 def _dk_complement_count(desc: DKDescription, bound: int) -> tuple[int, list[int]]:
     """|E_K cap [0, bound)| by brute double-sum, plus the member list."""
     members = desc.members(bound - 1)
-    bits = 0
-    for x in members:
-        bits |= 1 << x
-    acc = 0
-    for x in members:
-        acc |= bits << x
-    mask = (1 << bound) - 1
-    acc &= mask
-    complement = [n for n in range(bound) if not (acc >> n) & 1]
+    sums = set(brute_sumset_members(members, members, bound - 1))
+    complement = [n for n in range(bound) if n not in sums]
     return len(complement), complement
 
 
@@ -414,12 +412,11 @@ def suite_weyl(horizon: int = 10**6, q_max: int = 64) -> SuiteResult:
     alpha = Fraction(3, 10)
     envelope = gen_weyl("sqrt2", 2 * alpha)
     longest = run = 0
-    for n in range(horizon + 1):
-        if envelope.membership(n):
-            run += 1
-            longest = max(longest, run)
-        else:
-            run = 0
+    last = -2
+    for n in envelope.members(horizon):
+        run = run + 1 if n == last + 1 else 1
+        longest = max(longest, run)
+        last = n
     rows.append(
         _row(
             f"doubled set (alpha = {alpha}) contains no {isqrt(horizon)}-term interval up to {horizon}",

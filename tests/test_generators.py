@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -138,6 +139,37 @@ class TestX0:
         assert all(n % 4 != 3 for n in members)
 
 
+#: theta = (r + s sqrt(d)) / t as (r, s, d, t), with the repeating block of
+#: partial quotients a_1, a_2, ... of its continued fraction
+QUADRATIC_THETAS = {
+    "sqrt2": ((0, 1, 2, 1), (2,)),
+    "sqrt3": ((0, 1, 3, 1), (1, 2)),
+    "sqrt5": ((0, 1, 5, 1), (4,)),
+    "golden": ((1, 1, 5, 2), (1,)),
+}
+
+
+def squares_identity(theta: str, alpha: Fraction, n: int) -> bool:
+    """{theta n} < a/b, decided by comparing squares: with k = floor(n theta)
+    and Y = t (b k + a) - b n r, it holds iff Y > 0 and s^2 d (b n)^2 < Y^2."""
+    (r, s, d, t), _ = QUADRATIC_THETAS[theta]
+    a, b = alpha.numerator, alpha.denominator
+    k = (n * r + math.isqrt(s * s * d * n * n)) // t
+    y = t * (b * k + a) - b * n * r
+    return y > 0 and s * s * d * (b * n) ** 2 < y * y
+
+
+def continued_fraction_denominators(theta: str, count: int) -> list[int]:
+    """Denominators q_1, q_2, ... of the convergents of theta."""
+    _, block = QUADRATIC_THETAS[theta]
+    q_prev, q = 0, 1
+    out = []
+    for i in range(count):
+        q_prev, q = q, block[i % len(block)] * q + q_prev
+        out.append(q)
+    return out
+
+
 class TestWeyl:
     def test_sqrt2_membership(self):
         w = gen.gen_weyl("sqrt2", Fraction(1, 2))
@@ -151,16 +183,6 @@ class TestWeyl:
         with pytest.raises(ValueError):
             gen.gen_weyl("sqrt2", Fraction(3, 2))
 
-    def test_precision_cap(self):
-        w = gen.gen_weyl("sqrt2", Fraction(1, 2))
-        with pytest.raises(ValueError):
-            w.contains((1 << 32) + 1)
-
-    def test_margin_and_boundary(self):
-        w = gen.gen_weyl("sqrt2", Fraction(1, 2))
-        assert w.margin(1) < 0 < w.margin(2)
-        assert not w.near_boundary(1)
-
     def test_decimal_theta(self):
         w = gen.gen_weyl("0.25", Fraction(1, 2))
         assert w.contains(1) and not w.contains(2)
@@ -168,6 +190,41 @@ class TestWeyl:
     def test_unknown_constant(self):
         with pytest.raises(ValueError):
             gen.gen_weyl("tau", Fraction(1, 2))
+
+    @pytest.mark.parametrize(
+        "theta, alpha, expected",
+        [
+            ("1/3", "1/3", [0, 3, 6, 9]),
+            ("2/3", "1/3", [0, 3, 6, 9]),
+            ("2/3", "1/2", [0, 2, 3, 5, 6, 8, 9]),
+            ("0.1", "3/10", [0, 1, 2, 10]),
+        ],
+    )
+    def test_rational_theta_is_exact(self, theta, alpha, expected):
+        w = gen.gen_weyl(theta, Fraction(alpha))
+        assert w.members(10) == expected
+        assert [n for n in range(11) if w.contains(n)] == expected
+        exact = Fraction(theta)
+        for n in (10**12 + 1, 3 * 10**20, 7**40):
+            assert w.contains(n) == ((exact * n) % 1 < Fraction(alpha))
+
+    @pytest.mark.parametrize("theta", sorted(QUADRATIC_THETAS))
+    def test_quadratic_theta_matches_squares_identity(self, theta):
+        rng = random.Random(theta)
+        for alpha in (Fraction(1, 2), Fraction(3, 10), Fraction(2, 7), Fraction(999, 1000)):
+            w = gen.gen_weyl(theta, alpha)
+            ns = [*range(300), 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 1, 2**64 + 3]
+            ns += [rng.randrange(10**30) for _ in range(300)]
+            for q in continued_fraction_denominators(theta, 120):
+                ns += [q - 1, q, q + 1, 2 * q, 7 * q]
+            for n in ns:
+                assert w.contains(n) == squares_identity(theta, alpha, n), (alpha, n)
+
+    @pytest.mark.parametrize("theta", ["sqrt2", "sqrt3", "sqrt5", "golden", "0.1", "22/7"])
+    def test_members_agree_with_contains(self, theta):
+        w = gen.gen_weyl(theta, Fraction(3, 10))
+        for horizon in (0, 1, 255, 256, 3000):
+            assert w.members(horizon) == [n for n in range(horizon + 1) if w.contains(n)]
 
 
 class TestPrimeFactorCounts:
