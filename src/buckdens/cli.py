@@ -120,6 +120,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_sumset(args) -> int:
+    if len(args.sets) < 2:
+        raise UsageError(f"sumset needs two or more sets, got {len(args.sets)}")
     parts = [_load_set(s) for s in args.sets]
     total = sumset_description(parts)
     members = total.members(args.horizon)

@@ -17,7 +17,10 @@ from typing import Callable, Iterable, Optional
 
 from . import periodic as zper
 from .periodic import EventuallyPeriodicSet, ModularProfile
-from .zmod import MAX_MODULUS, CertificateError, ResidueSet, sumset as residue_sumset
+from .zmod import (
+    MAX_MODULUS, CertificateError, ResidueSet, add_bits, bit_positions, check_width, members_mask,
+    sumset as residue_sumset,
+)
 
 
 class UnsupportedModulusError(ValueError):
@@ -518,13 +521,8 @@ def thin_basis(m: int) -> tuple[int, ...]:
     members = sorted(set(range(s + 1)) | {j * s + (j - 1) for j in range(2, q + 1)})
     if members[-1] >= m:
         raise CertificateError(f"basis element {members[-1]} outside {{0..{m - 1}}}")
-    bits = 0
-    for a in members:
-        bits |= 1 << a
-    cover = 0
-    for a in members:
-        cover |= bits << a
-    if cover & ((1 << m) - 1) != (1 << m) - 1:
+    full = (1 << m) - 1
+    if add_bits(add_bits(1, members), members) & full != full:
         raise CertificateError(f"basis fails to cover {{0..{m - 1}}}")
     if len(members) ** 2 >= 4 * m:
         raise CertificateError("basis size bound violated")
@@ -791,13 +789,12 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
         eps = zper.sumset([p.periodic_form for p in parts])
         return replace(from_periodic(eps, family="sumset"), params=_params_of(parts))
 
-    from .oracle import brute_sumset_members
-
     def members(horizon: int) -> list[int]:
-        lists = [p.members(horizon) for p in parts]
-        acc = lists[0]
-        for other in lists[1:]:
-            acc = brute_sumset_members(acc, other, horizon)
+        check_width(horizon + 1, "sumset horizon")
+        mask = (1 << max(horizon + 1, 0)) - 1
+        acc, *rest = [p.members(horizon) for p in parts]
+        for other in rest:
+            acc = bit_positions(add_bits(members_mask(other), acc) & mask)
         return acc
 
     first = parts[0]

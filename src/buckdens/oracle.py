@@ -168,10 +168,9 @@ def exhaustive_kemperman_ap(
 
 
 def brute_sumset_members(xs: list[int], ys: list[int], horizon: int) -> list[int]:
-    """Sorted, deduplicated pairwise sums x + y <= horizon.
-
-    Inputs must be ascending.  The sums are accumulated as a shifted-OR
-    of membership bitmasks, which keeps dense inputs at word speed.
+    """Sorted, deduplicated pairwise sums x + y <= horizon of ascending
+    inputs, by shifted-OR of membership bitmasks.  A test reference only:
+    production sumsets go through ``zmod.add_bits``, never through here.
     """
     if horizon < 0 or not xs or not ys:
         return []

@@ -21,6 +21,7 @@ from typing import Iterable
 
 from .zmod import (
     ResidueSet,
+    add_bits,
     bit_positions,
     check_width,
     fold_bits,
@@ -337,10 +338,7 @@ def add(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet) -> EventuallyPeriodi
     # tail + tail, prefix + tail and tail + prefix, as residues mod q
     pa, pb = fold_bits(a.prefix, q), fold_bits(b.prefix, q)
     tail_bits = sumset_bits([ta | pa, tb], q) | sumset_bits([pb, ta], q)
-    a_bits, b_bits = _members_below(a, bound), _members_below(b, bound)
-    sum_bits = 0
-    for n in bit_positions(a_bits):
-        sum_bits |= b_bits << n
+    sum_bits = add_bits(_members_below(b, bound), bit_positions(_members_below(a, bound)))
     return _build(q, bound, sum_bits & ((1 << bound) - 1), tail_bits)
 
 

@@ -72,6 +72,14 @@ def bit_positions(bits: int) -> list[int]:
     return [n for n, c in enumerate(bin(bits)[:1:-1]) if c == "1"]
 
 
+def add_bits(bits: int, offsets: Iterable[int]) -> int:
+    """The vector of {x + n : x in bits, n in offsets}: every bitmask sumset."""
+    out = 0
+    for n in offsets:
+        out |= bits << n
+    return out
+
+
 def members_mask(members: Iterable[int]) -> int:
     """The bitmask of a collection of nonnegative integers, built in a
     bytearray: faster than one shift-OR per member on large sets."""
@@ -242,16 +250,12 @@ def _require_same_modulus(sets: Iterable[ResidueSet]) -> int:
 
 
 def sumset_bits(bit_sets: list[int], m: int) -> int:
-    """Minkowski sum of membership vectors in Z/mZ (raw-int fast path)."""
+    """Minkowski sum of membership vectors in Z/mZ: each linear sum (< 2m - 1 bits) folded once."""
+    mask = (1 << m) - 1
     acc = bit_sets[0]
     for other in bit_sets[1:]:
-        out = 0
-        rest = other
-        while rest:
-            low = rest & -rest
-            out |= rotate_bits(acc, low.bit_length() - 1, m)
-            rest ^= low
-        acc = out
+        r = add_bits(acc, bit_positions(other))
+        acc = (r & mask) | (r >> m)
     return acc
 
 

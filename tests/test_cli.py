@@ -109,6 +109,11 @@ class TestSumset:
         assert code == 2 and out == ""
         assert "modulus must be positive, got 0" in err
 
+    def test_single_set_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sumset", '{"family":"x0"}', "--horizon", "10")
+        assert code == 2 and out == ""
+        assert "two or more sets, got 1" in err
+
     def test_sampled_profiles_enumerate_members_once(self, capsys, monkeypatch):
         calls = []
         members = SetDescription.members
@@ -249,6 +254,9 @@ def test_wrong_typed_or_missing_field_is_usage_error(capsys, text, field):
     assert f"field {field!r}" in err
 
 
+WEYL = '{"family":"weyl","theta":"sqrt2","alpha":"3/10"}'
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -261,6 +269,7 @@ def test_wrong_typed_or_missing_field_is_usage_error(capsys, text, field):
         ["sumset", '{"progressions":[[3000000,2]]}', '{"progressions":[[1,3]]}'],
         ["sumset", '{"q":1,"T":1000000000000,"prefix":[],"tail":[0]}', '{"progressions":[[0,2]]}'],
         ["sumset", '{"progressions":[[1,997],[5,1009]]}', '{"progressions":[[3,991]]}'],
+        ["sumset", WEYL, WEYL, "--horizon", "2000000"],
         ["density", '{"family":"d_k","k_prefix":[1,3],"rule":"double_gap"}',
          "--chain", "pow2", "--depth", "25"],
     ],

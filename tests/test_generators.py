@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from buckdens import generators as gen
 from buckdens import periodic as per
+from buckdens.oracle import brute_sumset_members
 
 
 class TestBAlpha:
@@ -393,6 +394,28 @@ class TestCombinators:
         expect = sorted({a + b for a in x0m for b in odds if a + b <= 60})
         assert s.members(60) == expect
         assert s.contains(expect[3])
+        w, x0 = gen.gen_weyl("sqrt2", "3/10"), gen.gen_x0()
+        wm, x0m = w.members(5000), x0.members(5000)
+        assert gen.sumset_description([w, x0]).members(5000) == brute_sumset_members(wm, x0m, 5000)
+        three = brute_sumset_members(brute_sumset_members(wm, x0m, 5000), x0m, 5000)
+        assert gen.sumset_description([w, x0, x0]).members(5000) == three
+        assert gen.sumset_description([w, x0]).members(-1) == []
+
+    def test_sampled_sumset_does_not_load_the_oracle(self):
+        script = (
+            "import sys\n"
+            "import buckdens\n"
+            "from buckdens.generators import gen_weyl, gen_x0, sumset_description\n"
+            "sumset_description([gen_weyl('sqrt2', '3/10'), gen_x0()]).members(2000)\n"
+            "print('buckdens.oracle' in sys.modules)\n"
+        )
+        src = str(Path(gen.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_enumerated_residues_within_oracle_profile(self):
         for desc in (gen.gen_b_alpha("1011"), gen.gen_d_k((0, 2), rule="double_gap"), gen.gen_x0()):

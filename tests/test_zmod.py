@@ -9,6 +9,7 @@ from buckdens.zmod import (
     LimitExceededError,
     ResidueSet,
     Subgroup,
+    add_bits,
     classify_structure,
     detect_arithmetic_progression,
     detect_quasi_periodic,
@@ -60,6 +61,19 @@ class TestResidueSet:
         assert ResidueSet.full(5).is_full()
 
 
+class TestAddBits:
+    @given(st.sets(st.integers(0, 300), max_size=40), st.lists(st.integers(0, 300), max_size=40))
+    def test_matches_pairwise_sums(self, xs, offsets):
+        want = sum(1 << s for s in {x + n for x in xs for n in offsets})
+        assert add_bits(sum(1 << x for x in xs), offsets) == want
+
+    def test_empty_offsets_and_offset_zero(self):
+        assert add_bits(0b1011, []) == 0
+        assert add_bits(0b1011, [0]) == 0b1011
+        assert add_bits(0, [0, 5]) == 0
+        assert add_bits(0b11, iter([0, 2])) == 0b1111
+
+
 class TestSumset:
     def test_interval_plus_interval(self):
         assert sumset([rs(5, [0, 1]), rs(5, [0, 1])]).members == (0, 1, 2)
@@ -80,12 +94,17 @@ class TestSumset:
         with pytest.raises(ValueError):
             sumset([rs(4, [1]), ResidueSet(4, 0)])
 
-    @given(residue_sets(), residue_sets())
-    def test_matches_brute_enumeration(self, a, b):
-        if a.modulus != b.modulus:
-            b = ResidueSet(a.modulus, b.bits & ((1 << a.modulus) - 1) or 1)
-        got = sumset([a, b])
-        assert set(got.members) == brute_sum(a, b)
+    @given(
+        residue_sets(max_modulus=200),
+        residue_sets(max_modulus=200),
+        residue_sets(max_modulus=200),
+    )
+    def test_matches_brute_enumeration(self, a, b, c):
+        m = a.modulus
+        b, c = (ResidueSet(m, s.bits & ((1 << m) - 1) or 1) for s in (b, c))
+        pairs = brute_sum(a, b)
+        assert set(sumset([a, b]).members) == pairs
+        assert set(sumset([a, b, c]).members) == {(x + z) % m for x in pairs for z in c.members}
 
     @given(residue_sets(max_modulus=8), residue_sets(max_modulus=8), residue_sets(max_modulus=8))
     def test_commutative_associative(self, a, b, c):
