@@ -128,7 +128,7 @@ def _cmd_sumset(args) -> int:
     moduli = [int(m) for m in args.mods.split(",") if m]
     table = []
     for m in moduli:
-        attained, exact = dens.attained_residues(total, m, args.horizon, lambda: members)
+        attained, exact = dens.attained_residues(total, m, args.horizon)
         table.append(
             {
                 "m": m,

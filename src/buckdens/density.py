@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
 from math import isqrt
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .generators import SetDescription, from_periodic
 from .periodic import EventuallyPeriodicSet
@@ -151,23 +150,14 @@ def as_description(x: SetLike) -> SetDescription:
     return x
 
 
-def lazy_members(x: SetLike, horizon: int) -> Callable[[], list[int]]:
-    """The members of x up to the horizon, enumerated on the first call only."""
-    return cache(partial(as_description(x).members, horizon))
-
-
 def attained_residues(
-    x: SetLike,
-    m: int,
-    horizon: int = DEFAULT_HORIZON,
-    members: Optional[Callable[[], list[int]]] = None,
+    x: SetLike, m: int, horizon: int = DEFAULT_HORIZON
 ) -> tuple[ResidueSet, bool]:
     """Residues mod m hit by x: (set, certified-exact flag).
 
     The exact profile answers where x has one at m; otherwise the
-    residues are read off the members up to the horizon.  A caller that
-    asks many moduli passes ``members`` (a :func:`lazy_members` of x, or
-    a function returning the list it holds) to enumerate them at most once.
+    residues are read off the members up to the horizon, which the
+    description lists once however many moduli are asked.
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
@@ -175,8 +165,7 @@ def attained_residues(
     if desc.has_profile(m):
         return desc.profile(m).attained, True
     check_width(m, "modulus")  # before the members are enumerated
-    listed = desc.members(horizon) if members is None else members()
-    return ResidueSet(m, members_mask({n % m for n in listed})), False
+    return ResidueSet(m, members_mask({n % m for n in desc.members(horizon)})), False
 
 
 def buck_upper(
@@ -195,11 +184,9 @@ def buck_upper(
         return DensityEstimate(desc.periodic_form.natural_density(), "exact")
     if chain is None:
         chain = modulus_chain("powers_of_two", 10)
-    check_width(max(chain.values), "chain modulus")
-    if all(desc.has_profile(m) for m in chain.values):
-        seq = tuple(
-            (m, Fraction(desc.profile(m).attained.cardinality, m)) for m in chain.values
-        )
+    rows = density_chain_report(desc, chain, horizon)
+    seq = tuple((row.modulus, row.ratio) for row in rows)
+    if all(row.kind == "exact-profile" for row in rows):
         return DensityEstimate(
             min(r for _, r in seq),
             "upper_bound_sequence",
@@ -207,18 +194,12 @@ def buck_upper(
             sequence=seq,
             certified="upper",
         )
-    members = lazy_members(desc, horizon)
-    seq = [
-        (m, Fraction(attained_residues(desc, m, horizon, members)[0].cardinality, m))
-        for m in chain.values
-    ]
-    best = max(r for _, r in seq)
     return DensityEstimate(
-        (best, Fraction(1)),
+        (max(r for _, r in seq), Fraction(1)),
         "sampled",
         chain_kind=chain.kind,
         horizon=horizon,
-        sequence=tuple(seq),
+        sequence=seq,
         certified="lower",
         warnings=("no exact profile oracle on this chain",),
     )
@@ -335,10 +316,9 @@ def density_chain_report(
     """One row per chain modulus: attained-residue count and ratio."""
     check_width(max(chain.values), "chain modulus")
     desc = as_description(x)
-    members = lazy_members(desc, horizon)
     rows = []
     for m in chain.values:
-        attained, exact = attained_residues(desc, m, horizon, members)
+        attained, exact = attained_residues(desc, m, horizon)
         rows.append(
             ChainReportRow(
                 m,

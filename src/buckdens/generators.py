@@ -9,7 +9,7 @@ sequences are presented finitely: a prefix plus a closed-form rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import isqrt
@@ -45,6 +45,7 @@ class SetDescription:
     cofinite_exact: bool = False
     member_iter: Optional[Callable[[int], list[int]]] = None
     periodic_form: Optional[EventuallyPeriodicSet] = None
+    _listed: dict = field(default_factory=dict, init=False, repr=False)
 
     def contains(self, n: int) -> bool:
         return self.membership(n)
@@ -62,7 +63,19 @@ class SetDescription:
         return self.profile_fn(m)
 
     def members(self, horizon: int) -> list[int]:
-        """All members n <= horizon, ascending."""
+        """All members n <= horizon, ascending.
+
+        The list for the last horizon asked is kept, and every later call
+        at that horizon returns the same list object: it is shared, so
+        callers must not mutate it.
+        """
+        listed = self._listed.get(horizon)
+        if listed is None:
+            self._listed.clear()
+            listed = self._listed[horizon] = self._enumerate(horizon)
+        return listed
+
+    def _enumerate(self, horizon: int) -> list[int]:
         if horizon < 0:
             return []
         if self.periodic_form is not None:
@@ -601,22 +614,10 @@ def gen_hook(rule: str = "factorial") -> SetDescription:
             r += 1
         return out
 
-    def member(n: int) -> bool:
-        product = 1
-        r = 1
-        while True:
-            product *= r
-            value = r + product
-            if value == n:
-                return True
-            if value > n:
-                return False
-            r += 1
-
     return SetDescription(
         family="hook",
         params={"rule": rule},
-        membership=member,
+        membership=lambda n: n in generate(n),
         member_iter=generate,
     )
 

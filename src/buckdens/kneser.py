@@ -26,7 +26,6 @@ from .density import (
     buck_lower,
     buck_upper,
     fraction_json,
-    lazy_members,
 )
 from .generators import sumset_description
 from .periodic import EventuallyPeriodicSet
@@ -71,11 +70,10 @@ def verify_sparse_periodicity(
     if q < 1 or m_max < 1:
         raise ValueError("q and m_max must be positive")
     desc = as_description(x)
-    members = lazy_members(desc, horizon)
-    base, base_exact = attained_residues(desc, q, horizon, members)
+    base, base_exact = attained_residues(desc, q, horizon)
     rows = []
     for m in range(1, m_max + 1):
-        actual, actual_exact = attained_residues(desc, m * q, horizon, members)
+        actual, actual_exact = attained_residues(desc, m * q, horizon)
         missing = ResidueSet(m * q, tile_bits(base.bits, q, m * q) & ~actual.bits)
         rows.append(
             SparsePeriodicityRow(
@@ -285,6 +283,8 @@ def analyze_sumset(
 
     sum_desc = sumset_description(descs)
     sum_exact = sum_desc.periodic_form is not None
+    # the sum first: a sampled sum over the width cap exits before any summand is listed
+    bup_sum_est = buck_upper(sum_desc, horizon=horizon).point()[0]
 
     sigma = Fraction(0)
     sigma_certified = True
@@ -293,8 +293,6 @@ def analyze_sumset(
         sigma += value
         sigma_certified &= exact
 
-    bup_sum_est, bup_sum_certified = buck_upper(sum_desc, horizon=horizon).point()
-
     if q_max is None:
         q_max = MAX_AUTO_QMAX
         if sigma > 0:
@@ -302,12 +300,11 @@ def analyze_sumset(
             if eta_hat > 0:
                 q_max = min(MAX_AUTO_QMAX, int((2 * k - 2) / (eta_hat * sigma)) + 1)
 
-    member_lists = [lazy_members(d, horizon) for d in descs]
     for q in range(2, q_max + 1):
         profiles = []
         all_exact = True
-        for d, members in zip(descs, member_lists):
-            prof, exact = attained_residues(d, q, horizon, members)
+        for d in descs:
+            prof, exact = attained_residues(d, q, horizon)
             profiles.append(prof)
             all_exact &= exact
         if any(p.is_empty() for p in profiles):

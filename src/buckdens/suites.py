@@ -391,8 +391,7 @@ def suite_weyl(horizon: int = 10**6, q_max: int = 64) -> SuiteResult:
                 f"ratio {float(ratio):.6f}",
             )
         )
-        residues = [attained_residues(desc, m, horizon, lambda: members)[0]
-                    for m in range(1, q_max + 1)]
+        residues = [attained_residues(desc, m, horizon)[0] for m in range(1, q_max + 1)]
         uncovered = [r.modulus for r in residues if not r.is_full()]
         residues_by_alpha[alpha] = residues
         rows.append(
@@ -564,12 +563,8 @@ def suite_prop67(horizon: int = 1 << 16) -> SuiteResult:
 
     # the two "cheap" parts of A+A live in the digit set with position 1 cleared
     superset = gen_d_k((1,))
-    b_members = b.members(horizon)
-    d_members = d.members(horizon)
-    b_bits, d_bits = members_mask(b_members), members_mask(d_members)
-    mask = (1 << (horizon + 1)) - 1
-    bb = bit_positions(add_bits(b_bits, b_members) & mask)
-    bd = bit_positions(add_bits(d_bits, b_members) & mask)
+    bb = sumset_description([b, b]).members(horizon)
+    bd = sumset_description([b, d]).members(horizon)
     outside = [n for n in bb if not superset.membership(n)]
     outside += [n for n in bd if not superset.membership(n)]
     rows.append(
@@ -591,7 +586,7 @@ def suite_prop67(horizon: int = 1 << 16) -> SuiteResult:
     t_top = 3
     block_lo = d.m_t(t_top)
     block_hi = 1 << (d.k(t_top) + 1)
-    dd = bit_positions(add_bits(d_bits, d_members) & mask)
+    dd = sumset_description([d, d]).members(horizon)
     inside_block = [n for n in dd if block_lo <= n < block_hi]
     rows.append(
         _row(

@@ -5,7 +5,6 @@ import time
 import pytest
 
 from buckdens import cli
-from buckdens.generators import SetDescription
 
 
 def run(capsys, *argv):
@@ -114,15 +113,7 @@ class TestSumset:
         assert code == 2 and out == ""
         assert "two or more sets, got 1" in err
 
-    def test_sampled_profiles_enumerate_members_once(self, capsys, monkeypatch):
-        calls = []
-        members = SetDescription.members
-
-        def counted(self, horizon):
-            calls.append(self.family)
-            return members(self, horizon)
-
-        monkeypatch.setattr(SetDescription, "members", counted)
+    def test_sampled_profiles_enumerate_members_once(self, capsys, enumerated):
         code, out, _ = run(
             capsys,
             "sumset",
@@ -132,7 +123,7 @@ class TestSumset:
         )
         assert code == 0
         assert [p["kind"] for p in json.loads(out)["profiles"]] == ["sampled"] * 4
-        assert sorted(calls) == ["sumset", "weyl", "x0"]
+        assert sorted(enumerated) == ["sumset", "weyl", "x0"]
 
 
 class TestAnalyze:
@@ -280,6 +271,32 @@ def test_limit_exits_three_at_once(capsys, argv):
     assert code == 3 and out == ""
     assert "exceeds cap" in err
     assert time.perf_counter() - start < 5
+
+
+def test_sampled_sum_over_cap_exits_before_any_summand_is_listed(capsys, enumerated):
+    code, out, err = run(capsys, "analyze", WEYL, "--horizon", "2000000")
+    assert code == 3 and out == ""
+    assert "exceeds cap" in err
+    assert enumerated == ["sumset"]
+
+
+def test_exact_sum_profiles_take_a_horizon_over_the_cap(capsys):
+    # b_alpha + x0 has exact profiles mod 2^k, so no sampled sum is listed
+    code, out, _ = run(
+        capsys, "analyze", '{"family":"b_alpha","bits":"011"}', '{"family":"x0"}',
+        "--horizon", "1100000",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4d77a4c6d1fce583b3ef4100cea0208bd5ab55a5059405682de38d6621cc25f9"
+    )
+
+
+def test_sparse_members_take_a_huge_horizon(capsys):
+    # hook has 17 members up to 10^15; a mask as wide as the largest would need 2^49 bits
+    code, out, _ = run(capsys, "density", '{"family":"hook"}', "--horizon", str(10**15))
+    assert code == 0
+    assert json.loads(out)["kind"] == "sampled"
 
 
 ODDS = '{"progressions":[[1,2]]}'

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -457,6 +458,23 @@ class TestCombinators:
                 seen = {n % m for n in members}
                 oracle = set(desc.profile(m).attained.members)
                 assert seen == oracle, (desc.family, m)
+
+
+class TestMembersCache:
+    def test_one_slot_per_description(self):
+        listed = []
+
+        def threes(horizon):
+            listed.append(horizon)
+            return list(range(0, horizon + 1, 3))
+
+        desc = gen.SetDescription("threes", {}, lambda n: n % 3 == 0, member_iter=threes)
+        first = desc.members(30)
+        assert desc.members(30) is first and listed == [30]
+        assert desc.members(12) == [0, 3, 6, 9, 12] and listed == [30, 12]
+        assert desc.members(30) == first and desc.members(30) is not first
+        copy = replace(desc, params={"step": 3})
+        assert copy.members(30) == first and listed == [30, 12, 30, 30]
 
 
 class TestParseDescription:

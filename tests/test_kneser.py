@@ -170,6 +170,18 @@ class TestBuckInequality:
         assert report.consistent and report.margin is None
 
 
+class TestMembersListedOnce:
+    """A report lists each sampled description once, however many reads it makes."""
+
+    def test_analyze_doubled_weyl(self, enumerated):
+        kn.analyze_sumset([gen.gen_weyl("sqrt2", "3/10")], horizon=20000)
+        assert sorted(enumerated) == ["sumset", "weyl"]
+
+    def test_buck_inequality_report(self, enumerated):
+        kn.buck_inequality_report(gen.gen_weyl("sqrt2", "3/10"), horizon=20000)
+        assert sorted(enumerated) == ["sumset", "weyl"]
+
+
 class TestDeficientPeriodicPairs:
     def test_identity_holds_for_random_deficient_pairs(self):
         # whenever two periodic sets have a genuinely deficient sumset,
