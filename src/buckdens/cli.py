@@ -10,6 +10,8 @@ limit exceeded.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from typing import Optional
@@ -59,16 +61,11 @@ def _json_dumps(obj) -> str:
 
 
 def _rows_to_csv(rows: list[dict], columns: list[str]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            cell = str(row.get(col, ""))
-            if "," in cell or '"' in cell:
-                cell = '"' + cell.replace('"', '""') + '"'
-            cells.append(cell)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.DictWriter(out, columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +170,7 @@ def _cmd_verify(args) -> int:
             all_rows.append({"suite": res.name, **row})
     if args.format == "json":
         payload = {
-            "suites": [
-                {"name": r.name, "passed": r.passed, "rows": list(r.rows)} for r in results
-            ],
+            "suites": [r.to_json_dict() for r in results],
             "passed": all(r.passed for r in results),
             "seed": args.seed,
         }

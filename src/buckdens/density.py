@@ -11,7 +11,7 @@ the limits the true modular densities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import isqrt
 from typing import Optional, Union
@@ -81,9 +81,29 @@ def modulus_chain(kind: str, depth: int) -> ModulusChain:
     raise ValueError(f"unknown chain kind {kind!r}")
 
 
-def fraction_json(x: Optional[Fraction]) -> Optional[dict]:
-    """A rational as {"num", "den"}; None stays None."""
-    return None if x is None else {"num": x.numerator, "den": x.denominator}
+def to_json(x):
+    """The JSON form of a report value.
+
+    A rational is {"num", "den"}, a residue set {"modulus", "members"}, a
+    tuple or list a list; an object with ``to_json_dict`` goes through
+    it, and anything else (None, bool, int, str, dict) is itself.
+    """
+    if isinstance(x, Fraction):
+        return {"num": x.numerator, "den": x.denominator}
+    if isinstance(x, ResidueSet):
+        return {"modulus": x.modulus, "members": list(x.members)}
+    if isinstance(x, (tuple, list)):
+        return [to_json(v) for v in x]
+    if hasattr(x, "to_json_dict"):
+        return x.to_json_dict()
+    return x
+
+
+class Report:
+    """Base of the dataclass reports that serialize as their own fields."""
+
+    def to_json_dict(self) -> dict:
+        return {f.name: to_json(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -125,14 +145,10 @@ class DensityEstimate:
 
     def to_json_dict(self) -> dict:
         if isinstance(self.value, tuple):
-            value = {"lo": fraction_json(self.value[0]), "hi": fraction_json(self.value[1])}
+            value = {"lo": to_json(self.value[0]), "hi": to_json(self.value[1])}
         else:
-            value = fraction_json(self.value)
-        out = {
-            "value": value,
-            "kind": self.kind,
-            "sequence": [[m, fraction_json(r)] for m, r in self.sequence],
-        }
+            value = to_json(self.value)
+        out = {"value": value, "kind": self.kind, "sequence": to_json(self.sequence)}
         if self.chain_kind is not None:
             out["chain"] = self.chain_kind
         if self.horizon is not None:
@@ -249,21 +265,12 @@ def buck_lower(
 
 
 @dataclass(frozen=True)
-class WindowDensities:
+class WindowDensities(Report):
     d_lower: DensityEstimate
     d_upper: DensityEstimate
     banach_lower: DensityEstimate
     banach_upper: DensityEstimate
     window_length: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d_lower": self.d_lower.to_json_dict(),
-            "d_upper": self.d_upper.to_json_dict(),
-            "banach_lower": self.banach_lower.to_json_dict(),
-            "banach_upper": self.banach_upper.to_json_dict(),
-            "window_length": self.window_length,
-        }
 
 
 def window_densities(x: SetLike, horizon: int) -> WindowDensities:
@@ -272,6 +279,7 @@ def window_densities(x: SetLike, horizon: int) -> WindowDensities:
     floor(sqrt(horizon))."""
     if horizon < 16:
         raise ValueError("horizon must be at least 16")
+    check_width(horizon + 1, "window horizon")  # before the members are listed
     desc = as_description(x)
     members = desc.members(horizon)
     present = bytearray(horizon + 1)

@@ -9,10 +9,10 @@ sequences are presented finitely: a prefix plus a closed-form rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import isqrt
+from math import isqrt, prod
 from typing import Callable, Iterable, Optional
 
 from . import periodic as zper
@@ -38,7 +38,6 @@ class SetDescription:
     """
 
     family: str
-    params: dict
     membership: Callable[[int], bool]
     profile_fn: Optional[Callable[[int], ModularProfile]] = None
     supports: Optional[Callable[[int], bool]] = None
@@ -90,14 +89,13 @@ class SetDescription:
         return self.periodic_form
 
     def __repr__(self) -> str:
-        return f"SetDescription({self.family!r}, {self.params!r})"
+        return f"SetDescription({self.family!r})"
 
 
 def from_periodic(eps: EventuallyPeriodicSet, family: str = "periodic") -> SetDescription:
     return SetDescription(
         family=family,
-        params=eps.to_json_dict(),
-        membership=lambda n: n in eps,
+        membership=lambda n: n >= 0 and n in eps,
         cofinite_exact=True,
         periodic_form=eps,
     )
@@ -112,9 +110,10 @@ def gen_b_alpha(bits: str) -> SetDescription:
     """Union of dyadic progressions selected by a binary expansion.
 
     ``bits`` lists a_1 a_2 ... a_L; position j contributes the class
-    2^(j-1) + 2^j N.  The classes are disjoint (membership is decided
-    by the 2-adic valuation), the union is exactly periodic with period
-    2^L, and its density is the dyadic rational 0.a_1...a_L.
+    2^(j-1) + 2^j N.  The classes are disjoint (n > 0 lies in the class
+    of its 2-adic valuation + 1), so the union is exactly periodic with
+    period 2^L and its periodic form decides membership; its density is
+    the dyadic rational 0.a_1...a_L.
     """
     if not bits or any(c not in "01" for c in bits):
         raise ValueError("bits must be a nonempty binary string")
@@ -123,22 +122,7 @@ def gen_b_alpha(bits: str) -> SetDescription:
     progressions = [
         (1 << (j - 1), 1 << j) for j, c in enumerate(bits, start=1) if c == "1"
     ]
-    eps = zper.from_progressions(progressions)
-    length = len(bits)
-
-    def member(n: int) -> bool:
-        if n <= 0:
-            return False
-        j = (n & -n).bit_length()  # 2-adic valuation + 1
-        return j <= length and bits[j - 1] == "1"
-
-    return SetDescription(
-        family="b_alpha",
-        params={"bits": bits},
-        membership=member,
-        cofinite_exact=True,
-        periodic_form=eps,
-    )
+    return from_periodic(zper.from_progressions(progressions), family="b_alpha")
 
 
 def b_alpha_value(bits: str) -> Fraction:
@@ -272,17 +256,14 @@ def gen_d_k(
             raise ValueError("powers_of_two rule needs a positive last position")
         if rule == "arithmetic" and step < 1:
             raise ValueError("arithmetic rule needs step >= 1")
-
-    params = {"k_prefix": list(prefix), "rule": rule, **({"step": step} if rule == "arithmetic" else {})}
-    return _dk_description("d_k", params, prefix, rule, step)
+    return _dk_description("d_k", prefix, rule, step)
 
 
 def _dk_description(
-    family: str, params: dict, prefix: tuple[int, ...], rule: Optional[str], step: int
+    family: str, prefix: tuple[int, ...], rule: Optional[str], step: int
 ) -> DKDescription:
     desc = DKDescription(
         family=family,
-        params=params,
         membership=lambda n: _dk_member(desc, n),
         supports=lambda m: m >= 1 and m & (m - 1) == 0,
         profile_fn=lambda m: _dk_profile(desc, m),
@@ -355,7 +336,7 @@ def gen_x0() -> DKDescription:
     the K = (1, 3, 5, ...) instance of the digit construction; profiles
     mod 4^m have exactly 2^m attained residues.
     """
-    return _dk_description("x0", {}, (1,), "arithmetic", 2)
+    return _dk_description("x0", (1,), "arithmetic", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +417,6 @@ def gen_weyl(theta: str, alpha) -> SetDescription:
 
     return SetDescription(
         family="weyl",
-        params={"theta": theta, "alpha": str(alpha)},
         membership=member,
         member_iter=generate,
     )
@@ -510,7 +490,6 @@ def gen_p_t(t: int) -> SetDescription:
         raise ValueError("t must be nonnegative")
     return SetDescription(
         family="p_t",
-        params={"t": t},
         membership=lambda n: n >= 2 and omega(n) <= t,
     )
 
@@ -560,9 +539,7 @@ def basis_chain(moduli: list[int], sparsify: bool = False) -> tuple[int, ...]:
         raise ValueError("at least one modulus is required")
     if any(m < 2 for m in moduli):
         raise ValueError("moduli must be at least 2")
-    total = 1
-    for m in moduli:
-        total *= m
+    total = prod(moduli)
     components = []
     scale = 1
     for i, m in enumerate(moduli):
@@ -616,7 +593,6 @@ def gen_hook(rule: str = "factorial") -> SetDescription:
 
     return SetDescription(
         family="hook",
-        params={"rule": rule},
         membership=lambda n: n in generate(n),
         member_iter=generate,
     )
@@ -686,13 +662,6 @@ def gen_three_density(
 
     desc = ThreeDensityDescription(
         family="three_density",
-        params={
-            "alpha": str(alpha),
-            "beta": str(beta),
-            "gamma": str(gamma),
-            "theta": theta,
-            "n_base": n_base,
-        },
         membership=lambda n: _three_density_member(desc, n),
         alpha=alpha,
         gamma=gamma,
@@ -720,10 +689,6 @@ def _three_density_member(desc: ThreeDensityDescription, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _params_of(parts: list[SetDescription]) -> dict:
-    return {"of": [p.params | {"family": p.family} for p in parts]}
-
-
 def union_description(parts: list[SetDescription]) -> SetDescription:
     """Pointwise union; profiles combine exactly for attained and
     infinitely-attained residues, and fully when every part is periodic."""
@@ -735,7 +700,7 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
         eps = parts[0].periodic_form
         for p in parts[1:]:
             eps = zper.union(eps, p.periodic_form)
-        return replace(from_periodic(eps, family="union"), params=_params_of(parts))
+        return from_periodic(eps, family="union")
 
     def member(n: int) -> bool:
         return any(p.membership(n) for p in parts)
@@ -764,7 +729,6 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
 
     return SetDescription(
         family="union",
-        params=_params_of(parts),
         membership=member,
         profile_fn=profile,
         supports=supports,
@@ -788,7 +752,7 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
         return parts[0]
     if all(p.periodic_form is not None for p in parts):
         eps = zper.sumset([p.periodic_form for p in parts])
-        return replace(from_periodic(eps, family="sumset"), params=_params_of(parts))
+        return from_periodic(eps, family="sumset")
 
     def members(horizon: int) -> list[int]:
         check_width(horizon + 1, "sumset horizon")
@@ -827,7 +791,6 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
 
     return SetDescription(
         family="sumset",
-        params=_params_of(parts),
         membership=member,
         profile_fn=profile,
         supports=supports,

@@ -20,12 +20,12 @@ from . import periodic as zper
 from .density import (
     DEFAULT_HORIZON,
     DensityEstimate,
+    Report,
     SetLike,
     as_description,
     attained_residues,
     buck_lower,
     buck_upper,
-    fraction_json,
 )
 from .generators import sumset_description
 from .periodic import EventuallyPeriodicSet
@@ -42,19 +42,11 @@ MAX_AUTO_QMAX = 1 << 12
 
 
 @dataclass(frozen=True)
-class SparsePeriodicityRow:
+class SparsePeriodicityRow(Report):
     m: int
     missing: tuple[int, ...]
     passed: bool
     certified: bool  # both sides from exact profile oracles
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "missing": list(self.missing),
-            "passed": self.passed,
-            "certified": self.certified,
-        }
 
 
 def verify_sparse_periodicity(
@@ -98,15 +90,14 @@ def verify_max_density_condition(
     a: EventuallyPeriodicSet,
     m_max: int,
     horizon: int = DEFAULT_HORIZON,
-    min_witnesses: int = 2,
 ) -> tuple[list[MaxDensityRow], bool]:
     """Witness search for maximal relative modular density of X inside A.
 
     X (verified to be a subset of A up to the horizon) has upper modular
     density equal to the density of A = union of (a_j + qN) iff every
     refinement class a_j + kq + mqN keeps meeting X.  Requiring at least
-    ``min_witnesses`` members per class is the finite-horizon proxy for
-    "infinitely many" (a lone prefix element does not count).
+    2 members per class is the finite-horizon proxy for "infinitely
+    many" (a lone prefix element does not count).
     """
     desc = as_description(x)
     members = desc.members(horizon)
@@ -125,7 +116,7 @@ def verify_max_density_condition(
             for k in range(m):
                 cls = (a_j + k * q) % (m * q)
                 found = by_class.get(cls, [])
-                passed = len(found) >= min_witnesses
+                passed = len(found) >= 2
                 all_passed &= passed
                 rows.append(
                     MaxDensityRow(m, a_j, k, len(found), found[0] if found else None, passed)
@@ -156,7 +147,7 @@ def ruzsa_inequality_check(r: ResidueSet, s: ResidueSet) -> RuzsaCheck:
 
 
 @dataclass(frozen=True)
-class BuckInequalityReport:
+class BuckInequalityReport(Report):
     bdo_AA: DensityEstimate
     bdo_A: DensityEstimate
     bup_AA: DensityEstimate
@@ -164,14 +155,9 @@ class BuckInequalityReport:
     consistent: bool
 
     def to_json_dict(self) -> dict:
-        out = {
-            "bdo_AA": self.bdo_AA.to_json_dict(),
-            "bdo_A": self.bdo_A.to_json_dict(),
-            "bup_AA": self.bup_AA.to_json_dict(),
-            "consistent": self.consistent,
-        }
-        if self.margin is not None:
-            out["margin"] = fraction_json(self.margin)
+        out = super().to_json_dict()
+        if self.margin is None:
+            del out["margin"]
         return out
 
 
@@ -211,58 +197,33 @@ def buck_inequality_report(
 
 
 @dataclass(frozen=True)
-class KneserReport:
+class KneserReport(Report):
+    """A structure found at modulus q, or (minimal=False) only k and sigma."""
+
     k: int
-    q: Optional[int]
-    minimal: bool
-    summand_profiles: tuple[ResidueSet, ...]
-    multiplicities: tuple[int, ...]
-    sumset_profile: Optional[ResidueSet]
-    sum_size: Optional[int]
-    classification: Optional[StructureClass]
-    eta: Optional[Fraction]
-    sigma: Optional[Fraction]
+    sigma: Fraction
     sigma_certified: bool
-    density_identity_holds: Optional[bool]
-    density_identity_certified: bool
-    q_bound: Optional[Fraction]
-    q_bound_ok: Optional[bool]
-    mean_gap_ok: Optional[bool]
-    sparse_periodicity: tuple[SparsePeriodicityRow, ...]
-    periodic_hulls: tuple[EventuallyPeriodicSet, ...]
-
-    def to_json_dict(self) -> dict:
-        def rset(s: Optional[ResidueSet]):
-            return None if s is None else {"modulus": s.modulus, "members": list(s.members)}
-
-        return {
-            "k": self.k,
-            "q": self.q,
-            "minimal": self.minimal,
-            "summand_profiles": [rset(s) for s in self.summand_profiles],
-            "multiplicities": list(self.multiplicities),
-            "sumset_profile": rset(self.sumset_profile),
-            "sum_size": self.sum_size,
-            "classification": None if self.classification is None else self.classification.to_json_dict(),
-            "eta": fraction_json(self.eta),
-            "sigma": fraction_json(self.sigma),
-            "sigma_certified": self.sigma_certified,
-            "density_identity_holds": self.density_identity_holds,
-            "density_identity_certified": self.density_identity_certified,
-            "q_bound": fraction_json(self.q_bound),
-            "q_bound_ok": self.q_bound_ok,
-            "mean_gap_ok": self.mean_gap_ok,
-            "sparse_periodicity": [r.to_json_dict() for r in self.sparse_periodicity],
-            "periodic_hulls": [h.to_json_dict() for h in self.periodic_hulls],
-        }
+    q: Optional[int] = None
+    minimal: bool = False
+    summand_profiles: tuple[ResidueSet, ...] = ()
+    multiplicities: tuple[int, ...] = ()
+    sumset_profile: Optional[ResidueSet] = None
+    sum_size: Optional[int] = None
+    classification: Optional[StructureClass] = None
+    eta: Optional[Fraction] = None
+    density_identity_holds: Optional[bool] = None
+    density_identity_certified: bool = False
+    q_bound: Optional[Fraction] = None
+    q_bound_ok: Optional[bool] = None
+    mean_gap_ok: Optional[bool] = None
+    sparse_periodicity: tuple[SparsePeriodicityRow, ...] = ()
+    periodic_hulls: tuple[EventuallyPeriodicSet, ...] = ()
 
 
 def analyze_sumset(
     parts: Sequence[SetLike],
     q_max: Optional[int] = None,
     horizon: int = DEFAULT_HORIZON,
-    sparse_m_max: int = 8,
-    require_nonempty_periodic_part: bool = False,
 ) -> KneserReport:
     """Minimal-modulus structure report for X_1 + ... + X_k.
 
@@ -271,8 +232,10 @@ def analyze_sumset(
     non-full, of critical size, and whose density identity
     bup(sum) = (sum(r_i - 1) + 1) / q holds exactly (eventually periodic
     inputs) or is witnessed by refinement-class coverage (sampled
-    inputs).  A report with minimal=False signals that no
-    small-doubling structure was detected at this scale.
+    inputs, checked on 4 refinement rows).  The report carries 8 rows of
+    the sparse-periodicity table and the default quasi-periodicity
+    convention of ``classify_structure``.  A report with minimal=False
+    signals that no small-doubling structure was detected at this scale.
     """
     descs = [as_description(p) for p in parts]
     if len(descs) == 1:
@@ -321,13 +284,13 @@ def analyze_sumset(
             identity = sum_desc.periodic_form.natural_density() == target
             identity_certified = True
         else:
-            evidence = verify_sparse_periodicity(sum_desc, q, min(4, sparse_m_max), horizon)
+            evidence = verify_sparse_periodicity(sum_desc, q, 4, horizon)
             identity = all(row.passed for row in evidence)
             identity_certified = all(row.certified for row in evidence) and identity and all_exact
         if not identity:
             continue
 
-        classification = classify_structure(projected, require_nonempty_periodic_part)
+        classification = classify_structure(projected)
         eta = 1 - target / sigma if sigma > 0 else None
         q_bound = None
         q_bound_ok = None
@@ -339,7 +302,7 @@ def analyze_sumset(
             gap = sum(Fraction(r, q) for r in mults) - sigma
             mean_gap_ok = 0 <= gap / k < Fraction(k - 1, k * q)
         hulls = tuple(zper.from_residues(q, p.members) for p in profiles)
-        sparse = verify_sparse_periodicity(sum_desc, q, sparse_m_max, horizon)
+        sparse = verify_sparse_periodicity(sum_desc, q, 8, horizon)
         return KneserReport(
             k=k,
             q=q,
@@ -361,26 +324,7 @@ def analyze_sumset(
             periodic_hulls=hulls,
         )
 
-    return KneserReport(
-        k=k,
-        q=None,
-        minimal=False,
-        summand_profiles=(),
-        multiplicities=(),
-        sumset_profile=None,
-        sum_size=None,
-        classification=None,
-        eta=None,
-        sigma=sigma,
-        sigma_certified=sigma_certified,
-        density_identity_holds=None,
-        density_identity_certified=False,
-        q_bound=None,
-        q_bound_ok=None,
-        mean_gap_ok=None,
-        sparse_periodicity=(),
-        periodic_hulls=(),
-    )
+    return KneserReport(k, sigma, sigma_certified)
 
 
 def verify_cofinite_refinements(

@@ -11,11 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 from . import generators as gen
 from . import periodic as zper
-from .density import attained_residues
+from .density import Report, attained_residues
 from .generators import (
     DKDescription,
     gen_b_alpha,
@@ -56,7 +56,7 @@ DEFAULT_SEED = 1729
 
 
 @dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Report):
     name: str
     passed: bool
     rows: tuple[dict, ...]
@@ -68,23 +68,6 @@ def _row(check: str, passed: bool, detail: str = "") -> dict:
 
 def _finish(name: str, rows: list[dict]) -> SuiteResult:
     return SuiteResult(name, all(r["passed"] for r in rows), tuple(rows))
-
-
-def _floor_log2(f: Fraction) -> int:
-    if f <= 0:
-        raise ValueError("positive input required")
-
-    def at_least(exp: int) -> bool:
-        if exp >= 0:
-            return f.numerator >= f.denominator << exp
-        return f.numerator << -exp >= f.denominator
-
-    e = f.numerator.bit_length() - f.denominator.bit_length()
-    while at_least(e + 1):
-        e += 1
-    while not at_least(e):
-        e -= 1
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +276,9 @@ def suite_b_alpha(horizon: int = 1 << 16) -> SuiteResult:
             alpha = gen.b_alpha_value(bits)
             desc = gen_b_alpha(bits)
             doubled = sumset_description([desc, desc])
-            expected = Fraction(1, 1 << _floor_log2(1 / alpha))
+            # floor(log2(1/alpha)) is floor(log2(floor(1/alpha))) for 0 < alpha < 1
+            log2_inv = (alpha.denominator // alpha.numerator).bit_length() - 1
+            expected = Fraction(1, 1 << log2_inv)
             if doubled.periodic_form.natural_density() != expected:
                 bad_doubling.append(bits)
     rows.append(
@@ -355,9 +340,7 @@ BASIS_CHAIN_CASES = (
 def suite_basis_chain() -> SuiteResult:
     rows = []
     for moduli in BASIS_CHAIN_CASES:
-        total = 1
-        for m in moduli:
-            total *= m
+        total = prod(moduli)
         label = f"chain {moduli}: doubled coverage mod {total}, size bound, sparsify keeps residues"
         try:
             plain = basis_chain(moduli)  # bound/coverage checked inside

@@ -261,6 +261,7 @@ WEYL = '{"family":"weyl","theta":"sqrt2","alpha":"3/10"}'
         ["sumset", '{"q":1,"T":1000000000000,"prefix":[],"tail":[0]}', '{"progressions":[[0,2]]}'],
         ["sumset", '{"progressions":[[1,997],[5,1009]]}', '{"progressions":[[3,991]]}'],
         ["sumset", WEYL, WEYL, "--horizon", "2000000"],
+        ["density", WEYL, "--mode", "windows", "--horizon", "2000000"],
         ["density", '{"family":"d_k","k_prefix":[1,3],"rule":"double_gap"}',
          "--chain", "pow2", "--depth", "25"],
     ],
@@ -271,6 +272,26 @@ def test_limit_exits_three_at_once(capsys, argv):
     assert code == 3 and out == ""
     assert "exceeds cap" in err
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["analyze", '{"family":"b_alpha","bits":"0011"}'],
+         "5847cb3f4b9767cc202fe53bb319b2aa6596c111907d31281f7103ab643606c4"),
+        (["analyze", '{"family":"x0"}', "--qmax", "32"],
+         "864446ec1879cde178d0a327f54d353fec28ed9fbef7c86a23d925e6c40f2134"),
+        (["density", WEYL, "--mode", "windows", "--horizon", "100000"],
+         "48e1de080a164e985f367160408e17ebbaf07584f3919288ff5d9f7d741e935a"),
+        # its details hold commas, so this pins the CSV quoting
+        (["verify", "kemperman-ap", "--format", "csv"],
+         "b575ee73a5dfb4bb5601f605bbf63df03881f372392f49598586f3053aa3899f"),
+    ],
+)
+def test_report_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_sampled_sum_over_cap_exits_before_any_summand_is_listed(capsys, enumerated):

@@ -460,6 +460,15 @@ class TestCombinators:
                 assert seen == oracle, (desc.family, m)
 
 
+class TestNegativeN:
+    def test_periodic_descriptions_refuse_negative_n(self):
+        thin = gen.parse_description({"family": "thin_basis", "m": 10})
+        union = gen.union_description([thin, gen.gen_weyl("sqrt2", "3/10")])
+        for desc in (gen.from_periodic(per.naturals()), thin, union):
+            assert not desc.contains(-1)
+            assert desc.contains(0)
+
+
 class TestMembersCache:
     def test_one_slot_per_description(self):
         listed = []
@@ -468,12 +477,12 @@ class TestMembersCache:
             listed.append(horizon)
             return list(range(0, horizon + 1, 3))
 
-        desc = gen.SetDescription("threes", {}, lambda n: n % 3 == 0, member_iter=threes)
+        desc = gen.SetDescription("threes", lambda n: n % 3 == 0, member_iter=threes)
         first = desc.members(30)
         assert desc.members(30) is first and listed == [30]
         assert desc.members(12) == [0, 3, 6, 9, 12] and listed == [30, 12]
         assert desc.members(30) == first and desc.members(30) is not first
-        copy = replace(desc, params={"step": 3})
+        copy = replace(desc)
         assert copy.members(30) == first and listed == [30, 12, 30, 30]
 
 

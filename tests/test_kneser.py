@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from buckdens import generators as gen
 from buckdens import kneser as kn
 from buckdens import periodic as per
+from buckdens.density import to_json
 from buckdens.zmod import ResidueSet
 
 
@@ -217,3 +219,34 @@ class TestCofiniteRefinements:
         a = per.from_progressions([(0, 3)])
         b = per.from_progressions([(1, 3)])
         assert kn.verify_cofinite_refinements([a, b], q=3, m_max=3)
+
+
+class TestReportEncoding:
+    def test_to_json_values(self):
+        odds = per.from_progressions([(1, 2)])
+        assert to_json(Fraction(3, 6)) == {"num": 1, "den": 2}
+        assert to_json(ResidueSet.of(5, [4, 1])) == {"modulus": 5, "members": [1, 4]}
+        assert to_json((Fraction(2), [None, True, "x"], {"a": 1})) == [
+            {"num": 2, "den": 1}, [None, True, "x"], {"a": 1}
+        ]
+        assert to_json(odds) == odds.to_json_dict()
+
+    def test_kneser_report_keys_are_its_fields(self):
+        found = kn.analyze_sumset([gen.gen_b_alpha("0011")])
+        missing = kn.analyze_sumset([gen.gen_x0()], q_max=32)
+        assert found.minimal and not missing.minimal
+        names = [f.name for f in fields(kn.KneserReport)]
+        for report in (found, missing):
+            assert list(report.to_json_dict()) == names
+        assert missing == kn.KneserReport(2, missing.sigma, missing.sigma_certified)
+        payload = found.to_json_dict()
+        assert payload["summand_profiles"][0] == {"modulus": 4, "members": [0]}  # 4 + 8N, 8 + 16N
+        assert payload["sparse_periodicity"][0] == found.sparse_periodicity[0].to_json_dict()
+
+    def test_buck_inequality_margin_only_when_set(self):
+        exact = kn.buck_inequality_report(gen.gen_b_alpha("1"))
+        sampled = kn.buck_inequality_report(gen.gen_hook(), horizon=4096)
+        assert exact.margin is not None and sampled.margin is None
+        assert exact.to_json_dict()["margin"] == to_json(exact.margin)
+        assert "margin" not in sampled.to_json_dict()
+        assert set(exact.to_json_dict()) == {f.name for f in fields(kn.BuckInequalityReport)}
