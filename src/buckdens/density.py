@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import accumulate, islice
 from math import isqrt
+from operator import sub
 from typing import Optional, Union
 
 from .generators import SetDescription, from_periodic
@@ -285,21 +287,14 @@ def window_densities(x: SetLike, horizon: int) -> WindowDensities:
     present = bytearray(horizon + 1)
     for n in members:
         present[n] = 1
-    counts = [0] * (horizon + 1)  # counts[n] = |X cap [1, n]|
-    acc = 0
-    for n in range(1, horizon + 1):
-        acc += present[n]
-        counts[n] = acc
+    present[0] = 0
+    counts = list(accumulate(present))  # counts[n] = |X cap [1, n]|
     checkpoints = [max(1, (horizon * j) // 16) for j in range(8, 17)]
     ratios = [Fraction(counts[n], n) for n in checkpoints]
     window = isqrt(horizon)
-    wmax, wmin = 0, window + 1
-    for k in range(horizon - window + 1):
-        c = counts[k + window] - counts[k]
-        if c > wmax:
-            wmax = c
-        if c < wmin:
-            wmin = c
+    # the count of X in (k, k + window], for k = 0 .. horizon - window
+    wmax = max(map(sub, islice(counts, window, None), counts))
+    wmin = min(map(sub, islice(counts, window, None), counts))
     sampled = lambda v: DensityEstimate(v, "sampled", horizon=horizon)
     return WindowDensities(
         d_lower=sampled(min(ratios)),

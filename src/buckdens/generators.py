@@ -1,25 +1,28 @@
 """Explicit set families: lazy membership oracles over N.
 
 Each family is wrapped in a :class:`SetDescription` carrying a
-membership test, an optional exact modular-profile oracle for the
-moduli the construction supports, and (for families that are honestly
-eventually periodic) an exact periodic form.  Infinite parameter
-sequences are presented finitely: a prefix plus a closed-form rule.
+membership test, a member listing built from the construction, an
+optional exact modular-profile oracle for the moduli the construction
+supports, and (for families that are honestly eventually periodic) an
+exact periodic form.  Infinite parameter sequences are presented
+finitely: a prefix plus a closed-form rule.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import compress
 from math import isqrt, prod
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from . import periodic as zper
 from .periodic import EventuallyPeriodicSet, ModularProfile
 from .zmod import (
-    MAX_MODULUS, CertificateError, ResidueSet, add_bits, bit_positions, check_width, members_mask,
-    sumset as residue_sumset,
+    MAX_MODULUS, CertificateError, ResidueSet, add_bits, bit_positions, check_width, divisors,
+    members_mask, sumset as residue_sumset,
 )
 
 
@@ -31,7 +34,9 @@ class UnsupportedModulusError(ValueError):
 class SetDescription:
     """A lazily evaluated subset of N.
 
-    ``membership`` decides n in X; ``profile_fn``/``supports`` give the
+    ``membership`` decides n in X; ``member_iter(horizon)`` lists the
+    members n <= horizon in ascending order for every horizon >= 0, by
+    construction of the family; ``profile_fn``/``supports`` give the
     exact modular profile where the family supports one;
     ``periodic_form`` is set when X is exactly eventually periodic, in
     which case profiles exist for every modulus.
@@ -39,10 +44,10 @@ class SetDescription:
 
     family: str
     membership: Callable[[int], bool]
+    member_iter: Callable[[int], list[int]]
     profile_fn: Optional[Callable[[int], ModularProfile]] = None
     supports: Optional[Callable[[int], bool]] = None
     cofinite_exact: bool = False
-    member_iter: Optional[Callable[[int], list[int]]] = None
     periodic_form: Optional[EventuallyPeriodicSet] = None
     _listed: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -75,13 +80,7 @@ class SetDescription:
         return listed
 
     def _enumerate(self, horizon: int) -> list[int]:
-        if horizon < 0:
-            return []
-        if self.periodic_form is not None:
-            return self.periodic_form.members(horizon)
-        if self.member_iter is not None:
-            return self.member_iter(horizon)
-        return [n for n in range(horizon + 1) if self.membership(n)]
+        return self.member_iter(horizon) if horizon >= 0 else []
 
     def as_periodic(self) -> EventuallyPeriodicSet:
         if self.periodic_form is None:
@@ -96,6 +95,7 @@ def from_periodic(eps: EventuallyPeriodicSet, family: str = "periodic") -> SetDe
     return SetDescription(
         family=family,
         membership=lambda n: n >= 0 and n in eps,
+        member_iter=eps.members,
         cofinite_exact=True,
         periodic_form=eps,
     )
@@ -137,7 +137,7 @@ def b_alpha_value(bits: str) -> Fraction:
 _DK_RULES = ("double_gap", "powers_of_two", "arithmetic")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class DKDescription(SetDescription):
     """D_K plus exact accessors for the complement structure of D_K + D_K.
 
@@ -287,8 +287,6 @@ def _dk_member(desc: DKDescription, n: int) -> bool:
 
 
 def _dk_members(desc: DKDescription, horizon: int) -> list[int]:
-    if horizon < 0:
-        return []
     width = horizon.bit_length() if horizon else 1
     forbidden = set(desc.positions_below(width))
     free = [p for p in range(width) if p not in forbidden]
@@ -427,37 +425,32 @@ def gen_weyl(theta: str, alpha) -> SetDescription:
 # ---------------------------------------------------------------------------
 
 
-def omega(n: int) -> int:
-    """Number of distinct prime divisors, by trial division."""
-    if n < 2:
-        return 0
-    count = 0
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, ascending, by trial division (none for n < 2)."""
+    primes = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            count += 1
+            primes.append(d)
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        count += 1
-    return count
+        primes.append(n)
+    return primes
+
+
+def omega(n: int) -> int:
+    """Number of distinct prime divisors."""
+    return len(_prime_factors(n))
 
 
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("phi is defined for positive integers")
     result = n
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            result -= result // d
-            while m % d == 0:
-                m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        result -= result // m
+    for p in _prime_factors(n):
+        result -= result // p
     return result
 
 
@@ -471,26 +464,32 @@ def phi_t(k: int, t: int) -> int:
         raise ValueError("k must be positive")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    total = 0
-    d = 1
-    while d * d <= k:
-        if k % d == 0:
-            if omega(d) <= t:
-                total += euler_phi(k // d)
-            other = k // d
-            if other != d and omega(other) <= t:
-                total += euler_phi(k // other)
-        d += 1
-    return total
+    return sum(euler_phi(k // d) for d in divisors(k) if omega(d) <= t)
+
+
+#: byte c -> c + 1; a count of distinct prime factors below 2^20 is at most 7
+_INCREMENT = bytes(range(1, 256)) + b"\xff"
 
 
 def gen_p_t(t: int) -> SetDescription:
     """Integers at least 2 with at most t distinct prime factors."""
     if t < 0:
         raise ValueError("t must be nonnegative")
+    at_most_t = bytes(c <= t for c in range(256))
+
+    def generate(horizon: int) -> list[int]:
+        check_width(horizon + 1, "p_t horizon")
+        counts = bytearray(horizon + 1)  # counts[n] = omega(n), sieved
+        p = counts.find(0, 2)
+        while p > 0:  # the least n >= 2 no smaller prime divides is the next prime
+            counts[p::p] = counts[p::p].translate(_INCREMENT)
+            p = counts.find(0, p + 1)
+        return list(compress(range(2, horizon + 1), counts[2:].translate(at_most_t)))
+
     return SetDescription(
         family="p_t",
         membership=lambda n: n >= 2 and omega(n) <= t,
+        member_iter=generate,
     )
 
 
@@ -603,27 +602,6 @@ def gen_hook(rule: str = "factorial") -> SetDescription:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ThreeDensityDescription(SetDescription):
-    alpha: Fraction = Fraction(1, 2)
-    gamma: Fraction = Fraction(1, 2)
-    n_base: int = 10
-    weyl: Optional[SetDescription] = None
-
-    def window(self, k: int) -> tuple[int, int]:
-        """Inclusive block bounds [N_k, N_k / (1 - gamma)]."""
-        n_k = self.n_base**k
-        upper = n_k * self.gamma.denominator // (self.gamma.denominator - self.gamma.numerator)
-        return n_k, upper
-
-    def r_value(self, k: int) -> int:
-        return int(self.alpha * (1 << k))
-
-    def residues(self, k: int) -> frozenset[int]:
-        """R_k: the lexicographically smallest nested residue chain."""
-        return _nested_residues(self.alpha, k)
-
-
 @lru_cache(maxsize=256)
 def _nested_residues(alpha: Fraction, k: int) -> frozenset[int]:
     """R_k mod 2^k: R_(k-1) lifted to both halves, topped up with the
@@ -641,9 +619,17 @@ def _nested_residues(alpha: Fraction, k: int) -> frozenset[int]:
     return frozenset(lifted)
 
 
+def _density_blocks(n_base: int, gamma: Fraction, horizon: int) -> Iterator[tuple[int, int, int]]:
+    """(k, N_k, N_k / (1 - gamma)) for each k >= 1 with N_k = n_base^k <= horizon."""
+    k, low = 1, n_base
+    while low <= horizon:
+        yield k, low, low * gamma.denominator // (gamma.denominator - gamma.numerator)
+        k, low = k + 1, low * n_base
+
+
 def gen_three_density(
     alpha, beta, gamma, theta: str = "sqrt2", n_base: int = 10
-) -> ThreeDensityDescription:
+) -> SetDescription:
     """Blocks [N_k, N_k/(1-gamma)] filtered by {theta n} < beta and a
     nested residue chain of relative size ~alpha mod 2^k.
 
@@ -660,33 +646,44 @@ def gen_three_density(
         raise ValueError("block base must be at least 10")
     weyl = gen_weyl(theta, beta)
 
-    desc = ThreeDensityDescription(
+    def member(n: int) -> bool:
+        return any(
+            low <= n <= high and n % (1 << k) in _nested_residues(alpha, k)
+            for k, low, high in _density_blocks(n_base, gamma, n)
+        ) and weyl.contains(n)
+
+    def generate(horizon: int) -> list[int]:
+        listed = weyl.members(horizon)
+        out = []
+        for k, low, high in _density_blocks(n_base, gamma, horizon):
+            # Blocks overlap once gamma >= 1 - 1/n_base.  R_k lifts into
+            # R_(k+1), so there the later block's residue test is the weaker
+            # one and decides alone: block k keeps only n below N_(k+1).
+            stop = bisect_right(listed, min(high, low * n_base - 1))
+            residues, mask = _nested_residues(alpha, k), (1 << k) - 1
+            out += [n for n in listed[bisect_left(listed, low):stop] if n & mask in residues]
+        return out
+
+    return SetDescription(
         family="three_density",
-        membership=lambda n: _three_density_member(desc, n),
-        alpha=alpha,
-        gamma=gamma,
-        n_base=n_base,
-        weyl=weyl,
+        membership=member,
+        member_iter=generate,
     )
-    return desc
-
-
-def _three_density_member(desc: ThreeDensityDescription, n: int) -> bool:
-    if n < desc.n_base:
-        return False
-    k = 1
-    while desc.n_base**k <= n:
-        low, high = desc.window(k)
-        if low <= n <= high:
-            if n % (1 << k) in desc.residues(k) and desc.weyl.membership(n):
-                return True
-        k += 1
-    return False
 
 
 # ---------------------------------------------------------------------------
 # unions and sumsets of descriptions
 # ---------------------------------------------------------------------------
+
+
+T = TypeVar("T")
+
+
+def map_distinct(fn: Callable[[SetDescription], T], descs: list[SetDescription]) -> list[T]:
+    """[fn(d) for d in descs], calling fn once per distinct description (a
+    doubled summand is read once)."""
+    done = {d: fn(d) for d in dict.fromkeys(descs)}
+    return [done[d] for d in descs]
 
 
 def union_description(parts: list[SetDescription]) -> SetDescription:
@@ -756,7 +753,7 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
 
     def members(horizon: int) -> list[int]:
         check_width(horizon + 1, "sumset horizon")
-        mask = (1 << max(horizon + 1, 0)) - 1
+        mask = (1 << (horizon + 1)) - 1
         acc, *rest = [p.members(horizon) for p in parts]
         for other in rest:
             acc = bit_positions(add_bits(members_mask(other), acc) & mask)
@@ -772,7 +769,7 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
         return all(p.has_profile(m) for p in parts)
 
     def profile(m: int) -> ModularProfile:
-        profs = [p.profile(m) for p in parts]
+        profs = map_distinct(lambda p: p.profile(m), parts)
         att = residue_sumset([pr.attained for pr in profs])
         inf_bits = 0
         for i, pr in enumerate(profs):

@@ -27,7 +27,7 @@ from .density import (
     buck_lower,
     buck_upper,
 )
-from .generators import sumset_description
+from .generators import map_distinct, sumset_description
 from .periodic import EventuallyPeriodicSet
 from .zmod import (
     ResidueSet,
@@ -249,12 +249,9 @@ def analyze_sumset(
     # the sum first: a sampled sum over the width cap exits before any summand is listed
     bup_sum_est = buck_upper(sum_desc, horizon=horizon).point()[0]
 
-    sigma = Fraction(0)
-    sigma_certified = True
-    for d in descs:
-        value, exact = buck_upper(d, horizon=horizon).point()
-        sigma += value
-        sigma_certified &= exact
+    points = map_distinct(lambda d: buck_upper(d, horizon=horizon).point(), descs)
+    sigma = sum((value for value, _ in points), Fraction(0))
+    sigma_certified = all(exact for _, exact in points)
 
     if q_max is None:
         q_max = MAX_AUTO_QMAX
@@ -264,12 +261,9 @@ def analyze_sumset(
                 q_max = min(MAX_AUTO_QMAX, int((2 * k - 2) / (eta_hat * sigma)) + 1)
 
     for q in range(2, q_max + 1):
-        profiles = []
-        all_exact = True
-        for d in descs:
-            prof, exact = attained_residues(d, q, horizon)
-            profiles.append(prof)
-            all_exact &= exact
+        found = map_distinct(lambda d: attained_residues(d, q, horizon), descs)
+        profiles = [prof for prof, _ in found]
+        all_exact = all(exact for _, exact in found)
         if any(p.is_empty() for p in profiles):
             continue
         projected = residue_sumset(profiles)

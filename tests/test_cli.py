@@ -264,6 +264,9 @@ WEYL = '{"family":"weyl","theta":"sqrt2","alpha":"3/10"}'
         ["density", WEYL, "--mode", "windows", "--horizon", "2000000"],
         ["density", '{"family":"d_k","k_prefix":[1,3],"rule":"double_gap"}',
          "--chain", "pow2", "--depth", "25"],
+        # the p_t sieve takes a horizon + 1 byte array
+        ["gen", '{"family":"p_t","t":2}', "--horizon", "2000000"],
+        ["density", '{"family":"p_t","t":2}', "--horizon", "2000000"],
     ],
 )
 def test_limit_exits_three_at_once(capsys, argv):

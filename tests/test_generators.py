@@ -341,26 +341,28 @@ class TestHook:
 
 class TestThreeDensity:
     def test_half_chain(self):
-        td = gen.gen_three_density(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
-        assert td.r_value(1) == 1
-        assert td.residues(1) == {0}
-        assert td.r_value(3) == 4 and len(td.residues(3)) == 4
+        half = Fraction(1, 2)
+        assert len(gen._nested_residues(half, 1)) == 1
+        assert gen._nested_residues(half, 1) == {0}
+        assert int(half * 8) == 4 and len(gen._nested_residues(half, 3)) == 4
 
     def test_nesting(self):
-        td = gen.gen_three_density(Fraction(3, 10), Fraction(1, 2), Fraction(1, 2))
+        alpha = Fraction(3, 10)
         for k in range(1, 10):
-            lifted = set(td.residues(k)) | {r + (1 << k) for r in td.residues(k)}
-            assert lifted.issubset(td.residues(k + 1))
+            residues = gen._nested_residues(alpha, k)
+            lifted = set(residues) | {r + (1 << k) for r in residues}
+            assert lifted.issubset(gen._nested_residues(alpha, k + 1))
 
     def test_r_growth(self):
-        td = gen.gen_three_density(Fraction(3, 10), Fraction(1, 2), Fraction(1, 2))
+        alpha = Fraction(3, 10)
         for k in range(1, 11):
-            assert td.r_value(k + 1) in (2 * td.r_value(k), 2 * td.r_value(k) + 1)
+            r_k, r_next = (len(gen._nested_residues(alpha, j)) for j in (k, k + 1))
+            assert r_next in (2 * r_k, 2 * r_k + 1)
 
     def test_membership_respects_windows(self):
         td = gen.gen_three_density(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
-        low, high = td.window(2)
-        assert low == 100 and high == 200
+        blocks = list(gen._density_blocks(10, Fraction(1, 2), 250))
+        assert blocks == [(1, 10, 20), (2, 100, 200)]
         for n in td.members(250):
             assert (10 <= n <= 20) or (100 <= n <= 200)
 
@@ -458,6 +460,44 @@ class TestCombinators:
                 seen = {n % m for n in members}
                 oracle = set(desc.profile(m).attained.members)
                 assert seen == oracle, (desc.family, m)
+
+
+@pytest.mark.parametrize(
+    "build, horizon",
+    [
+        pytest.param(lambda: gen.gen_b_alpha("1011"), 600, id="b_alpha"),
+        pytest.param(lambda: gen.gen_d_k((1, 3)), 600, id="d_k-finite"),
+        pytest.param(lambda: gen.gen_d_k((1, 3), rule="double_gap"), 600, id="d_k-ruled"),
+        pytest.param(gen.gen_x0, 600, id="x0"),
+        pytest.param(lambda: gen.gen_weyl("sqrt2", "3/10"), 600, id="weyl"),
+        *(pytest.param(lambda t=t: gen.gen_p_t(t), 3000, id=f"p_t-{t}") for t in range(4)),
+        pytest.param(gen.gen_hook, 10**4, id="hook"),
+        pytest.param(lambda: gen.gen_three_density("1/2", "1/2", "1/2"), 25000, id="three_density-1/2"),
+        # gamma = 19/20 stretches block k to [10^k, 2 * 10^(k+1)], past the next block's start
+        pytest.param(
+            lambda: gen.gen_three_density("3/10", "2/5", "19/20"), 25000, id="three_density-19/20"
+        ),
+        pytest.param(lambda: gen.parse_description({"family": "thin_basis", "m": 50}), 100, id="thin_basis"),
+        pytest.param(
+            lambda: gen.union_description([gen.gen_weyl("sqrt2", "3/10"), gen.gen_p_t(1)]), 2000, id="union"
+        ),
+        pytest.param(
+            lambda: gen.sumset_description([gen.gen_weyl("sqrt2", "3/10"), gen.gen_x0()]), 600,
+            id="sampled-sumset",
+        ),
+    ],
+)
+def test_members_are_the_members_by_membership(build, horizon):
+    # the reference listing: test every n up to the horizon
+    desc = build()
+    for h in (-1, 0, 1, horizon):
+        assert desc.members(h) == [n for n in range(h + 1) if desc.contains(n)], h
+
+
+def test_repr_names_the_family_only():
+    assert repr(gen.gen_x0()) == "SetDescription('x0')"
+    assert repr(gen.gen_d_k((1, 3))) == "SetDescription('d_k')"
+    assert repr(gen.gen_three_density("1/2", "1/2", "1/2")) == "SetDescription('three_density')"
 
 
 class TestNegativeN:

@@ -184,6 +184,35 @@ class TestMembersListedOnce:
         assert sorted(enumerated) == ["sumset", "weyl"]
 
 
+class TestDoubledSummandReadOnce:
+    def test_one_attained_residues_call_per_q(self, monkeypatch):
+        calls = []
+        attained_residues = kn.attained_residues
+
+        def spy(desc, q, horizon):
+            calls.append(q)
+            return attained_residues(desc, q, horizon)
+
+        monkeypatch.setattr(kn, "attained_residues", spy)
+        report = kn.analyze_sumset([gen.gen_b_alpha("11")], q_max=64)
+        assert not report.minimal and report.sigma == Fraction(3, 2)
+        assert calls == list(range(2, 65))
+
+    def test_sampled_sumset_profiles_each_part_once(self, monkeypatch):
+        calls = []
+        profile = gen.SetDescription.profile
+
+        def spy(self, m):
+            calls.append((self.family, m))
+            return profile(self, m)
+
+        x0 = gen.gen_x0()
+        doubled = gen.sumset_description([x0, x0])
+        monkeypatch.setattr(gen.SetDescription, "profile", spy)
+        assert doubled.profile(16).attained.cardinality == 9
+        assert sorted(calls) == [("sumset", 16), ("x0", 16)]
+
+
 class TestDeficientPeriodicPairs:
     def test_identity_holds_for_random_deficient_pairs(self):
         # whenever two periodic sets have a genuinely deficient sumset,
