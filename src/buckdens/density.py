@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 from .generators import SetDescription, from_periodic
 from .periodic import EventuallyPeriodicSet
-from .zmod import ResidueSet, check_width, members_mask
+from .zmod import ResidueSet, check_horizon, check_width, members_mask
 
 SetLike = Union[SetDescription, EventuallyPeriodicSet]
 
@@ -281,7 +281,7 @@ def window_densities(x: SetLike, horizon: int) -> WindowDensities:
     floor(sqrt(horizon))."""
     if horizon < 16:
         raise ValueError("horizon must be at least 16")
-    check_width(horizon + 1, "window horizon")  # before the members are listed
+    check_horizon(horizon, "window horizon")  # before the members are listed
     desc = as_description(x)
     members = desc.members(horizon)
     present = bytearray(horizon + 1)

@@ -21,8 +21,8 @@ from typing import Callable, Iterable, Iterator, Optional, TypeVar
 from . import periodic as zper
 from .periodic import EventuallyPeriodicSet, ModularProfile
 from .zmod import (
-    MAX_MODULUS, CertificateError, ResidueSet, add_bits, bit_positions, check_width, divisors,
-    members_mask, sumset as residue_sumset,
+    MAX_MODULUS, CertificateError, ResidueSet, add_bits, bit_positions, check_horizon,
+    divisors, members_mask, sumset as residue_sumset,
 )
 
 
@@ -478,7 +478,7 @@ def gen_p_t(t: int) -> SetDescription:
     at_most_t = bytes(c <= t for c in range(256))
 
     def generate(horizon: int) -> list[int]:
-        check_width(horizon + 1, "p_t horizon")
+        check_horizon(horizon, "p_t horizon")
         counts = bytearray(horizon + 1)  # counts[n] = omega(n), sieved
         p = counts.find(0, 2)
         while p > 0:  # the least n >= 2 no smaller prime divides is the next prime
@@ -752,7 +752,7 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
         return from_periodic(eps, family="sumset")
 
     def members(horizon: int) -> list[int]:
-        check_width(horizon + 1, "sumset horizon")
+        check_horizon(horizon, "sumset horizon")
         mask = (1 << (horizon + 1)) - 1
         acc, *rest = [p.members(horizon) for p in parts]
         for other in rest:

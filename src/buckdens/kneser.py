@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from . import periodic as zper
@@ -33,6 +34,7 @@ from .zmod import (
     ResidueSet,
     StructureClass,
     classify_structure,
+    divisors,
     is_periodic,
     sumset as residue_sumset,
     tile_bits,
@@ -236,7 +238,28 @@ def analyze_sumset(
     the sparse-periodicity table and the default quasi-periodicity
     convention of ``classify_structure``.  A report with minimal=False
     signals that no small-doubling structure was detected at this scale.
+
+    Which q are visited.  Call a summand prunable when it has a periodic
+    form (period p) whose prefix lies in its tail classes: every
+    progression union and every ``b_alpha`` is.  Its profile mod q is
+    then exactly {s : s mod g is a tail residue mod g}, g = gcd(p, q),
+    so the profile is stable under +g.  Let G be the gcd of the periods
+    of the prunable summands.  The scan visits only the divisors q of G
+    with 2 <= q <= q_max, and every q in 2..q_max when no summand is
+    prunable.  A skipped q does not divide some prunable period p, so
+    g = gcd(p, q) is a proper divisor of q.  Either some profile is
+    empty, or the projected sumset is that g-stable profile plus the
+    others and so is stable under +g as well (a sumset inherits the
+    stabilizer of each summand; Kneser 1953), hence full or periodic.
+    A scan over every q rejects all three cases, so the first accepted
+    q, and with it the whole report, is unchanged.  Among the visited
+    q, one where the two largest profiles P, P' have sizes r + r' > q
+    is skipped before its sumset is formed: for every residue s the
+    sets s - P and P' hold r + r' > q residues in all, so they meet
+    (pigeonhole), P + P' is full, and so is the projected sumset.
     """
+    if q_max is not None and q_max < 2:
+        raise ValueError(f"q_max must be at least 2, got {q_max}")
     descs = [as_description(p) for p in parts]
     if len(descs) == 1:
         descs = [descs[0], descs[0]]
@@ -260,16 +283,26 @@ def analyze_sumset(
             if eta_hat > 0:
                 q_max = min(MAX_AUTO_QMAX, int((2 * k - 2) / (eta_hat * sigma)) + 1)
 
-    for q in range(2, q_max + 1):
+    # periods of the prunable summands: no prefix member outside the tail classes
+    periods = [
+        eps.period
+        for eps in (d.periodic_form for d in descs)
+        if eps is not None
+        and eps.prefix & ~tile_bits(eps.tail.bits, eps.period, eps.threshold) == 0
+    ]
+    scan = range(2, q_max + 1)
+    if periods:
+        scan = [q for q in divisors(gcd(*periods)) if 2 <= q <= q_max]
+    for q in scan:
         found = map_distinct(lambda d: attained_residues(d, q, horizon), descs)
         profiles = [prof for prof, _ in found]
         all_exact = all(exact for _, exact in found)
-        if any(p.is_empty() for p in profiles):
-            continue
+        mults = tuple(p.cardinality for p in profiles)
+        if 0 in mults or sum(sorted(mults)[-2:]) > q:
+            continue  # an empty part, or (pigeonhole) a full projected sumset
         projected = residue_sumset(profiles)
         if projected.is_full() or is_periodic(projected):
             continue
-        mults = tuple(p.cardinality for p in profiles)
         critical = sum(r - 1 for r in mults) + 1
         if projected.cardinality != critical:
             continue

@@ -43,6 +43,12 @@ def check_width(width: int, what: str) -> None:
         raise LimitExceededError(f"{what} {width} exceeds cap {MAX_MODULUS}")
 
 
+def check_horizon(horizon: int, what: str) -> None:
+    """Refuse a horizon whose (horizon + 1)-entry vector would exceed the cap."""
+    if horizon >= MAX_MODULUS:
+        raise LimitExceededError(f"{what} {horizon} exceeds cap {MAX_MODULUS - 1}")
+
+
 def _check_modulus(m: int) -> None:
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")

@@ -135,6 +135,33 @@ class TestAnalyze:
         payload = json.loads(out)
         assert payload["q"] == 2 and payload["minimal"] is True
 
+    @pytest.mark.parametrize("q_max", ["0", "1", "-5"])
+    def test_q_max_below_two_is_usage_error(self, capsys, q_max):
+        code, out, err = run(
+            capsys, "analyze", '{"family":"b_alpha","bits":"1"}', f"--qmax={q_max}"
+        )
+        assert code == 2 and out == ""
+        assert "q_max" in err
+
+    def test_ladder_of_twelve_bits_is_pinned(self, capsys):
+        # minimal q = 2^12 = q_max: the scan visits the divisors of the period 2^12
+        code, out, _ = run(
+            capsys, "analyze", '{"family":"b_alpha","bits":"000000000001"}', "--qmax", "4096"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "8cf47388e5ba25472885e02fc21025758d8cb0564000415ceb04965a90ba0a83"
+        )
+
+    def test_sixteen_bits_reach_q_two_to_the_sixteen(self, capsys):
+        code, out, _ = run(
+            capsys, "analyze", '{"family":"b_alpha","bits":"0000000000000001"}',
+            "--qmax", "70000",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["minimal"] is True and payload["q"] == 65536
+
     def test_classification_matches_classify(self, capsys):
         code, out, _ = run(
             capsys, "analyze", '{"progressions":[[0,10],[1,10],[5,10]]}', "--qmax", "64"
@@ -275,6 +302,23 @@ def test_limit_exits_three_at_once(capsys, argv):
     assert code == 3 and out == ""
     assert "exceeds cap" in err
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", '{"family":"p_t","t":2}', "--horizon", "2000000"],
+         "p_t horizon 2000000 exceeds cap 1048575"),
+        (["sumset", WEYL, WEYL, "--horizon", "1048576"],
+         "sumset horizon 1048576 exceeds cap 1048575"),
+        (["density", WEYL, "--mode", "windows", "--horizon", "2000000"],
+         "window horizon 2000000 exceeds cap 1048575"),
+    ],
+)
+def test_horizon_limit_names_the_horizon_given(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert message in err
 
 
 @pytest.mark.parametrize(

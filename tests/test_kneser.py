@@ -1,3 +1,4 @@
+import random
 from dataclasses import fields
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 from buckdens import generators as gen
 from buckdens import kneser as kn
 from buckdens import periodic as per
-from buckdens.density import to_json
+from buckdens import zmod
+from buckdens.density import as_description, attained_residues, to_json
 from buckdens.zmod import ResidueSet
 
 
@@ -78,6 +80,11 @@ class TestAnalyzeSumset:
     def test_requires_a_summand(self):
         with pytest.raises(ValueError):
             kn.analyze_sumset([])
+
+    @pytest.mark.parametrize("q_max", [1, 0, -5])
+    def test_q_max_below_two_is_refused(self, q_max):
+        with pytest.raises(ValueError, match="q_max"):
+            kn.analyze_sumset([gen.gen_b_alpha("1")], q_max=q_max)
 
 
 class TestSparsePeriodicity:
@@ -184,19 +191,133 @@ class TestMembersListedOnce:
         assert sorted(enumerated) == ["sumset", "weyl"]
 
 
+def linear_scan(parts, q_max, horizon):
+    """analyze_sumset's q-scan with nothing pruned, over every q in
+    2..q_max: (q, profiles, projected sumset) of the first q it accepts,
+    or None."""
+    descs = [as_description(p) for p in parts]
+    if len(descs) == 1:
+        descs *= 2
+    sum_desc = gen.sumset_description(descs)
+    for q in range(2, q_max + 1):
+        profiles = tuple(attained_residues(d, q, horizon)[0] for d in descs)
+        if any(p.is_empty() for p in profiles):
+            continue
+        projected = zmod.sumset(list(profiles))
+        if projected.is_full() or zmod.is_periodic(projected):
+            continue
+        critical = sum(p.cardinality - 1 for p in profiles) + 1
+        if projected.cardinality != critical:
+            continue
+        if sum_desc.periodic_form is not None:
+            identity = sum_desc.periodic_form.natural_density() == Fraction(critical, q)
+        else:
+            identity = all(r.passed for r in kn.verify_sparse_periodicity(sum_desc, q, 4, horizon))
+        if identity:
+            return q, profiles, projected
+    return None
+
+
+def _random_parts(rng, kind):
+    """One or two summands of the given kind, as descriptions."""
+    if kind == "progressions":
+        terms = [(rng.randint(0, 20), rng.randint(2, 12)) for _ in range(rng.randint(1, 3))]
+        return [gen.from_periodic(per.from_progressions(terms))]
+    if kind == "b_alpha":
+        while True:
+            bits = "".join(rng.choice("01") for _ in range(rng.randint(2, 6)))
+            if bits.count("1") >= 2:
+                return [gen.gen_b_alpha(bits)]
+    if kind == "periods":
+        q1, q2 = rng.sample(range(2, 13), 2)
+        return [
+            gen.from_periodic(per.from_residues(q, rng.sample(range(q), rng.randint(1, q // 2))))
+            for q in (q1, q2)
+        ]
+    if kind == "finite":
+        q = rng.randint(2, 12)
+        finite = per.from_finite(rng.sample(range(30), rng.randint(1, 4)))
+        periodic = per.from_residues(q, rng.sample(range(q), rng.randint(1, q // 2)))
+        return [gen.from_periodic(finite), gen.from_periodic(periodic)]
+    if kind == "stray-prefix":
+        # a prefix member outside the tail classes: no summand is prunable
+        q = rng.randint(2, 12)
+        tail = rng.sample(range(q), rng.randint(1, max(1, q // 3)))
+        stray = rng.choice([n for n in range(2 * q) if n % q not in tail])
+        eps = per.from_json_dict({"q": q, "T": 2 * q, "prefix": [stray], "tail": tail})
+        return [gen.from_periodic(eps)] * rng.randint(1, 2)
+    assert kind == "sampled"
+    periodic = per.from_residues(4, rng.sample(range(4), rng.randint(1, 2)))
+    return [gen.gen_x0(), gen.from_periodic(periodic)]
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call analyze_sumset makes to kn.<name>."""
+    calls = []
+    original = getattr(kn, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kn, name, spy)
+    return calls
+
+
+class TestPrunedScan:
+    KINDS = ("progressions", "b_alpha", "periods", "finite", "stray-prefix",
+             "progressions", "b_alpha", "periods", "stray-prefix", "sampled")
+
+    def test_seeded_inputs(self):
+        rng = random.Random(20240)
+        found = 0
+        for i in range(200):
+            kind = self.KINDS[i % len(self.KINDS)]
+            parts = _random_parts(rng, kind)
+            q_max = rng.choice([24, 48, 72])
+            horizon = 1 << 12
+            report = kn.analyze_sumset(parts, q_max=q_max, horizon=horizon)
+            expected = linear_scan(parts, q_max, horizon)
+            if expected is None:
+                assert report == kn.KneserReport(
+                    report.k, report.sigma, report.sigma_certified
+                ), (kind, parts)
+                continue
+            found += 1
+            q, profiles, projected = expected
+            assert report.minimal and report.q == q, (kind, parts)
+            assert report.summand_profiles == profiles
+            assert report.sumset_profile == projected
+            assert report.multiplicities == tuple(p.cardinality for p in profiles)
+        assert 40 < found < 180  # both outcomes are exercised
+
+    def test_stray_prefix_visits_every_q(self, monkeypatch):
+        calls = _spy(monkeypatch, "attained_residues")
+        # {0} + odds: 0 lies outside the tail class 1 mod 2, so the scan is linear
+        zero_and_odds = per.union(per.from_finite([0]), per.from_progressions([(1, 2)]))
+        report = kn.analyze_sumset([gen.from_periodic(zero_and_odds)], q_max=64)
+        assert not report.minimal
+        assert [q for _, q, _ in calls] == list(range(2, 65))
+
+    def test_no_sumset_where_pigeonhole_makes_it_full(self, monkeypatch):
+        calls = _spy(monkeypatch, "residue_sumset")
+        # {0, 1} mod 6 doubled: mod 2 and mod 3 the sizes 2 + 2 exceed q, so no
+        # sumset is formed there; mod 6 it is {0, 1, 2}, of critical size
+        report = kn.analyze_sumset([gen.from_periodic(per.from_residues(6, [0, 1]))], q_max=64)
+        assert report.q == 6 and report.sumset_profile.members == (0, 1, 2)
+        assert [profiles[0].modulus for (profiles,) in calls] == [6]
+        for q in (2, 3):
+            profile = ResidueSet.of(q, [0, 1])
+            assert zmod.sumset([profile, profile]).is_full()
+
+
 class TestDoubledSummandReadOnce:
     def test_one_attained_residues_call_per_q(self, monkeypatch):
-        calls = []
-        attained_residues = kn.attained_residues
-
-        def spy(desc, q, horizon):
-            calls.append(q)
-            return attained_residues(desc, q, horizon)
-
-        monkeypatch.setattr(kn, "attained_residues", spy)
+        calls = _spy(monkeypatch, "attained_residues")
+        # period 4 and no stray prefix: only the divisors 2 and 4 are visited
         report = kn.analyze_sumset([gen.gen_b_alpha("11")], q_max=64)
         assert not report.minimal and report.sigma == Fraction(3, 2)
-        assert calls == list(range(2, 65))
+        assert [q for _, q, _ in calls] == [2, 4]
 
     def test_sampled_sumset_profiles_each_part_once(self, monkeypatch):
         calls = []

@@ -10,6 +10,7 @@ from buckdens.zmod import (
     ResidueSet,
     Subgroup,
     add_bits,
+    check_horizon,
     classify_structure,
     detect_arithmetic_progression,
     detect_quasi_periodic,
@@ -302,3 +303,9 @@ class TestClassifyStructure:
         cls = classify_structure(rs(8, [0, 1, 4]))
         assert cls.tag in ("none", "quasi-periodic")
         assert cls.ap_witness is None
+
+
+def test_check_horizon_names_the_largest_horizon_accepted():
+    check_horizon((1 << 20) - 1, "horizon")  # a 2^20-entry vector is within the cap
+    with pytest.raises(LimitExceededError, match="horizon 1048576 exceeds cap 1048575"):
+        check_horizon(1 << 20, "horizon")
