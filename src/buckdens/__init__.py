@@ -12,6 +12,7 @@ from .density import (
 from .generators import (
     SetDescription,
     basis_chain,
+    from_periodic,
     gen_b_alpha,
     gen_d_k,
     gen_hook,

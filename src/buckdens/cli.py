@@ -20,7 +20,7 @@ from . import density as dens
 from . import suites as suite_mod
 from .generators import SetDescription, parse_description, sumset_description
 from .kneser import analyze_sumset
-from .zmod import LimitExceededError, ResidueSet, classify_structure
+from .zmod import LimitExceededError, ResidueSet, bit_positions, classify_structure
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -119,10 +119,13 @@ def _cmd_density(args) -> int:
 def _cmd_sumset(args) -> int:
     if len(args.sets) < 2:
         raise UsageError(f"sumset needs two or more sets, got {len(args.sets)}")
+    try:
+        moduli = [int(m) for m in args.mods.split(",") if m]
+    except ValueError as exc:
+        raise UsageError(f"--mods must be comma-separated integers: {exc}") from exc
     parts = [_load_set(s) for s in args.sets]
     total = sumset_description(parts)
     members = total.members(args.horizon)
-    moduli = [int(m) for m in args.mods.split(",") if m]
     table = []
     for m in moduli:
         attained, exact = dens.attained_residues(total, m, args.horizon)
@@ -130,7 +133,7 @@ def _cmd_sumset(args) -> int:
             {
                 "m": m,
                 "count": attained.cardinality,
-                "residues": list(attained.members),
+                "residues": bit_positions(attained.bits),
                 "kind": "exact-profile" if exact else "sampled",
             }
         )

@@ -1,8 +1,10 @@
 """Window densities and modular (Buck-type) density bounds.
 
-Exact rationals are produced for eventually periodic sets; set
-descriptions get chain-indexed certificates where an exact profile
-oracle exists and clearly labeled sampled intervals otherwise.  The
+Every entry point takes a :class:`SetDescription` (an eventually
+periodic set goes in through ``from_periodic``).  Exact rationals are
+produced for descriptions with a periodic form; the others get
+chain-indexed certificates where an exact profile oracle exists and
+clearly labeled sampled intervals otherwise.  The
 chain moduli must divide each other so that attained-residue ratios are
 nonincreasing and cofinite-residue ratios nondecreasing along the
 chain; an exhaustive chain (every integer divides some element) makes
@@ -18,11 +20,8 @@ from math import isqrt
 from operator import sub
 from typing import Optional, Union
 
-from .generators import SetDescription, from_periodic
-from .periodic import EventuallyPeriodicSet
-from .zmod import ResidueSet, check_horizon, check_width, members_mask
-
-SetLike = Union[SetDescription, EventuallyPeriodicSet]
+from .generators import SetDescription
+from .zmod import ResidueSet, bit_positions, check_horizon, check_width, members_mask
 
 CHAIN_KINDS = ("factorial", "primorial", "powers_of_two", "powers_of_four")
 
@@ -93,7 +92,7 @@ def to_json(x):
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
     if isinstance(x, ResidueSet):
-        return {"modulus": x.modulus, "members": list(x.members)}
+        return {"modulus": x.modulus, "members": bit_positions(x.bits)}
     if isinstance(x, (tuple, list)):
         return [to_json(v) for v in x]
     if hasattr(x, "to_json_dict"):
@@ -162,32 +161,25 @@ class DensityEstimate:
         return out
 
 
-def as_description(x: SetLike) -> SetDescription:
-    if isinstance(x, EventuallyPeriodicSet):
-        return from_periodic(x)
-    return x
-
-
 def attained_residues(
-    x: SetLike, m: int, horizon: int = DEFAULT_HORIZON
+    desc: SetDescription, m: int, horizon: int = DEFAULT_HORIZON
 ) -> tuple[ResidueSet, bool]:
-    """Residues mod m hit by x: (set, certified-exact flag).
+    """Residues mod m hit by the set: (set, certified-exact flag).
 
-    The exact profile answers where x has one at m; otherwise the
+    The exact profile answers where the description supports m; otherwise the
     residues are read off the members up to the horizon, which the
     description lists once however many moduli are asked.
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
-    desc = as_description(x)
-    if desc.has_profile(m):
+    if desc.supports(m):
         return desc.profile(m).attained, True
     check_width(m, "modulus")  # before the members are enumerated
     return ResidueSet(m, members_mask({n % m for n in desc.members(horizon)})), False
 
 
 def buck_upper(
-    x: SetLike, chain: Optional[ModulusChain] = None, horizon: int = DEFAULT_HORIZON
+    desc: SetDescription, chain: Optional[ModulusChain] = None, horizon: int = DEFAULT_HORIZON
 ) -> DensityEstimate:
     """Upper modular density along a chain.
 
@@ -197,7 +189,6 @@ def buck_upper(
     lower bounds on each |X^(m)| / m, so the estimate is the interval
     [best observed ratio, 1].
     """
-    desc = as_description(x)
     if desc.periodic_form is not None:
         return DensityEstimate(desc.periodic_form.natural_density(), "exact")
     if chain is None:
@@ -224,7 +215,7 @@ def buck_upper(
 
 
 def buck_lower(
-    x: SetLike, chain: Optional[ModulusChain] = None, horizon: int = DEFAULT_HORIZON
+    desc: SetDescription, chain: Optional[ModulusChain] = None, horizon: int = DEFAULT_HORIZON
 ) -> DensityEstimate:
     """Lower modular density along a chain.
 
@@ -235,12 +226,11 @@ def buck_lower(
     decidable from samples, so otherwise the result is the interval
     [0, sampled counting ratio].
     """
-    desc = as_description(x)
     if desc.periodic_form is not None:
         return DensityEstimate(desc.periodic_form.natural_density(), "exact")
     if chain is None:
         chain = modulus_chain("powers_of_two", 10)
-    if desc.cofinite_exact and all(desc.has_profile(m) for m in chain.values):
+    if desc.cofinite_exact and all(desc.supports(m) for m in chain.values):
         check_width(max(chain.values), "chain modulus")
         seq = tuple(
             (m, Fraction(desc.profile(m).cofinitely_attained.cardinality, m))
@@ -275,14 +265,13 @@ class WindowDensities(Report):
     window_length: int
 
 
-def window_densities(x: SetLike, horizon: int) -> WindowDensities:
+def window_densities(desc: SetDescription, horizon: int) -> WindowDensities:
     """Asymptotic-density estimates from tail counting ratios and
     uniform-density estimates from extremal sliding windows of length
     floor(sqrt(horizon))."""
     if horizon < 16:
         raise ValueError("horizon must be at least 16")
     check_horizon(horizon, "window horizon")  # before the members are listed
-    desc = as_description(x)
     members = desc.members(horizon)
     present = bytearray(horizon + 1)
     for n in members:
@@ -314,11 +303,10 @@ class ChainReportRow:
 
 
 def density_chain_report(
-    x: SetLike, chain: ModulusChain, horizon: int = DEFAULT_HORIZON
+    desc: SetDescription, chain: ModulusChain, horizon: int = DEFAULT_HORIZON
 ) -> list[ChainReportRow]:
     """One row per chain modulus: attained-residue count and ratio."""
     check_width(max(chain.values), "chain modulus")
-    desc = as_description(x)
     rows = []
     for m in chain.values:
         attained, exact = attained_residues(desc, m, horizon)

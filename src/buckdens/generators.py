@@ -22,7 +22,7 @@ from . import periodic as zper
 from .periodic import EventuallyPeriodicSet, ModularProfile
 from .zmod import (
     MAX_MODULUS, CertificateError, ResidueSet, add_bits, bit_positions, check_horizon,
-    divisors, members_mask, sumset as residue_sumset,
+    check_width, divisors, members_mask, sumset as residue_sumset,
 )
 
 
@@ -36,17 +36,17 @@ class SetDescription:
 
     ``membership`` decides n in X; ``member_iter(horizon)`` lists the
     members n <= horizon in ascending order for every horizon >= 0, by
-    construction of the family; ``profile_fn``/``supports`` give the
-    exact modular profile where the family supports one;
+    construction of the family; ``profile_fn`` gives the exact modular
+    profile at every modulus ``supports`` accepts (none by default);
     ``periodic_form`` is set when X is exactly eventually periodic, in
-    which case profiles exist for every modulus.
+    which case :func:`from_periodic` makes every modulus supported.
     """
 
     family: str
     membership: Callable[[int], bool]
     member_iter: Callable[[int], list[int]]
     profile_fn: Optional[Callable[[int], ModularProfile]] = None
-    supports: Optional[Callable[[int], bool]] = None
+    supports: Callable[[int], bool] = lambda m: False
     cofinite_exact: bool = False
     periodic_form: Optional[EventuallyPeriodicSet] = None
     _listed: dict = field(default_factory=dict, init=False, repr=False)
@@ -54,15 +54,8 @@ class SetDescription:
     def contains(self, n: int) -> bool:
         return self.membership(n)
 
-    def has_profile(self, m: int) -> bool:
-        if self.periodic_form is not None:
-            return True
-        return self.supports is not None and self.supports(m)
-
     def profile(self, m: int) -> ModularProfile:
-        if self.periodic_form is not None:
-            return self.periodic_form.modular_profile(m)
-        if not self.has_profile(m):
+        if not self.supports(m):
             raise UnsupportedModulusError(f"family {self.family!r} has no exact profile mod {m}")
         return self.profile_fn(m)
 
@@ -82,20 +75,18 @@ class SetDescription:
     def _enumerate(self, horizon: int) -> list[int]:
         return self.member_iter(horizon) if horizon >= 0 else []
 
-    def as_periodic(self) -> EventuallyPeriodicSet:
-        if self.periodic_form is None:
-            raise ValueError(f"family {self.family!r} is not eventually periodic")
-        return self.periodic_form
-
     def __repr__(self) -> str:
         return f"SetDescription({self.family!r})"
 
 
 def from_periodic(eps: EventuallyPeriodicSet, family: str = "periodic") -> SetDescription:
+    """An eventually periodic set as a description, exact at every modulus."""
     return SetDescription(
         family=family,
         membership=lambda n: n >= 0 and n in eps,
         member_iter=eps.members,
+        profile_fn=eps.modular_profile,
+        supports=lambda m: True,
         cofinite_exact=True,
         periodic_form=eps,
     )
@@ -262,14 +253,15 @@ def gen_d_k(
 def _dk_description(
     family: str, prefix: tuple[int, ...], rule: Optional[str], step: int
 ) -> DKDescription:
+    eps = _dk_periodic_form(prefix) if rule is None else None
     desc = DKDescription(
         family=family,
         membership=lambda n: _dk_member(desc, n),
-        supports=lambda m: m >= 1 and m & (m - 1) == 0,
-        profile_fn=lambda m: _dk_profile(desc, m),
+        supports=(lambda m: True) if eps else lambda m: m >= 1 and m & (m - 1) == 0,
+        profile_fn=eps.modular_profile if eps else lambda m: _dk_profile(desc, m),
         cofinite_exact=True,
         member_iter=lambda horizon: _dk_members(desc, horizon),
-        periodic_form=_dk_periodic_form(prefix) if rule is None else None,
+        periodic_form=eps,
         k_prefix=prefix,
         rule=rule,
         step=step,
@@ -315,8 +307,7 @@ def _dk_periodic_form(prefix: tuple[int, ...]) -> Optional[EventuallyPeriodicSet
 
 
 def _dk_profile(desc: DKDescription, m: int) -> ModularProfile:
-    if m < 1 or m & (m - 1):
-        raise UnsupportedModulusError(f"D_K profiles exist for powers of two, not {m}")
+    check_width(m, "modulus")  # before the 2^e-bit digit mask is built
     e = m.bit_length() - 1
     attained = ResidueSet(m, _digit_residues(desc.positions_below(e), e))
     empty = ResidueSet(m, 0)
@@ -702,9 +693,6 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
     def member(n: int) -> bool:
         return any(p.membership(n) for p in parts)
 
-    def supports(m: int) -> bool:
-        return all(p.has_profile(m) for p in parts)
-
     def profile(m: int) -> ModularProfile:
         profs = [p.profile(m) for p in parts]
         att = 0
@@ -728,7 +716,7 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
         family="union",
         membership=member,
         profile_fn=profile,
-        supports=supports,
+        supports=lambda m: all(p.supports(m) for p in parts),
         cofinite_exact=False,  # a class may be covered only jointly
         member_iter=members,
     )
@@ -765,9 +753,6 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
     def member(n: int) -> bool:
         return any(rest.membership(n - x) for x in first.members(n))
 
-    def supports(m: int) -> bool:
-        return all(p.has_profile(m) for p in parts)
-
     def profile(m: int) -> ModularProfile:
         profs = map_distinct(lambda p: p.profile(m), parts)
         att = residue_sumset([pr.attained for pr in profs])
@@ -790,7 +775,7 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
         family="sumset",
         membership=member,
         profile_fn=profile,
-        supports=supports,
+        supports=lambda m: all(p.supports(m) for p in parts),
         cofinite_exact=False,
         member_iter=members,
     )

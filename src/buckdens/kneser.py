@@ -22,17 +22,16 @@ from .density import (
     DEFAULT_HORIZON,
     DensityEstimate,
     Report,
-    SetLike,
-    as_description,
     attained_residues,
     buck_lower,
     buck_upper,
 )
-from .generators import map_distinct, sumset_description
+from .generators import SetDescription, map_distinct, sumset_description
 from .periodic import EventuallyPeriodicSet
 from .zmod import (
     ResidueSet,
     StructureClass,
+    check_width,
     classify_structure,
     divisors,
     is_periodic,
@@ -52,7 +51,7 @@ class SparsePeriodicityRow(Report):
 
 
 def verify_sparse_periodicity(
-    x: SetLike, q: int, m_max: int, horizon: int = DEFAULT_HORIZON
+    desc: SetDescription, q: int, m_max: int, horizon: int = DEFAULT_HORIZON
 ) -> list[SparsePeriodicityRow]:
     """Check S^(mq) = S^(q) + q{0..m-1} for each m <= m_max.
 
@@ -63,7 +62,6 @@ def verify_sparse_periodicity(
     """
     if q < 1 or m_max < 1:
         raise ValueError("q and m_max must be positive")
-    desc = as_description(x)
     base, base_exact = attained_residues(desc, q, horizon)
     rows = []
     for m in range(1, m_max + 1):
@@ -88,7 +86,7 @@ class MaxDensityRow:
 
 
 def verify_max_density_condition(
-    x: SetLike,
+    desc: SetDescription,
     a: EventuallyPeriodicSet,
     m_max: int,
     horizon: int = DEFAULT_HORIZON,
@@ -101,7 +99,6 @@ def verify_max_density_condition(
     2 members per class is the finite-horizon proxy for "infinitely
     many" (a lone prefix element does not count).
     """
-    desc = as_description(x)
     members = desc.members(horizon)
     for n in members:
         if n not in a:
@@ -164,7 +161,7 @@ class BuckInequalityReport(Report):
 
 
 def buck_inequality_report(
-    a: SetLike, chain=None, horizon: int = DEFAULT_HORIZON
+    desc: SetDescription, chain=None, horizon: int = DEFAULT_HORIZON
 ) -> BuckInequalityReport:
     """Check bdo(A+A) >= sqrt(bdo(A) * bup(A+A)) on certified sides.
 
@@ -173,7 +170,6 @@ def buck_inequality_report(
     bounds are consistent with the inequality, i.e. no certified
     violation exists.
     """
-    desc = as_description(a)
     doubled = sumset_description([desc, desc])
     bdo_aa = buck_lower(doubled, chain, horizon)
     bdo_a = buck_lower(desc, chain, horizon)
@@ -223,7 +219,7 @@ class KneserReport(Report):
 
 
 def analyze_sumset(
-    parts: Sequence[SetLike],
+    parts: Sequence[SetDescription],
     q_max: Optional[int] = None,
     horizon: int = DEFAULT_HORIZON,
 ) -> KneserReport:
@@ -246,8 +242,9 @@ def analyze_sumset(
     so the profile is stable under +g.  Let G be the gcd of the periods
     of the prunable summands.  The scan visits only the divisors q of G
     with 2 <= q <= q_max, and every q in 2..q_max when no summand is
-    prunable.  A skipped q does not divide some prunable period p, so
-    g = gcd(p, q) is a proper divisor of q.  Either some profile is
+    prunable (a q_max over the width cap is refused before that linear
+    scan starts).  A skipped q does not divide some prunable period p,
+    so g = gcd(p, q) is a proper divisor of q.  Either some profile is
     empty, or the projected sumset is that g-stable profile plus the
     others and so is stable under +g as well (a sumset inherits the
     stabilizer of each summand; Kneser 1953), hence full or periodic.
@@ -260,12 +257,22 @@ def analyze_sumset(
     """
     if q_max is not None and q_max < 2:
         raise ValueError(f"q_max must be at least 2, got {q_max}")
-    descs = [as_description(p) for p in parts]
+    descs = list(parts)
     if len(descs) == 1:
         descs = [descs[0], descs[0]]
     if len(descs) < 2:
         raise ValueError("need at least one summand")
     k = len(descs)
+
+    # periods of the prunable summands: no prefix member outside the tail classes
+    periods = [
+        eps.period
+        for eps in (d.periodic_form for d in descs)
+        if eps is not None
+        and eps.prefix & ~tile_bits(eps.tail.bits, eps.period, eps.threshold) == 0
+    ]
+    if not periods and q_max is not None:
+        check_width(q_max, "q_max")  # the linear scan would reach a q over the cap
 
     sum_desc = sumset_description(descs)
     sum_exact = sum_desc.periodic_form is not None
@@ -283,13 +290,6 @@ def analyze_sumset(
             if eta_hat > 0:
                 q_max = min(MAX_AUTO_QMAX, int((2 * k - 2) / (eta_hat * sigma)) + 1)
 
-    # periods of the prunable summands: no prefix member outside the tail classes
-    periods = [
-        eps.period
-        for eps in (d.periodic_form for d in descs)
-        if eps is not None
-        and eps.prefix & ~tile_bits(eps.tail.bits, eps.period, eps.threshold) == 0
-    ]
     scan = range(2, q_max + 1)
     if periods:
         scan = [q for q in divisors(gcd(*periods)) if 2 <= q <= q_max]
@@ -352,19 +352,3 @@ def analyze_sumset(
         )
 
     return KneserReport(k, sigma, sigma_certified)
-
-
-def verify_cofinite_refinements(
-    parts: Sequence[EventuallyPeriodicSet], q: int, m_max: int
-) -> bool:
-    """Lower-density counterpart on periodic inputs: every refinement
-    class over the projected sumset lies in the sumset up to a finite
-    set.  Exact via the cofinite profile of the periodic sumset."""
-    total = zper.sumset(list(parts))
-    profiles = [p.modular_profile(q).attained for p in parts]
-    projected = residue_sumset(profiles)
-    for m in range(1, m_max + 1):
-        cof = total.modular_profile(m * q).cofinitely_attained
-        if tile_bits(projected.bits, q, m * q) & ~cof.bits:
-            return False
-    return True

@@ -100,9 +100,6 @@ class EventuallyPeriodicSet:
     def is_empty(self) -> bool:
         return self.prefix == 0 and self.tail.is_empty()
 
-    def is_finite(self) -> bool:
-        return self.tail.is_empty()
-
     # -- exact quantities ----------------------------------------------
 
     def natural_density(self) -> Fraction:

@@ -23,6 +23,7 @@ from .generators import (
     gen_weyl,
     gen_x0,
     basis_chain,
+    from_periodic,
     thin_basis,
     thin_basis_refined_bound,
     sumset_description,
@@ -518,7 +519,8 @@ def suite_sparse_periodicity(horizon: int = 1 << 16) -> SuiteResult:
                 f"identity {rep.density_identity_holds}",
             )
         )
-        again = analyze_sumset(list(rep.periodic_hulls), q_max=256, horizon=horizon)
+        hulls = [from_periodic(h) for h in rep.periodic_hulls]
+        again = analyze_sumset(hulls, q_max=256, horizon=horizon)
         rows.append(
             _row(
                 f"bits {bits}: reanalysis of the periodic hulls reproduces q, multiplicities, class",

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from buckdens import cli
+from buckdens import cli, kneser
 
 
 def run(capsys, *argv):
@@ -108,6 +108,13 @@ class TestSumset:
         assert code == 2 and out == ""
         assert "modulus must be positive, got 0" in err
 
+    def test_bad_modulus_names_mods(self, capsys):
+        code, out, err = run(
+            capsys, "sumset", '{"family":"x0"}', '{"family":"x0"}', "--mods", "4,abc"
+        )
+        assert code == 2 and out == ""
+        assert "--mods" in err and "'abc'" in err
+
     def test_single_set_is_usage_error(self, capsys):
         code, out, err = run(capsys, "sumset", '{"family":"x0"}', "--horizon", "10")
         assert code == 2 and out == ""
@@ -161,6 +168,24 @@ class TestAnalyze:
         assert code == 0
         payload = json.loads(out)
         assert payload["minimal"] is True and payload["q"] == 65536
+
+    def test_linear_scan_over_the_cap_exits_before_its_first_q(self, capsys, monkeypatch):
+        # x0 has no periodic form, so every q in 2..q_max would be visited
+        def scanned(desc, q, horizon):
+            raise AssertionError(f"the scan visited q = {q}")
+
+        monkeypatch.setattr(kneser, "attained_residues", scanned)
+        code, out, err = run(capsys, "analyze", '{"family":"x0"}', "--qmax", "2000000")
+        assert code == 3 and out == ""
+        assert "q_max 2000000 exceeds cap" in err
+
+    def test_pruned_scan_takes_a_q_max_over_the_cap(self, capsys):
+        reports = [
+            run(capsys, "analyze", '{"family":"b_alpha","bits":"0011"}', "--qmax", q_max)
+            for q_max in ("64", "2000000")
+        ]
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 0 and json.loads(reports[0][1])["minimal"] is True
 
     def test_classification_matches_classify(self, capsys):
         code, out, _ = run(

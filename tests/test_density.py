@@ -36,7 +36,7 @@ class TestModulusChain:
 
 class TestBuckUpper:
     def test_periodic_exact(self):
-        est = dens.buck_upper(per.from_progressions([(1, 2)]))
+        est = dens.buck_upper(gen.from_periodic(per.from_progressions([(1, 2)])))
         assert est.kind == "exact" and est.value == Fraction(1, 2)
 
     def test_b_alpha_exact(self):
@@ -72,7 +72,7 @@ class TestBuckUpper:
 
 class TestBuckLower:
     def test_periodic_exact(self):
-        est = dens.buck_lower(per.from_progressions([(1, 2)]))
+        est = dens.buck_lower(gen.from_periodic(per.from_progressions([(1, 2)])))
         assert est.kind == "exact" and est.value == Fraction(1, 2)
 
     def test_dk_zero_via_oracle(self):
@@ -94,7 +94,7 @@ class TestBuckLower:
 
 class TestWindowDensities:
     def test_odds(self):
-        w = dens.window_densities(per.from_progressions([(1, 2)]), 10**4)
+        w = dens.window_densities(gen.from_periodic(per.from_progressions([(1, 2)])), 10**4)
         for est in (w.d_lower, w.d_upper):
             assert abs(est.value - Fraction(1, 2)) <= Fraction(2, 10**4)
         for est in (w.banach_lower, w.banach_upper):
@@ -115,7 +115,7 @@ class TestWindowDensities:
 
     def test_small_horizon_rejected(self):
         with pytest.raises(ValueError):
-            dens.window_densities(per.naturals(), 5)
+            dens.window_densities(gen.from_periodic(per.naturals()), 5)
 
     def test_hook_banach_gap(self):
         w = dens.window_densities(gen.gen_hook(), 10**5)
@@ -130,7 +130,7 @@ class TestWindowDensities:
         horizon = 1 << 16
         d = gen.gen_d_k((1, 3, 7, 15), rule="double_gap")
         dd = set(brute_sumset_members(d.members(horizon), d.members(horizon), horizon))
-        complement = per.from_finite([n for n in range(horizon + 1) if n not in dd])
+        complement = gen.from_periodic(per.from_finite([n for n in range(horizon + 1) if n not in dd]))
         w = dens.window_densities(complement, horizon)
         assert w.banach_upper.value == 1
 
@@ -143,7 +143,9 @@ class TestChainReport:
         assert rows[0].ratio == Fraction(1, 2)
 
     def test_naturals_rows(self):
-        rows = dens.density_chain_report(per.naturals(), dens.modulus_chain("factorial", 4))
+        rows = dens.density_chain_report(
+            gen.from_periodic(per.naturals()), dens.modulus_chain("factorial", 4)
+        )
         assert all(r.ratio == 1 for r in rows)
 
     def test_odds_rows_constant(self):
@@ -197,7 +199,8 @@ class TestChainCap:
         assert calls == []
 
     def test_exact_periodic_path_ignores_the_chain(self):
-        est = dens.buck_upper(per.from_progressions([(1, 3)]), dens.modulus_chain("factorial", 12))
+        odds3 = gen.from_periodic(per.from_progressions([(1, 3)]))
+        est = dens.buck_upper(odds3, dens.modulus_chain("factorial", 12))
         assert est.kind == "exact" and est.value == Fraction(1, 3)
 
 
@@ -212,8 +215,8 @@ class TestPeriodicDensitiesAgree:
         for terms in cases:
             eps = per.from_progressions(terms)
             d = eps.natural_density()
-            assert dens.buck_upper(eps).value == d
-            assert dens.buck_lower(eps).value == d
+            assert dens.buck_upper(gen.from_periodic(eps)).value == d
+            assert dens.buck_lower(gen.from_periodic(eps)).value == d
 
 
 class TestUnionSubadditivity:

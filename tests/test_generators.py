@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from buckdens import generators as gen
 from buckdens import periodic as per
 from buckdens.oracle import brute_sumset_members
+from buckdens.zmod import LimitExceededError
 
 
 class TestBAlpha:
@@ -105,7 +106,7 @@ class TestDK:
 
     def test_finite_k_is_periodic(self):
         d = gen.gen_d_k((1, 3))
-        eps = d.as_periodic()
+        eps = d.periodic_form
         assert eps.natural_density() == Fraction(1, 4)
         prof = d.profile(16)
         assert prof.cofinitely_attained == prof.attained
@@ -132,6 +133,13 @@ class TestX0:
         assert x0.profile(16).attained.members == (0, 1, 4, 5)
         for m in range(1, 5):
             assert x0.profile(4**m).attained.cardinality == 2**m
+
+    def test_profile_checks_the_width_before_the_digit_mask(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(gen, "_digit_residues", lambda *args: built.append(args))
+        with pytest.raises(LimitExceededError, match="modulus 2097152 exceeds cap"):
+            gen.gen_x0().profile(1 << 21)
+        assert built == []
 
     def test_doubled_profile(self):
         doubled = gen.sumset_description([gen.gen_x0(), gen.gen_x0()])

@@ -8,7 +8,7 @@ from buckdens import generators as gen
 from buckdens import kneser as kn
 from buckdens import periodic as per
 from buckdens import zmod
-from buckdens.density import as_description, attained_residues, to_json
+from buckdens.density import attained_residues, to_json
 from buckdens.zmod import ResidueSet
 
 
@@ -162,16 +162,18 @@ class TestRuzsa:
 
 class TestBuckInequality:
     def test_odds_equality(self):
-        report = kn.buck_inequality_report(per.from_progressions([(1, 2)]))
+        report = kn.buck_inequality_report(gen.from_periodic(per.from_progressions([(1, 2)])))
         assert report.margin == 0 and report.consistent
 
     def test_two_classes(self):
-        report = kn.buck_inequality_report(per.from_progressions([(0, 4), (1, 4)]))
+        report = kn.buck_inequality_report(
+            gen.from_periodic(per.from_progressions([(0, 4), (1, 4)]))
+        )
         assert report.margin == Fraction(9, 16) - Fraction(3, 8)
         assert report.consistent
 
     def test_naturals(self):
-        report = kn.buck_inequality_report(per.naturals())
+        report = kn.buck_inequality_report(gen.from_periodic(per.naturals()))
         assert report.margin == 0 and report.consistent
 
     def test_sampled_consistency(self):
@@ -195,7 +197,7 @@ def linear_scan(parts, q_max, horizon):
     """analyze_sumset's q-scan with nothing pruned, over every q in
     2..q_max: (q, profiles, projected sumset) of the first q it accepts,
     or None."""
-    descs = [as_description(p) for p in parts]
+    descs = list(parts)
     if len(descs) == 1:
         descs *= 2
     sum_desc = gen.sumset_description(descs)
@@ -360,15 +362,6 @@ class TestDeficientPeriodicPairs:
             assert report.density_identity_holds and report.density_identity_certified
             assert Fraction(report.sum_size, report.q) == total.natural_density()
         assert found > 20  # the sample must actually exercise the property
-
-
-class TestCofiniteRefinements:
-    def test_periodic_summands(self):
-        odds = per.from_progressions([(1, 2)])
-        assert kn.verify_cofinite_refinements([odds, odds], q=2, m_max=4)
-        a = per.from_progressions([(0, 3)])
-        b = per.from_progressions([(1, 3)])
-        assert kn.verify_cofinite_refinements([a, b], q=3, m_max=3)
 
 
 class TestReportEncoding:

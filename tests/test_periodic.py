@@ -191,7 +191,7 @@ class TestAlgebra:
         a = per.union(per.from_progressions([(0, 3)]), per.from_finite([1]))
         b = per.from_progressions([(1, 3)])
         meet = per.intersect(a, b)
-        assert meet.is_finite() and not meet.is_empty()
+        assert meet.tail.is_empty() and not meet.is_empty()
         assert per.union(a, b).natural_density() == a.natural_density() + b.natural_density()
 
     def test_pointwise_agreement_full_range(self):
