@@ -21,7 +21,9 @@ from operator import sub
 from typing import Optional, Union
 
 from .generators import SetDescription
-from .zmod import ResidueSet, bit_positions, check_horizon, check_width, members_mask
+from .zmod import (
+    MAX_MODULUS, ResidueSet, bit_positions, check_horizon, check_width, fold_bits, members_mask,
+)
 
 CHAIN_KINDS = ("factorial", "primorial", "powers_of_two", "powers_of_four")
 
@@ -168,14 +170,20 @@ def attained_residues(
 
     The exact profile answers where the description supports m; otherwise the
     residues are read off the members up to the horizon, which the
-    description lists once however many moduli are asked.
+    description lists once however many moduli are asked.  The members are
+    read from the description's one members mask, folded mod m, unless they
+    are sparse in its width or past the width cap (``hook``): then they are
+    reduced mod m one by one, which costs less than the mask.
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
     if desc.supports(m):
         return desc.profile(m).attained, True
     check_width(m, "modulus")  # before the members are enumerated
-    return ResidueSet(m, members_mask({n % m for n in desc.members(horizon)})), False
+    listed = desc.members(horizon)
+    if listed and listed[-1] < min(MAX_MODULUS, 64 * len(listed)):
+        return ResidueSet(m, fold_bits(desc.members_mask(horizon), m)), False
+    return ResidueSet(m, members_mask({n % m for n in listed})), False
 
 
 def buck_upper(

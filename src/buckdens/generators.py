@@ -66,11 +66,23 @@ class SetDescription:
         at that horizon returns the same list object: it is shared, so
         callers must not mutate it.
         """
-        listed = self._listed.get(horizon)
-        if listed is None:
+        return self._slot(horizon)[0]
+
+    def members_mask(self, horizon: int) -> int:
+        """The bitmask of ``members(horizon)``, built on first use and kept
+        beside the list.  The caller checks that its largest member fits."""
+        slot = self._slot(horizon)
+        if slot[1] is None:
+            slot[1] = members_mask(slot[0])
+        return slot[1]
+
+    def _slot(self, horizon: int) -> list:
+        """[members, mask or None] for the horizon: one slot, for the last horizon asked."""
+        slot = self._listed.get(horizon)
+        if slot is None:
             self._listed.clear()
-            listed = self._listed[horizon] = self._enumerate(horizon)
-        return listed
+            slot = self._listed[horizon] = [self._enumerate(horizon), None]
+        return slot
 
     def _enumerate(self, horizon: int) -> list[int]:
         return self.member_iter(horizon) if horizon >= 0 else []
@@ -489,6 +501,38 @@ def gen_p_t(t: int) -> SetDescription:
 # ---------------------------------------------------------------------------
 
 
+def thin_basis_shape(m: int) -> tuple[int, int]:
+    """The shape (q, s) of the thin basis of {0..m-1}: q = floor(sqrt(m)), and
+    s = q - 1 for q^2 <= m < q(q + 1), else s = q.  The set depends on m
+    only through its shape, so consecutive m share it."""
+    if m < 2:
+        raise ValueError("m must be at least 2")
+    check_width(m, "thin_basis m")  # before the set or its doubled sum is built
+    q = isqrt(m)
+    return q, q - 1 if q * q <= m < q * (q + 1) else q
+
+
+def thin_basis_set(q: int, s: int) -> tuple[tuple[int, ...], int]:
+    """The set {0..s} plus the q - 1 anchors j*s + (j-1), and its reach: the
+    least n missing from A + A, read off one doubled sum.  A + A covers
+    {0..m-1} exactly when the reach is at least m."""
+    # the anchors j*s + (j-1) = j(s+1) - 1 step by s + 1 from 2s + 1
+    members = tuple(range(s + 1)) + tuple(range(2 * s + 1, q * (s + 1), s + 1))
+    doubled = add_bits(add_bits(1, members), members)  # A's mask, then A + A
+    return members, (doubled ^ (doubled + 1)).bit_length() - 1
+
+
+def certify_thin_basis(m: int, members: tuple[int, ...], reach: int) -> None:
+    """Raise CertificateError unless A lies in {0..m-1}, A + A reaches m and
+    |A| < 2 sqrt(m)."""
+    if members[-1] >= m:
+        raise CertificateError(f"basis element {members[-1]} outside {{0..{m - 1}}}")
+    if reach < m:
+        raise CertificateError(f"basis fails to cover {{0..{m - 1}}}")
+    if len(members) ** 2 >= 4 * m:
+        raise CertificateError("basis size bound violated")
+
+
 def thin_basis(m: int) -> tuple[int, ...]:
     """A set A of size below 2*sqrt(m) with A + A covering {0..m-1}.
 
@@ -496,19 +540,9 @@ def thin_basis(m: int) -> tuple[int, ...]:
     j*s + (j-1); the anchor blocks tile [2s+1, (q+1)s + q - 1] which
     reaches m - 1 in both branches of s.
     """
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    q = isqrt(m)
-    s = q - 1 if q * q <= m < q * (q + 1) else q
-    members = sorted(set(range(s + 1)) | {j * s + (j - 1) for j in range(2, q + 1)})
-    if members[-1] >= m:
-        raise CertificateError(f"basis element {members[-1]} outside {{0..{m - 1}}}")
-    full = (1 << m) - 1
-    if add_bits(add_bits(1, members), members) & full != full:
-        raise CertificateError(f"basis fails to cover {{0..{m - 1}}}")
-    if len(members) ** 2 >= 4 * m:
-        raise CertificateError("basis size bound violated")
-    return tuple(members)
+    members, reach = thin_basis_set(*thin_basis_shape(m))
+    certify_thin_basis(m, members, reach)
+    return members
 
 
 def thin_basis_refined_bound(m: int) -> int:
@@ -530,6 +564,7 @@ def basis_chain(moduli: list[int], sparsify: bool = False) -> tuple[int, ...]:
     if any(m < 2 for m in moduli):
         raise ValueError("moduli must be at least 2")
     total = prod(moduli)
+    check_width(total, "basis_chain modulus product")  # before any component is built
     components = []
     scale = 1
     for i, m in enumerate(moduli):
@@ -742,9 +777,9 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
     def members(horizon: int) -> list[int]:
         check_horizon(horizon, "sumset horizon")
         mask = (1 << (horizon + 1)) - 1
-        acc, *rest = [p.members(horizon) for p in parts]
-        for other in rest:
-            acc = bit_positions(add_bits(members_mask(other), acc) & mask)
+        acc = parts[0].members(horizon)
+        for other in parts[1:]:
+            acc = bit_positions(add_bits(other.members_mask(horizon), acc) & mask)
         return acc
 
     first = parts[0]

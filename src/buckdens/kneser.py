@@ -31,6 +31,7 @@ from .periodic import EventuallyPeriodicSet
 from .zmod import (
     ResidueSet,
     StructureClass,
+    bit_positions,
     check_width,
     classify_structure,
     divisors,
@@ -66,10 +67,10 @@ def verify_sparse_periodicity(
     rows = []
     for m in range(1, m_max + 1):
         actual, actual_exact = attained_residues(desc, m * q, horizon)
-        missing = ResidueSet(m * q, tile_bits(base.bits, q, m * q) & ~actual.bits)
+        missing = tile_bits(base.bits, q, m * q) & ~actual.bits
         rows.append(
             SparsePeriodicityRow(
-                m, missing.members, missing.is_empty(), base_exact and actual_exact
+                m, tuple(bit_positions(missing)), missing == 0, base_exact and actual_exact
             )
         )
     return rows

@@ -23,9 +23,11 @@ from .generators import (
     gen_weyl,
     gen_x0,
     basis_chain,
+    certify_thin_basis,
     from_periodic,
-    thin_basis,
     thin_basis_refined_bound,
+    thin_basis_set,
+    thin_basis_shape,
     sumset_description,
     union_description,
 )
@@ -36,7 +38,7 @@ from .oracle import (
     exhaustive_kneser,
 )
 from .zmod import (
-    CertificateError, ResidueSet, add_bits, bit_positions, detect_quasi_periodic, members_mask, sumset,
+    CertificateError, ResidueSet, add_bits, bit_positions, detect_quasi_periodic, sumset,
 )
 
 SUITE_NAMES = (
@@ -157,8 +159,8 @@ DK_TEST_SEQUENCES = (
 
 def _dk_complement(desc: DKDescription, bound: int) -> list[int]:
     """E_K cap [0, bound): the n < bound missed by the double sum of the members."""
-    members = desc.members(bound - 1)
-    return bit_positions(~add_bits(members_mask(members), members) & ((1 << bound) - 1))
+    doubled = add_bits(desc.members_mask(bound - 1), desc.members(bound - 1))
+    return bit_positions(~doubled & ((1 << bound) - 1))
 
 
 def suite_dk_xi(max_bound: int = 1 << 16) -> SuiteResult:
@@ -301,9 +303,14 @@ def suite_thin_basis(m_max: int = 10**4) -> SuiteResult:
     rows = []
     failures = []
     refined_misses = []
+    shape = None
     for m in range(2, m_max + 1):
+        m_shape = thin_basis_shape(m)
+        if m_shape != shape:  # the set and its one doubled sum depend on the shape only
+            shape = m_shape
+            members, reach = thin_basis_set(*shape)
         try:
-            members = thin_basis(m)  # coverage and |A| < 2 sqrt(m) checked inside
+            certify_thin_basis(m, members, reach)  # what thin_basis(m) checks
         except CertificateError as exc:
             failures.append((m, str(exc)))
             continue

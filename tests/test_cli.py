@@ -347,6 +347,20 @@ def test_horizon_limit_names_the_horizon_given(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", '{"family":"thin_basis","m":4000000}'], "thin_basis m 4000000 exceeds cap 1048576"),
+        (["gen", '{"family":"basis_chain","moduli":[1048576,1048576]}'],
+         "basis_chain modulus product 1099511627776 exceeds cap 1048576"),
+    ],
+)
+def test_basis_width_is_named_in_the_limit_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "argv, digest",
     [
         (["analyze", '{"family":"b_alpha","bits":"0011"}'],

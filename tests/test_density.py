@@ -5,7 +5,7 @@ import pytest
 from buckdens import density as dens
 from buckdens import generators as gen
 from buckdens import periodic as per
-from buckdens.zmod import LimitExceededError
+from buckdens.zmod import LimitExceededError, ResidueSet
 
 
 class TestModulusChain:
@@ -230,3 +230,49 @@ class TestUnionSubadditivity:
         eu = dict(dens.buck_upper(u, chain).sequence)
         for m in chain.values:
             assert eu[m] <= ex[m] + ey[m]
+
+
+class TestSampledResidues:
+    FAMILIES = {
+        "weyl": lambda: gen.gen_weyl("sqrt2", "3/10"),
+        "p_t": lambda: gen.gen_p_t(1),
+        "three_density": lambda: gen.gen_three_density("1/2", "1/2", "1/2"),
+        "union_with_hook": lambda: gen.union_description([gen.gen_hook(), gen.gen_p_t(0)]),
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_folded_mask_equals_the_residues_of_the_members(self, family):
+        desc = self.FAMILIES[family]()
+        listed = desc.members(6000)
+        for m in range(1, 201):
+            got, exact = dens.attained_residues(desc, m, 6000)
+            assert not exact
+            assert got == ResidueSet.of(m, {n % m for n in listed})
+
+    @pytest.mark.parametrize("horizon", [10**15, 10**5])
+    def test_sparse_members_are_reduced_one_by_one(self, monkeypatch, horizon):
+        # hook: 17 members up to 10^15, past the cap; 8 members up to 10^5, sparse in 40328 bits
+        def no_fold(*args):
+            raise AssertionError("folded a mask")
+
+        monkeypatch.setattr(dens, "fold_bits", no_fold)
+        monkeypatch.setattr(gen.SetDescription, "members_mask", no_fold)
+        hook = gen.gen_hook()
+        listed = hook.members(horizon)
+        for m in range(1, 65):
+            assert dens.attained_residues(hook, m, horizon)[0] == ResidueSet.of(m, {n % m for n in listed})
+
+    def test_one_members_mask_across_the_moduli(self, monkeypatch):
+        masks = []
+        members_mask = gen.members_mask
+
+        def counted(members):
+            masks.append(len(members))
+            return members_mask(members)
+
+        monkeypatch.setattr(gen, "members_mask", counted)
+        monkeypatch.setattr(dens, "members_mask", counted)
+        desc = gen.gen_weyl("sqrt2", "1/2")
+        for m in range(1, 65):
+            assert dens.attained_residues(desc, m, 50000)[0].is_full()
+        assert masks == [len(desc.members(50000))]

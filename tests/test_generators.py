@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from buckdens import generators as gen
 from buckdens import periodic as per
+from buckdens import suites
 from buckdens.oracle import brute_sumset_members
-from buckdens.zmod import LimitExceededError
+from buckdens.zmod import CertificateError, LimitExceededError
 
 
 class TestBAlpha:
@@ -309,6 +310,75 @@ class TestThinBasis:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
+    def test_width_checked_before_any_doubled_sum(self, monkeypatch):
+        def no_sum(bits, offsets):
+            raise AssertionError("add_bits called")
+
+        monkeypatch.setattr(gen, "add_bits", no_sum)
+        with pytest.raises(LimitExceededError, match="thin_basis m 1048577 exceeds cap"):
+            gen.thin_basis(2**20 + 1)
+
+
+def per_m_thin_rows(m_max):
+    """The thin-basis suite's rows from one thin_basis(m) call per m."""
+    failures, misses = [], []
+    for m in range(2, m_max + 1):
+        try:
+            members = gen.thin_basis(m)
+        except CertificateError as exc:
+            failures.append((m, str(exc)))
+            continue
+        if len(members) > gen.thin_basis_refined_bound(m):
+            misses.append(m)
+    return (
+        {
+            "check": f"cover {{0..m-1}} with |A| < 2 sqrt(m) for all 2 <= m <= {m_max}",
+            "passed": not failures,
+            "detail": "all hold" if not failures else f"failures: {failures[:3]}",
+        },
+        {
+            "check": "stricter floor bound 2*floor(sqrt(m+1/4)-1/2) discrepancies (reported, not asserted)",
+            "passed": True,
+            "detail": f"{len(misses)} moduli exceed it, e.g. {misses[:8]}"
+            + ("; includes m=10" if 10 in misses else ""),
+        },
+    )
+
+
+class TestThinBasisSuite:
+    def test_rows_equal_a_per_m_loop(self):
+        assert suites.suite_thin_basis(3000).rows == per_m_thin_rows(3000)
+
+    def test_rows_equal_a_per_m_loop_under_a_broken_construction(self, monkeypatch):
+        build = gen.thin_basis_set
+
+        def one_anchor_dropped(q, s):  # the last anchor of the shape (20, 19) is lost
+            members, _ = build(q, s)
+            if (q, s) == (20, 19):
+                members = members[:-1]
+            doubled = {a + b for a in members for b in members}
+            return members, min(set(range(len(doubled) + 1)) - doubled)
+
+        monkeypatch.setattr(gen, "thin_basis_set", one_anchor_dropped)
+        monkeypatch.setattr(suites, "thin_basis_set", one_anchor_dropped)
+        rows = suites.suite_thin_basis(3000).rows
+        assert rows == per_m_thin_rows(3000)
+        assert not rows[0]["passed"] and "(400, 'basis fails to cover {0..399}')" in rows[0]["detail"]
+
+    def test_one_doubled_sum_per_shape(self, monkeypatch):
+        calls = []
+        add_bits = gen.add_bits
+
+        def counted(bits, offsets):
+            calls.append(bits)
+            return add_bits(bits, offsets)
+
+        monkeypatch.setattr(gen, "add_bits", counted)
+        monkeypatch.setattr(suites, "add_bits", counted)
+        assert suites.suite_thin_basis(10**4).passed
+        # two per shape: the set's mask, then its doubled sum
+        assert 0 < len(calls) <= 2 * (2 * math.isqrt(10**4) + 2)
+
 
 class TestBasisChain:
     def test_two_three(self):
@@ -328,6 +398,15 @@ class TestBasisChain:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             gen.basis_chain([])
+
+    @pytest.mark.parametrize("moduli", [[1048576, 1048576], [1000000000, 2], [1025, 1025]])
+    def test_product_checked_before_any_component(self, monkeypatch, moduli):
+        def no_component(m):
+            raise AssertionError("thin_basis called")
+
+        monkeypatch.setattr(gen, "thin_basis", no_component)
+        with pytest.raises(LimitExceededError, match="basis_chain modulus product"):
+            gen.basis_chain(moduli)
 
 
 class TestHook:
@@ -532,6 +611,20 @@ class TestMembersCache:
         assert desc.members(30) == first and desc.members(30) is not first
         copy = replace(desc)
         assert copy.members(30) == first and listed == [30, 12, 30, 30]
+
+    def test_mask_kept_beside_the_list(self, monkeypatch):
+        masks = []
+        members_mask = gen.members_mask
+
+        def counted(members):
+            masks.append(list(members))
+            return members_mask(members)
+
+        monkeypatch.setattr(gen, "members_mask", counted)
+        desc = gen.SetDescription("threes", lambda n: n % 3 == 0, lambda h: list(range(0, h + 1, 3)))
+        assert desc.members_mask(9) == desc.members_mask(9) == 0b1001001001
+        assert masks == [[0, 3, 6, 9]]
+        assert desc.members_mask(4) == 0b1001 and masks == [[0, 3, 6, 9], [0, 3]]
 
 
 class TestParseDescription:

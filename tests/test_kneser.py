@@ -110,6 +110,22 @@ class TestSparsePeriodicity:
         with pytest.raises(ValueError):
             kn.verify_sparse_periodicity(gen.gen_x0(), 0, 3)
 
+    def test_missing_listed_from_the_bits(self, monkeypatch):
+        def no_iter(self):
+            raise AssertionError("ResidueSet.__iter__ called")
+
+        monkeypatch.setattr(ResidueSet, "__iter__", no_iter)
+        desc = gen.gen_weyl("sqrt2", "1/5")
+        listed = desc.members(3000)
+        rows = kn.verify_sparse_periodicity(desc, q=7, m_max=8, horizon=3000)
+        base = {n % 7 for n in listed}
+        for row in rows:
+            mq = row.m * 7
+            reference = sorted({r for r in range(mq) if r % 7 in base} - {n % mq for n in listed})
+            assert row.missing == tuple(reference)
+            assert row.passed == (not reference)
+        assert any(row.missing for row in rows)
+
 
 class TestMaxDensityCondition:
     def test_odds_inside_their_hull(self):

@@ -17,6 +17,7 @@ from buckdens.zmod import (
     is_periodic,
     kemperman_classify,
     kneser_deficiency,
+    members_mask,
     project,
     stabilizer,
     sumset,
@@ -73,6 +74,17 @@ class TestAddBits:
         assert add_bits(0b1011, [0]) == 0b1011
         assert add_bits(0, [0, 5]) == 0
         assert add_bits(0b11, iter([0, 2])) == 0b1111
+
+
+class TestMembersMask:
+    @given(st.lists(st.integers(0, 2000), max_size=60))
+    def test_matches_one_bit_per_member(self, members):
+        assert members_mask(members) == sum(1 << n for n in set(members))
+
+    def test_empty_and_iterators(self):
+        assert members_mask([]) == 0
+        assert members_mask(iter([3, 0, 3])) == 0b1001
+        assert members_mask({n % 7 for n in range(100)}) == 0b1111111
 
 
 class TestSumset:
