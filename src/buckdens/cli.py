@@ -160,7 +160,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_classify(args) -> int:
     s = ResidueSet.of(args.mod, args.elems)
     cls = classify_structure(s, args.require_nonempty_remainder)
-    payload = {"modulus": args.mod, "members": sorted(args.elems), **cls.to_json_dict()}
+    payload = {"modulus": args.mod, "members": bit_positions(s.bits), **cls.to_json_dict()}
     _emit(_json_dumps(payload), args.output)
     return EXIT_OK
 

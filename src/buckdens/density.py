@@ -183,7 +183,7 @@ def attained_residues(
     listed = desc.members(horizon)
     if listed and listed[-1] < min(MAX_MODULUS, 64 * len(listed)):
         return ResidueSet(m, fold_bits(desc.members_mask(horizon), m)), False
-    return ResidueSet(m, members_mask({n % m for n in listed})), False
+    return ResidueSet(m, members_mask({n % m for n in listed}, m)), False
 
 
 def buck_upper(

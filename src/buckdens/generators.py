@@ -73,7 +73,7 @@ class SetDescription:
         beside the list.  The caller checks that its largest member fits."""
         slot = self._slot(horizon)
         if slot[1] is None:
-            slot[1] = members_mask(slot[0])
+            slot[1] = members_mask(slot[0], slot[0][-1] + 1 if slot[0] else 0)
         return slot[1]
 
     def _slot(self, horizon: int) -> list:

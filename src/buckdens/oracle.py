@@ -174,9 +174,10 @@ def brute_sumset_members(xs: list[int], ys: list[int], horizon: int) -> list[int
     """
     if horizon < 0 or not xs or not ys:
         return []
-    y_bits = members_mask(ys[:bisect_right(ys, horizon)])
-    if y_bits == 0:
+    kept = ys[:bisect_right(ys, horizon)]
+    if not kept:
         return []
+    y_bits = members_mask(kept, kept[-1] + 1)
     acc = 0
     first_y = ys[0]
     for x in xs:

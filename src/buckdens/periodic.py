@@ -178,7 +178,7 @@ def from_finite(members: Iterable[int]) -> EventuallyPeriodicSet:
         raise ValueError("members must be nonnegative")
     t = max(members) + 1 if members else 0
     check_width(t, "threshold")
-    return _build(1, t, members_mask(members), 0)
+    return _build(1, t, members_mask(members, t), 0)
 
 
 def from_residues(q: int, residues: Iterable[int]) -> EventuallyPeriodicSet:
@@ -272,7 +272,7 @@ def from_json_dict(obj: dict) -> EventuallyPeriodicSet:
     if not tail:  # a finite set: its threshold is one past its largest member
         t = max(prefix) + 1 if prefix else 0
     check_width(t, "threshold T")
-    return _build(q, t, members_mask(prefix), members_mask(tail))
+    return _build(q, t, members_mask(prefix, t), members_mask(tail, q))
 
 
 # -- pointwise algebra -----------------------------------------------------

@@ -86,16 +86,15 @@ def add_bits(bits: int, offsets: Iterable[int]) -> int:
     return out
 
 
-def members_mask(members: Iterable[int]) -> int:
-    """The bitmask of a collection of nonnegative integers, written as a
+def members_mask(members: Iterable[int], width: int) -> int:
+    """The bitmask of a collection of integers in [0, width), written as a
     binary numeral of one ASCII digit per bit and parsed by ``int(.., 2)``:
     one byte store per member, and no shift-OR or bit arithmetic."""
-    members = list(members)
-    digits = bytearray(b"0") * (max(members, default=0) + 1)
+    digits = bytearray(b"0") * width
     for n in members:
         digits[n] = 49  # ord("1")
     digits.reverse()  # the most significant digit first
-    return int(digits, 2)
+    return int(digits, 2) if width else 0
 
 
 def fold_bits(bits: int, g: int) -> int:
@@ -195,9 +194,6 @@ class Subgroup:
 
     def is_trivial(self) -> bool:
         return self.generator == self.modulus
-
-    def is_full(self) -> bool:
-        return self.order == self.modulus
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -310,6 +306,13 @@ def detect_arithmetic_progression(s: ResidueSet) -> Optional[APWitness]:
 
     Returns the witness with smallest difference d, ties broken by
     smallest start; singletons are canonicalized to d = 1.
+
+    One rotation per d with l = |S| <= ord(d) (else no l distinct terms):
+    S is an AP of difference d iff it has at most one start, a member x
+    with x - d not in S.  On each coset of <d>, a cycle of ord(d) points,
+    S is empty, full or maximal runs with one start each, and l <= ord(d)
+    leaves no other member beside a full coset.  No start: S is one coset,
+    an AP from any member (min(S) is taken).  One start a: S is one run.
     """
     if s.is_empty():
         raise ValueError("cannot classify the empty set")
@@ -317,25 +320,14 @@ def detect_arithmetic_progression(s: ResidueSet) -> Optional[APWitness]:
     length = s.cardinality
     if length == 1:
         return APWitness(next(iter(s)), 1, 1)
-    members = s.bits
     for d in range(1, m):
-        # l distinct terms require l <= ord(d) in Z/mZ
         if length > m // gcd(d, m):
             continue
-        for a in s:
-            bits = 0
-            x = a
-            for _ in range(length):
-                bits |= 1 << x
-                x = (x + d) % m
-            if bits == members:
-                return APWitness(a, d, length)
+        starts = s.bits & ~rotate_bits(s.bits, d, m)
+        if starts & (starts - 1) == 0:  # at most one start
+            first = starts or s.bits
+            return APWitness((first & -first).bit_length() - 1, d, length)
     return None
-
-
-def _subgroup_candidates(m: int) -> list[int]:
-    # Nontrivial proper subgroups, largest order first (generator ascending).
-    return [d for d in divisors(m) if 1 < d < m]
 
 
 def detect_quasi_periodic(
@@ -349,25 +341,32 @@ def detect_quasi_periodic(
     S'' to be a proper subset of K and S' to be K-periodic; with
     ``require_nonempty_periodic_part`` the remainder S' must be nonempty.
     Periodic inputs return None (the notion applies to non-periodic sets).
+
+    Two folds per K = <d>: S meets the coset r + K iff bit r of
+    ``fold_bits(S, d)`` is set, and fills it iff bit r of ``fold_bits(~S, d)``
+    is clear.  K-periodic sets are full or empty on each coset, so s gives a
+    witness iff its coset is the one partial coset of S (met, not filled),
+    with the same S' for every such s.  A non-periodic S has one for each K.
     """
     if s.is_empty():
         raise ValueError("cannot classify the empty set")
     m = s.modulus
     if m > 1 and is_periodic(s):
         return None
-    for d in _subgroup_candidates(m):
-        k_bits = tile_bits(1, d, m)
-        for shift in s:
-            trace_bits = rotate_bits(s.bits, -shift, m) & k_bits
-            if trace_bits == k_bits:
-                continue  # trace must be a proper subset of K
-            remainder = s.bits & ~rotate_bits(trace_bits, shift, m)
-            if require_nonempty_periodic_part and remainder == 0:
-                continue
-            if rotate_bits(remainder, d, m) == remainder:
-                trace = frozenset(bit_positions(trace_bits))
-                periodic_part = frozenset(bit_positions(remainder))
-                return QuasiPeriodicWitness(Subgroup(m, d), shift, trace, periodic_part)
+    bits = s.bits
+    for d in divisors(m)[1:-1]:  # nontrivial proper subgroups, largest first
+        partial = fold_bits(bits, d) & fold_bits(bits ^ ((1 << m) - 1), d)
+        if partial & (partial - 1):
+            continue  # two or more partial cosets
+        coset = tile_bits(1, d, m) << (partial.bit_length() - 1)
+        remainder = bits & ~coset
+        if require_nonempty_periodic_part and remainder == 0:
+            continue
+        on_coset = bits & coset  # S'' is this shifted down by its least member
+        shift = (on_coset & -on_coset).bit_length() - 1
+        trace = frozenset(bit_positions(on_coset >> shift))
+        periodic_part = frozenset(bit_positions(remainder))
+        return QuasiPeriodicWitness(Subgroup(m, d), shift, trace, periodic_part)
     return None
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -213,6 +214,13 @@ class TestClassify:
         assert payload["qp_witness"]["subgroup_generator"] == 2
         assert payload["qp_witness"]["shift"] == 1
 
+    def test_duplicated_elements_listed_once(self, capsys):
+        _, out, _ = run(capsys, "classify", "--mod", "4", "--elems", "2", "0", "0", "1", "2")
+        payload = json.loads(out)
+        assert payload["members"] == [0, 1, 2]
+        _, once, _ = run(capsys, "classify", "--mod", "4", "--elems", "0", "1", "2")
+        assert payload == json.loads(once) and payload["ap_witness"]["length"] == 3
+
     def test_bad_element(self, capsys):
         code, _, err = run(capsys, "classify", "--mod", "4", "--elems", "5")
         assert code == 2
@@ -298,6 +306,10 @@ def test_wrong_typed_or_missing_field_is_usage_error(capsys, text, field):
 
 
 WEYL = '{"family":"weyl","theta":"sqrt2","alpha":"3/10"}'
+# 500 of the 1024 residues, neither an AP nor quasi-periodic
+SEEDED_ELEMS = [str(n) for n in random.Random(0).sample(range(1024), 500)]
+# 5000 consecutive residues mod 2^14: A + A is an AP of 9999 terms
+TAIL_INTERVAL = json.dumps({"q": 16384, "T": 0, "tail": list(range(5000))})
 
 
 @pytest.mark.parametrize(
@@ -372,6 +384,11 @@ def test_basis_width_is_named_in_the_limit_message(capsys, argv, message):
         # its details hold commas, so this pins the CSV quoting
         (["verify", "kemperman-ap", "--format", "csv"],
          "b575ee73a5dfb4bb5601f605bbf63df03881f372392f49598586f3053aa3899f"),
+        # each detector tests one mask per candidate, not every start or shift
+        (["classify", "--mod", "1024", "--elems", *SEEDED_ELEMS],
+         "1e667d53f94ace67c0076099c1972531252d82109c49daae390c8cf0871dc938"),
+        (["analyze", TAIL_INTERVAL, "--qmax", "16384"],
+         "dc1e6c1c174dd230e3f5eb0b21a02c9460abffc8a2073327f3ad685aa0358531"),
     ],
 )
 def test_report_is_pinned(capsys, argv, digest):

@@ -266,9 +266,9 @@ class TestSampledResidues:
         masks = []
         members_mask = gen.members_mask
 
-        def counted(members):
+        def counted(members, width):
             masks.append(len(members))
-            return members_mask(members)
+            return members_mask(members, width)
 
         monkeypatch.setattr(gen, "members_mask", counted)
         monkeypatch.setattr(dens, "members_mask", counted)

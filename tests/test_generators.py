@@ -616,9 +616,9 @@ class TestMembersCache:
         masks = []
         members_mask = gen.members_mask
 
-        def counted(members):
+        def counted(members, width):
             masks.append(list(members))
-            return members_mask(members)
+            return members_mask(members, width)
 
         monkeypatch.setattr(gen, "members_mask", counted)
         desc = gen.SetDescription("threes", lambda n: n % 3 == 0, lambda h: list(range(0, h + 1, 3)))

@@ -1,26 +1,35 @@
 import itertools
+import random
+from math import gcd
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from buckdens import zmod
 from buckdens.zmod import (
     APWitness,
     LimitExceededError,
+    QuasiPeriodicWitness,
     ResidueSet,
     Subgroup,
     add_bits,
+    bit_positions,
     check_horizon,
     classify_structure,
     detect_arithmetic_progression,
     detect_quasi_periodic,
+    divisors,
     is_periodic,
     kemperman_classify,
     kneser_deficiency,
     members_mask,
     project,
+    rotate_bits,
     stabilizer,
     sumset,
+    tile_bits,
 )
 
 
@@ -77,14 +86,20 @@ class TestAddBits:
 
 
 class TestMembersMask:
-    @given(st.lists(st.integers(0, 2000), max_size=60))
-    def test_matches_one_bit_per_member(self, members):
-        assert members_mask(members) == sum(1 << n for n in set(members))
+    @given(st.lists(st.integers(0, 2000), max_size=60), st.integers(0, 100))
+    def test_matches_one_bit_per_member(self, members, spare):
+        width = max(members, default=-1) + 1 + spare
+        assert members_mask(members, width) == sum(1 << n for n in set(members))
 
     def test_empty_and_iterators(self):
-        assert members_mask([]) == 0
-        assert members_mask(iter([3, 0, 3])) == 0b1001
-        assert members_mask({n % 7 for n in range(100)}) == 0b1111111
+        assert members_mask([], 0) == 0
+        assert members_mask([], 9) == 0
+        assert members_mask(iter([3, 0, 3]), 4) == 0b1001
+        assert members_mask({n % 7 for n in range(100)}, 7) == 0b1111111
+
+    def test_width_past_the_largest_member_unsorted_with_duplicates(self):
+        assert members_mask([5, 1, 5, 0, 1], 64) == 0b100011
+        assert members_mask(iter([2, 0, 2]), 1000) == 0b101
 
 
 class TestSumset:
@@ -236,6 +251,156 @@ class TestQuasiPeriodicity:
             assert remainder == w.periodic_part
             assert {(x + w.subgroup.generator) % m for x in remainder} == remainder
             assert w.trace and w.trace != set(w.subgroup.members)
+
+
+# The detectors as searches over every (difference, start) and every
+# (subgroup, shift): the reference that the one-mask-test detectors must
+# match witness for witness.
+
+
+def ap_by_search(s: ResidueSet) -> Optional[APWitness]:
+    if s.is_empty():
+        raise ValueError("cannot classify the empty set")
+    m = s.modulus
+    length = s.cardinality
+    if length == 1:
+        return APWitness(next(iter(s)), 1, 1)
+    members = s.bits
+    for d in range(1, m):
+        # l distinct terms require l <= ord(d) in Z/mZ
+        if length > m // gcd(d, m):
+            continue
+        for a in s:
+            bits = 0
+            x = a
+            for _ in range(length):
+                bits |= 1 << x
+                x = (x + d) % m
+            if bits == members:
+                return APWitness(a, d, length)
+    return None
+
+
+def _subgroup_candidates(m: int) -> list[int]:
+    # Nontrivial proper subgroups, largest order first (generator ascending).
+    return [d for d in divisors(m) if 1 < d < m]
+
+
+def qp_by_search(
+    s: ResidueSet, require_nonempty_periodic_part: bool = False
+) -> Optional[QuasiPeriodicWitness]:
+    if s.is_empty():
+        raise ValueError("cannot classify the empty set")
+    m = s.modulus
+    if m > 1 and is_periodic(s):
+        return None
+    for d in _subgroup_candidates(m):
+        k_bits = tile_bits(1, d, m)
+        for shift in s:
+            trace_bits = rotate_bits(s.bits, -shift, m) & k_bits
+            if trace_bits == k_bits:
+                continue  # trace must be a proper subset of K
+            remainder = s.bits & ~rotate_bits(trace_bits, shift, m)
+            if require_nonempty_periodic_part and remainder == 0:
+                continue
+            if rotate_bits(remainder, d, m) == remainder:
+                trace = frozenset(bit_positions(trace_bits))
+                periodic_part = frozenset(bit_positions(remainder))
+                return QuasiPeriodicWitness(Subgroup(m, d), shift, trace, periodic_part)
+    return None
+
+
+def assert_same_witnesses(s, ap=True):
+    if ap:
+        assert detect_arithmetic_progression(s) == ap_by_search(s), s
+    for strict in (False, True):
+        assert detect_quasi_periodic(s, strict) == qp_by_search(s, strict), (s, strict)
+
+
+def seeded_aps(rng, count, max_modulus):
+    # every length 1..ord(d) of a seeded (m, d, a); d or -d is below 4, as
+    # the search costs about min(d, m - d) * l^2 steps
+    for _ in range(count):
+        m = rng.randint(9, max_modulus)
+        d = rng.choice([1, -1]) * rng.randrange(1, 4) % m
+        a = rng.randrange(m)
+        for length in range(1, m // gcd(d, m) + 1):
+            yield ResidueSet.of(m, {(a + i * d) % m for i in range(length)})
+
+
+def one_partial_coset(rng, max_modulus):
+    # full cosets of K = <d>, plus a nonempty proper part of one more coset
+    m = rng.choice([m for m in range(4, max_modulus + 1) if len(divisors(m)) > 2])
+    d = rng.choice(divisors(m)[1:-1])
+    residues = list(range(d))
+    rng.shuffle(residues)
+    partial, full = residues[0], residues[1:rng.randint(1, d)]
+    coset = list(range(partial, m, d))
+    part = rng.sample(coset, rng.randint(1, len(coset) - 1))
+    return ResidueSet.of(m, [x for r in full for x in range(r, m, d)] + part)
+
+
+class TestDetectorsMatchTheSearch:
+    def test_every_subset_up_to_twelve(self):
+        for m in range(1, 13):
+            for bits in range(1, 1 << m):
+                assert_same_witnesses(ResidueSet(m, bits))
+
+    def test_seeded_progressions_of_every_length(self):
+        rng = random.Random(1)
+        for s in seeded_aps(rng, 4, 400):
+            assert_same_witnesses(s)
+
+    def test_one_partial_coset_beside_full_cosets(self):
+        rng = random.Random(2)
+        for _ in range(300):
+            s = one_partial_coset(rng, 400)
+            assert_same_witnesses(s, ap=s.cardinality <= 16)
+            if not is_periodic(s):
+                assert detect_quasi_periodic(s) is not None
+
+
+def counted(monkeypatch, name):
+    calls = []
+    real = getattr(zmod, name)
+
+    def spy(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(zmod, name, spy)
+    return calls
+
+
+@pytest.fixture
+def no_member_walk(monkeypatch):
+    def walked(self):
+        raise AssertionError("the detector walked the members of S")
+
+    monkeypatch.setattr(ResidueSet, "__iter__", walked)
+
+
+class TestOneMaskTestPerCandidate:
+    def test_progression_search_rotates_once_per_difference(self, monkeypatch, no_member_walk):
+        s = ResidueSet(1024, members_mask(random.Random(0).sample(range(1024), 500), 1024))
+        rotations = counted(monkeypatch, "rotate_bits")
+        assert detect_arithmetic_progression(s) is None
+        assert len(rotations) <= 1023
+
+    @pytest.mark.parametrize("m", [1024, 720, 997])
+    def test_coset_search_folds_twice_per_divisor(self, monkeypatch, no_member_walk, m):
+        rng = random.Random(m)
+        sets = [members_mask(rng.sample(range(m), k), m) for k in (2, m // 2, m - 2)]
+        sets.append(tile_bits(1, divisors(m)[1], m) | 2)  # one partial coset when m is not prime
+        rotations = counted(monkeypatch, "rotate_bits")
+        folds = counted(monkeypatch, "fold_bits")
+        for bits in sets:
+            for strict in (False, True):
+                rotations.clear()
+                folds.clear()
+                detect_quasi_periodic(ResidueSet(m, bits), strict)
+                assert len(rotations) <= 2 * len(divisors(m))
+                assert len(folds) <= 2 * len(divisors(m))
 
 
 class TestKneserDeficiency:
