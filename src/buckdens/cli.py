@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from . import density as dens
@@ -259,10 +260,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing does not change it."""
+    return _build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)

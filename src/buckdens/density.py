@@ -22,7 +22,8 @@ from typing import Optional, Union
 
 from .generators import SetDescription
 from .zmod import (
-    MAX_MODULUS, ResidueSet, bit_positions, check_horizon, check_width, fold_bits, members_mask,
+    MAX_MODULUS, ResidueSet, bit_flags, bit_positions, check_horizon, check_width, fold_bits,
+    members_mask,
 )
 
 CHAIN_KINDS = ("factorial", "primorial", "powers_of_two", "powers_of_four")
@@ -280,12 +281,8 @@ def window_densities(desc: SetDescription, horizon: int) -> WindowDensities:
     if horizon < 16:
         raise ValueError("horizon must be at least 16")
     check_horizon(horizon, "window horizon")  # before the members are listed
-    members = desc.members(horizon)
-    present = bytearray(horizon + 1)
-    for n in members:
-        present[n] = 1
-    present[0] = 0
-    counts = list(accumulate(present))  # counts[n] = |X cap [1, n]|
+    present = bit_flags(desc.members_mask(horizon) >> 1).ljust(horizon, b"\0")  # n = 1 .. horizon
+    counts = list(accumulate(present, initial=0))  # counts[n] = |X cap [1, n]|
     checkpoints = [max(1, (horizon * j) // 16) for j in range(8, 17)]
     ratios = [Fraction(counts[n], n) for n in checkpoints]
     window = isqrt(horizon)

@@ -396,6 +396,41 @@ def _weyl_kernel(theta: str, alpha: Fraction) -> Callable[[int], tuple[int, int,
     return kernel
 
 
+#: values of n the Weyl listing tests per big-int step
+WEYL_LANES = 1 << 12
+#: _BELOW[k][c] is 1 iff byte c is below 2^k, i.e. iff its bits k..7 are clear
+_BELOW = [bytes(c < 1 << k for c in range(256)) for k in range(8)]
+
+
+def _weyl_members(s: int, mask: int, bound: int, horizon: int) -> list[int]:
+    """The n <= horizon with (s n & mask) < bound: the test of
+    :func:`_weyl_kernel`, on up to WEYL_LANES values of n per big-int step.
+
+    With 2^P = mask + 1, lane j of a block is a field of w bytes, 8w > P,
+    holding s (n0 + j) mod 2^P.  The lanes of the first block are built by
+    doubling, and adding (s B mod 2^P) to every lane steps a block of B lanes
+    to the next.  A lane stays below 2^(P+1) before it is reduced mod 2^P,
+    so nothing carries into the next lane.  Adding 2^P - bound then sets bit
+    P of a lane iff its value is at least bound, i.e. iff n is not a member;
+    one strided slice reads the byte holding bit P of every lane, and the
+    bits above P in that byte are 0.
+    """
+    p = mask.bit_length()
+    w = p // 8 + 1
+    lanes, ones, size = 0, 1, 1  # lanes for n in [0, size), one set bit per lane in ones
+    while size <= min(horizon, WEYL_LANES - 1):
+        lanes |= ((lanes + (s * size & mask) * ones) & mask * ones) << 8 * w * size
+        ones |= ones << 8 * w * size
+        size *= 2
+    lane_mask, advance, offset = mask * ones, (s * size & mask) * ones, (mask + 1 - bound) * ones
+    listed = []
+    for n0 in range(0, horizon + 1, size):
+        flags = (lanes + offset).to_bytes(w * size, "little")[p // 8 :: w]
+        listed.extend(compress(range(n0, horizon + 1), flags.translate(_BELOW[p % 8])))
+        lanes = (lanes + advance) & lane_mask
+    return listed
+
+
 def gen_weyl(theta: str, alpha) -> SetDescription:
     """Integers whose fractional part {theta n} falls below alpha.
 
@@ -413,8 +448,8 @@ def gen_weyl(theta: str, alpha) -> SetDescription:
         return n >= 0 and (s * n & mask) < bound
 
     def generate(horizon: int) -> list[int]:
-        s, mask, bound = kernel(horizon.bit_length())
-        return [n for n in range(horizon + 1) if (s * n & mask) < bound]
+        check_horizon(horizon, "weyl horizon")
+        return _weyl_members(*kernel(horizon.bit_length()), horizon)
 
     return SetDescription(
         family="weyl",

@@ -399,12 +399,7 @@ def suite_weyl(horizon: int = 10**6, q_max: int = 64) -> SuiteResult:
     # inclusion at this scale.
     alpha = Fraction(3, 10)
     envelope = gen_weyl("sqrt2", 2 * alpha)
-    longest = run = 0
-    last = -2
-    for n in envelope.members(horizon):
-        run = run + 1 if n == last + 1 else 1
-        longest = max(longest, run)
-        last = n
+    longest = max(map(len, bin(envelope.members_mask(horizon))[2:].split("0")))
     rows.append(
         _row(
             f"doubled set (alpha = {alpha}) contains no {isqrt(horizon)}-term interval up to {horizon}",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd
 from typing import Iterable, Iterator, Optional
 
@@ -73,9 +74,19 @@ def tile_bits(pattern: int, q: int, width: int) -> int:
     return out & ((1 << width) - 1)
 
 
+#: the ASCII binary digits b"0", b"1" -> the bytes 0, 1
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_flags(bits: int) -> bytes:
+    """Byte n is 1 iff bit n of a vector is set, for n below its bit length
+    (one byte for 0): its binary numeral, reversed and translated."""
+    return bin(bits)[:1:-1].encode().translate(_DIGIT_VALUES)
+
+
 def bit_positions(bits: int) -> list[int]:
     """The set bits of a vector, ascending."""
-    return [n for n, c in enumerate(bin(bits)[:1:-1]) if c == "1"]
+    return list(compress(count(), bit_flags(bits)))
 
 
 def add_bits(bits: int, offsets: Iterable[int]) -> int:

@@ -331,6 +331,8 @@ TAIL_INTERVAL = json.dumps({"q": 16384, "T": 0, "tail": list(range(5000))})
         # the p_t sieve takes a horizon + 1 byte array
         ["gen", '{"family":"p_t","t":2}', "--horizon", "2000000"],
         ["density", '{"family":"p_t","t":2}', "--horizon", "2000000"],
+        # the weyl listing checks its horizon before any lane is built
+        ["gen", '{"family":"weyl","alpha":"3/10"}', "--horizon", "1000000000000"],
     ],
 )
 def test_limit_exits_three_at_once(capsys, argv):
@@ -350,6 +352,7 @@ def test_limit_exits_three_at_once(capsys, argv):
          "sumset horizon 1048576 exceeds cap 1048575"),
         (["density", WEYL, "--mode", "windows", "--horizon", "2000000"],
          "window horizon 2000000 exceeds cap 1048575"),
+        (["gen", WEYL, "--horizon", "1048576"], "weyl horizon 1048576 exceeds cap 1048575"),
     ],
 )
 def test_horizon_limit_names_the_horizon_given(capsys, argv, message):
@@ -440,6 +443,37 @@ ODDS = '{"progressions":[[1,2]]}'
 def test_unimplemented_format_is_usage_error(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 2 and out == ""
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    argvs = [
+        ["gen", WEYL, "--horizon", "40"],
+        ["density", ODDS, "--format", "csv"],
+        ["gen", WEYL, "--horizon"],  # usage error: exit 2
+        ["classify", "--mod", "12", "--elems", "0", "4", "8"],
+        ["verify", "nope"],
+        ["analyze", ODDS, "--qmax", "8"],
+        [],
+        ["sumset", ODDS, ODDS, "--mods", "2,3"],
+    ]
+    built = []
+    build = cli._build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    cli._parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in argvs]
+    assert len(built) == 1
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert len(built) == 1 + len(argvs)
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2, 0, 2, 0]
 
 
 class TestOutputFile:

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -121,6 +123,31 @@ class TestWindowDensities:
         w = dens.window_densities(gen.gen_hook(), 10**5)
         assert w.banach_lower.value == 0
         assert w.d_upper.value < Fraction(1, 100)
+
+    @pytest.mark.parametrize(
+        "desc, horizon",
+        [
+            (gen.gen_weyl("sqrt2", "2/7"), 10**5),
+            (gen.gen_weyl("golden", "1/2"), (1 << 20) - 1),
+            (gen.gen_hook(), 10**5),  # 8 members in 40328 bits
+            (gen.from_periodic(per.from_progressions([(3, 10), (4, 7)])), 5000),
+        ],
+    )
+    def test_counts_from_the_mask_match_per_member_presence(self, desc, horizon):
+        present = bytearray(horizon + 1)
+        for n in desc.members(horizon):
+            present[n] = 1
+        present[0] = 0
+        counts = list(itertools.accumulate(present))
+        window = math.isqrt(horizon)
+        in_window = [counts[k + window] - counts[k] for k in range(horizon + 1 - window)]
+        checkpoints = [max(1, (horizon * j) // 16) for j in range(8, 17)]
+        w = dens.window_densities(desc, horizon)
+        assert w.window_length == window
+        assert w.d_lower.value == min(Fraction(counts[n], n) for n in checkpoints)
+        assert w.d_upper.value == max(Fraction(counts[n], n) for n in checkpoints)
+        assert w.banach_lower.value == Fraction(min(in_window), window)
+        assert w.banach_upper.value == Fraction(max(in_window), window)
 
     def test_doubled_digit_set_complement_has_full_windows(self):
         # the complement of D_K + D_K holds whole blocks [M_t, 2^(k_t + 1)),

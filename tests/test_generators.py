@@ -237,6 +237,27 @@ class TestWeyl:
         for horizon in (0, 1, 255, 256, 3000):
             assert w.members(horizon) == [n for n in range(horizon + 1) if w.contains(n)]
 
+    @pytest.mark.parametrize("theta", [*sorted(QUADRATIC_THETAS), "0.1", "22/7", "1/3"])
+    @pytest.mark.parametrize("alpha", ["1/1000", "2/7", "1/2", "999/1000"])
+    def test_lane_listing_matches_the_test_per_n(self, theta, alpha):
+        # every block boundary of WEYL_LANES = 4096 lanes
+        w = gen.gen_weyl(theta, alpha)
+        for horizon in (0, 1, 4095, 4096, 4097, 12289):
+            assert w.members(horizon) == [n for n in range(horizon + 1) if w.contains(n)]
+        # the largest horizon, against the kernel test that contains() makes for n >= 2^19
+        horizon = (1 << 20) - 1
+        s, mask, bound = gen._weyl_kernel(theta, Fraction(alpha))(horizon.bit_length())
+        assert w.members(horizon) == [n for n in range(horizon + 1) if (s * n & mask) < bound]
+
+    def test_horizon_past_the_cap_refused_before_any_lane(self, monkeypatch):
+        def built(*args):
+            raise AssertionError("a lane was built")
+
+        monkeypatch.setattr(gen, "_weyl_members", built)
+        for horizon in (1 << 20, 10**12):
+            with pytest.raises(LimitExceededError, match=f"weyl horizon {horizon} exceeds cap"):
+                gen.gen_weyl("sqrt2", "3/10").members(horizon)
+
 
 class TestPrimeFactorCounts:
     def test_phi_t_examples(self):

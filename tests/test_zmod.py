@@ -102,6 +102,24 @@ class TestMembersMask:
         assert members_mask(iter([2, 0, 2]), 1000) == 0b101
 
 
+def enumerated_bit_positions(bits):
+    """The set bits by a scan of the binary numeral: the reference for bit_positions."""
+    return [n for n, c in enumerate(bin(bits)[:1:-1]) if c == "1"]
+
+
+class TestBitPositions:
+    def test_every_vector_up_to_width_twelve(self):
+        for bits in range(1 << 12):
+            assert bit_positions(bits) == enumerated_bit_positions(bits)
+
+    def test_random_widths_and_densities(self):
+        rng = random.Random(5)
+        for density in (0.001, 0.01, 0.1, 0.5, 0.9):
+            for width in (64, 1000, 21012, rng.randrange(1, 1 << 20)):
+                bits = members_mask([n for n in range(width) if rng.random() < density], width)
+                assert bit_positions(bits) == enumerated_bit_positions(bits)
+
+
 class TestSumset:
     def test_interval_plus_interval(self):
         assert sumset([rs(5, [0, 1]), rs(5, [0, 1])]).members == (0, 1, 2)
