@@ -198,6 +198,17 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _horizon(text: str) -> int:
+    """A --horizon value: an integer n >= 0 (members are listed on [0, n])."""
+    try:
+        horizon = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if horizon < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {horizon}")
+    return horizon
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="buckdens",
@@ -212,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="list members of a set description")
     p.add_argument("set", help="family JSON, inline or a file path")
-    p.add_argument("--horizon", type=int, default=dens.DEFAULT_HORIZON)
+    p.add_argument("--horizon", type=_horizon, default=dens.DEFAULT_HORIZON)
     common(p, ("text", "json"))
     p.set_defaults(func=_cmd_gen)
 
@@ -226,13 +237,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="modulus chain kind (pow2/pow4 are aliases)",
     )
     p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--horizon", type=int, default=dens.DEFAULT_HORIZON)
+    p.add_argument("--horizon", type=_horizon, default=dens.DEFAULT_HORIZON)
     common(p, ("json", "csv"))
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("sumset", help="members and residue profiles of a sumset")
     p.add_argument("sets", nargs="+", help="two or more set descriptions")
-    p.add_argument("--horizon", type=int, default=dens.DEFAULT_HORIZON)
+    p.add_argument("--horizon", type=_horizon, default=dens.DEFAULT_HORIZON)
     p.add_argument("--mods", default="2,4,8,16", help="comma-separated profile moduli")
     common(p, ("json", "csv"))
     p.set_defaults(func=_cmd_sumset)
@@ -240,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="minimal-modulus structure report for a sumset")
     p.add_argument("sets", nargs="+", help="one (doubled) or more set descriptions")
     p.add_argument("--qmax", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=dens.DEFAULT_HORIZON)
+    p.add_argument("--horizon", type=_horizon, default=dens.DEFAULT_HORIZON)
     common(p)
     p.set_defaults(func=_cmd_analyze)
 

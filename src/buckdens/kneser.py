@@ -31,10 +31,12 @@ from .periodic import EventuallyPeriodicSet
 from .zmod import (
     ResidueSet,
     StructureClass,
+    add_bits,
     bit_positions,
     check_width,
     classify_structure,
     divisors,
+    fold_bits,
     is_periodic,
     sumset as residue_sumset,
     tile_bits,
@@ -132,17 +134,23 @@ class RuzsaCheck:
 
 
 def ruzsa_inequality_check(r: ResidueSet, s: ResidueSet) -> RuzsaCheck:
-    """|R||S+S| <= |R+S|^2 for R inside S, by exact counting."""
+    """|R||S+S| <= |R+S|^2 for R inside S, by exact counting.
+
+    R inside S gives S + S = (R + S) | ((S - R) + S), so one pass over the
+    members of S forms both sums with ``add_bits``: R + S from the offsets
+    in R, then S + S by adding the offsets in S - R: |S| shifts of S in
+    all.  Each linear sum is folded once mod q.
+    """
     if r.is_empty():
         raise ValueError("R must be nonempty")
     if r.modulus != s.modulus:
         raise ValueError("modulus mismatch")
     if not r.issubset(s):
         raise ValueError("R must be a subset of S")
-    doubled = residue_sumset([s, s])
-    mixed = residue_sumset([r, s])
-    lhs = r.cardinality * doubled.cardinality
-    rhs = mixed.cardinality**2
+    mixed = add_bits(s.bits, bit_positions(r.bits))
+    doubled = mixed | add_bits(s.bits, bit_positions(s.bits & ~r.bits))
+    lhs = r.cardinality * fold_bits(doubled, s.modulus).bit_count()
+    rhs = fold_bits(mixed, s.modulus).bit_count() ** 2
     return RuzsaCheck(lhs, rhs, lhs <= rhs)
 
 

@@ -38,7 +38,8 @@ from .oracle import (
     exhaustive_kneser,
 )
 from .zmod import (
-    CertificateError, ResidueSet, add_bits, bit_positions, detect_quasi_periodic, sumset,
+    MAX_MODULUS, CertificateError, ResidueSet, add_bits, bit_positions, detect_quasi_periodic,
+    sumset,
 )
 
 SUITE_NAMES = (
@@ -423,21 +424,38 @@ def suite_weyl(horizon: int = 10**6, q_max: int = 64) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
+def _ruzsa_draw(rng: random.Random, q_max: int) -> tuple[int, int, int]:
+    """One seeded pair R inside S of Z/qZ as (q, r_bits, s_bits).
+
+    q is uniform on [1, q_max]; each x < q is in S with probability 1/2 and
+    each member of S in R with probability 1/2, independently, read off one
+    ``getrandbits(q)`` word each.  An empty S becomes one uniform residue,
+    an empty R one uniform member of S.
+    """
+    q = rng.randint(1, q_max)
+    s = rng.getrandbits(q) or 1 << rng.randrange(q)
+    r = (s & rng.getrandbits(q)) or 1 << rng.choice(bit_positions(s))
+    return q, r, s
+
+
 def suite_ruzsa(trials: int = 10**4, q_max: int = 200, seed: int = DEFAULT_SEED) -> SuiteResult:
+    """|R||S+S| <= |R+S|^2 on ``trials`` seeded draws R inside S mod q <= q_max,
+    and the exact doubling inequality bdo(A+A)^2 >= bdo(A)*bup(A+A) on three
+    periodic sets.
+
+    The draws are bitmasks (``_ruzsa_draw``), so a seed gives other pairs
+    than the earlier per-residue ``random()`` draws did; the distribution of
+    the pairs and the texts of the rows are unchanged.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if not 1 <= q_max <= MAX_MODULUS:
+        raise ValueError(f"q_max must be in [1, {MAX_MODULUS}], got {q_max}")
     rng = random.Random(seed)
     violations = 0
     for _ in range(trials):
-        q = rng.randint(1, q_max)
-        s_members = [x for x in range(q) if rng.random() < 0.5]
-        if not s_members:
-            s_members = [rng.randrange(q)]
-        r_members = [x for x in s_members if rng.random() < 0.5]
-        if not r_members:
-            r_members = [rng.choice(s_members)]
-        check = ruzsa_inequality_check(
-            ResidueSet.of(q, r_members), ResidueSet.of(q, s_members)
-        )
-        if not check.holds:
+        q, r, s = _ruzsa_draw(rng, q_max)
+        if not ruzsa_inequality_check(ResidueSet(q, r), ResidueSet(q, s)).holds:
             violations += 1
     rows = [
         _row(

@@ -445,6 +445,34 @@ def test_unimplemented_format_is_usage_error(capsys, argv):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", '{"family":"x0"}', "--horizon", "-5", "--format", "json"],
+        ["density", '{"family":"x0"}', "--horizon", "-1"],
+        ["density", WEYL, "--mode", "windows", "--horizon", "-1"],
+        ["sumset", '{"family":"x0"}', '{"family":"x0"}', "--horizon", "-2"],
+        ["analyze", WEYL, "--horizon", "-1", "--qmax", "8"],
+    ],
+)
+def test_negative_horizon_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "argument --horizon: must be at least 0, got -" in err
+
+
+def test_horizon_zero_lists_up_to_zero(capsys):
+    code, out, _ = run(capsys, "gen", '{"family":"x0"}', "--horizon", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"family": "x0", "horizon": 0, "members": [0]}
+
+
+def test_non_integer_horizon_is_usage_error(capsys):
+    code, out, err = run(capsys, "gen", '{"family":"x0"}', "--horizon", "ten")
+    assert code == 2 and out == ""
+    assert "argument --horizon: invalid int value: 'ten'" in err
+
+
 def test_one_parser_serves_every_call(capsys, monkeypatch):
     argvs = [
         ["gen", WEYL, "--horizon", "40"],

@@ -1,12 +1,17 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from buckdens import generators as gen
 from buckdens import kneser as kn
 from buckdens import periodic as per
+from buckdens import suites
 from buckdens import zmod
 from buckdens.density import attained_residues, to_json
 from buckdens.zmod import ResidueSet
@@ -174,6 +179,141 @@ class TestRuzsa:
     def test_nonempty_required(self):
         with pytest.raises(ValueError):
             kn.ruzsa_inequality_check(ResidueSet(5, 0), ResidueSet.of(5, [0, 1]))
+
+
+def nested_loop_ruzsa(q, r, s):
+    """(|R||S+S|, |R+S|^2, holds) from plain pair loops over member lists."""
+    lhs = len(r) * len({(x + y) % q for x in s for y in s})
+    rhs = len({(x + y) % q for x in r for y in s}) ** 2
+    return lhs, rhs, lhs <= rhs
+
+
+def assert_matches_nested_loops(q, r, s):
+    check = kn.ruzsa_inequality_check(ResidueSet.of(q, r), ResidueSet.of(q, s))
+    assert (check.lhs, check.rhs, check.holds) == nested_loop_ruzsa(q, r, s), (q, r, s)
+
+
+class TestRuzsaAgainstNestedLoops:
+    def test_seeded_pairs(self):
+        rng = random.Random(20240)
+        for _ in range(600):
+            q = rng.randint(1, 200)
+            s = rng.sample(range(q), rng.randint(1, q))
+            r = rng.sample(s, rng.randint(1, len(s)))
+            assert_matches_nested_loops(q, r, s)
+
+    @pytest.mark.parametrize("q", [1, 2, 7, 64, 199])
+    def test_edge_cases(self, q):
+        whole = list(range(q))
+        assert_matches_nested_loops(q, whole, whole)  # R = S = the whole ring
+        assert_matches_nested_loops(q, [q - 1], whole)  # |R| = 1, S the whole ring
+        assert_matches_nested_loops(q, [q - 1], [q - 1])  # R = S, one member
+        every_other = list(range(q - 1, -1, -2))
+        assert_matches_nested_loops(q, every_other, every_other)  # R = S
+        assert_matches_nested_loops(q, every_other[:1], every_other)  # |R| = 1
+
+    def test_sparse_pair_wraps_mod_4096(self):
+        q = 4096
+        s = [0, 1, 5, 1000, 2047, 2048, 3000, 4000, 4090, 4095]
+        r = [1, 2048, 4095]
+        assert_matches_nested_loops(q, r, s)
+        assert_matches_nested_loops(q, s, s)
+        assert_matches_nested_loops(q, [4095], s)
+
+
+class TestRuzsaSuite:
+    def test_draws_are_nested_masks(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            for q_max in (1, 2, 3, 17, 200):
+                q, r, s = suites._ruzsa_draw(rng, q_max)
+                assert 1 <= q <= q_max
+                assert 0 < r and r & ~s == 0 and s < 1 << q
+
+    def test_both_fallbacks_occur_at_q_max_one(self):
+        class LoggedRandom:
+            def __init__(self, seed):
+                self.rng, self.calls = random.Random(seed), []
+
+            def __getattr__(self, name):
+                def logged(*args):
+                    self.calls.append(name)
+                    return getattr(self.rng, name)(*args)
+
+                return logged
+
+        seen = set()
+        for seed in range(100):
+            rng = LoggedRandom(seed)
+            assert suites._ruzsa_draw(rng, 1) == (1, 1, 1)
+            seen.update(rng.calls)
+        assert {"randrange", "choice"} <= seen  # empty S, then empty R, replaced
+
+    def test_draw_distribution(self):
+        # q uniform on [1, 3]; each x < q in S, each member of S in R, with
+        # probability 1/2; an empty S (R) becomes one uniform residue (member)
+        def subset_law(universe):
+            n, whole = len(universe), sum(1 << x for x in universe)
+            law = {bits: 2.0**-n for bits in range(1, whole + 1) if bits & ~whole == 0}
+            for x in universe:
+                law[1 << x] += 2.0**-n / n
+            return law
+
+        exact = {}
+        for q in (1, 2, 3):
+            for s, ps in subset_law(range(q)).items():
+                for r, pr in subset_law(zmod.bit_positions(s)).items():
+                    exact[q, r, s] = ps * pr / 3
+        draws = 30000
+        rng = random.Random(5)
+        seen = dict.fromkeys(exact, 0)
+        for _ in range(draws):
+            seen[suites._ruzsa_draw(rng, 3)] += 1  # KeyError: an impossible draw
+        for key, p in exact.items():
+            assert abs(seen[key] / draws - p) < 5 * (p * (1 - p) / draws) ** 0.5, key
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [({"trials": 0}, "trials"), ({"trials": -3}, "trials"),
+         ({"q_max": 0}, "q_max"), ({"q_max": 2**20 + 1}, "q_max")],
+    )
+    def test_bad_sizes_refused_before_any_draw(self, monkeypatch, kwargs, field):
+        def no_draw(rng, q_max):
+            raise AssertionError("drew a pair")
+
+        monkeypatch.setattr(suites, "_ruzsa_draw", no_draw)
+        with pytest.raises(ValueError, match=field):
+            suites.suite_ruzsa(**kwargs)
+
+    def test_reported_violations_fail_the_first_row(self, monkeypatch):
+        def odd_moduli_violate(r, s):
+            return kn.RuzsaCheck(2, 1, False) if r.modulus % 2 else kn.RuzsaCheck(1, 1, True)
+
+        rng = random.Random(11)
+        odd = sum(suites._ruzsa_draw(rng, 9)[0] % 2 for _ in range(40))
+        monkeypatch.setattr(suites, "ruzsa_inequality_check", odd_moduli_violate)
+        result = suites.suite_ruzsa(trials=40, q_max=9, seed=11)
+        assert 0 < odd < 40
+        assert not result.passed
+        assert result.rows[0]["passed"] is False
+        assert result.rows[0]["detail"] == f"{odd} violations"
+
+    def test_reported_violation_fails_the_first_row_under_optimize(self):
+        # python -O strips assert statements; the count must survive it
+        script = (
+            "import buckdens.suites as s\n"
+            "from buckdens.kneser import RuzsaCheck\n"
+            "s.ruzsa_inequality_check = lambda r, t: RuzsaCheck(2, 1, False)\n"
+            "row = s.suite_ruzsa(trials=5, q_max=9).rows[0]\n"
+            "print(row['passed'], row['detail'])\n"
+        )
+        src = str(Path(kn.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False 5 violations"
 
 
 class TestBuckInequality:
