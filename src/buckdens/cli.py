@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from functools import lru_cache
 from typing import Optional
@@ -57,8 +58,46 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+#: a placeholder string, "\0" and an index, as the indenting encoder writes it
+_HELD = re.compile(r'"\\u0000(\d+)"')
+#: the characters of a list of ints as the C encoder writes it, brackets aside
+_INT_LIST_CHARS = str.maketrans("", "", "0123456789-, ")
+
+
+def _json_dumps(obj, int_lists: tuple[str, ...] = ()) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With ``indent`` set, ``json`` encodes in pure Python, item by item.  So
+    the lists of ints held under the keys ``int_lists`` (members, residues)
+    are written by the C encoder and re-indented, as their items hold no
+    ", ", and the indenting encoder writes the rest of the report, with a
+    placeholder string for each such list.
+    """
+    if not int_lists:
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    held = []
+
+    def hold(x, key=None):
+        if isinstance(x, dict):
+            return {k: hold(v, k) for k, v in x.items()}
+        if not isinstance(x, list):
+            return x
+        if key in int_lists and x:
+            items = json.dumps(x)[1:-1]
+            if not items.translate(_INT_LIST_CHARS):  # ints only
+                held.append(items)
+                return f"\0{len(held) - 1}"
+        return [hold(v) for v in x]
+
+    parts = _HELD.split(json.dumps(hold(obj), indent=2, sort_keys=True))
+    if len(parts) != 2 * len(held) + 1:  # a string of the report reads as a placeholder
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    for i in range(1, len(parts), 2):
+        line = parts[i - 1][parts[i - 1].rfind("\n") + 1 :]  # the placeholder's line, up to it
+        pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        items = held[int(parts[i])].replace(", ", "," + pad + "  ")
+        parts[i] = f"[{pad}  {items}{pad}]"
+    return "".join(parts) + "\n"
 
 
 def _rows_to_csv(rows: list[dict], columns: list[str]) -> str:
@@ -78,9 +117,10 @@ def _cmd_gen(args) -> int:
     desc = _load_set(args.set)
     members = desc.members(args.horizon)
     if args.format == "json":
-        _emit(_json_dumps({"family": desc.family, "horizon": args.horizon, "members": members}), args.output)
-    else:
-        _emit("\n".join(map(str, members)) + "\n", args.output)
+        payload = {"family": desc.family, "horizon": args.horizon, "members": members}
+        _emit(_json_dumps(payload, ("members",)), args.output)
+    else:  # one per line: the C encoder writes ints faster than str() and join
+        _emit(json.dumps(members)[1:-1].replace(", ", "\n") + "\n", args.output)
     return EXIT_OK
 
 
@@ -95,7 +135,10 @@ def _cmd_density(args) -> int:
         report = dens.window_densities(desc, args.horizon).to_json_dict()
         _emit(_json_dumps(report), args.output)
         return EXIT_OK
-    chain = dens.modulus_chain(_CHAIN_ALIASES.get(args.chain, args.chain), args.depth)
+    kind = _CHAIN_ALIASES.get(args.chain, args.chain)
+    if desc.periodic_form is None:  # an exact form reads no chain
+        dens.check_chain_depth(kind, args.depth, "--depth")
+    chain = dens.modulus_chain(kind, args.depth)
     if args.mode == "buck-upper":
         estimate = dens.buck_upper(desc, chain, args.horizon)
     else:
@@ -147,7 +190,7 @@ def _cmd_sumset(args) -> int:
         ]
         _emit(_rows_to_csv(rows, ["m", "count", "kind", "residues"]), args.output)
     else:
-        _emit(_json_dumps(payload), args.output)
+        _emit(_json_dumps(payload, ("members", "residues")), args.output)
     return EXIT_OK
 
 

@@ -15,15 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import accumulate, islice
 from math import isqrt
-from operator import sub
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .generators import SetDescription
 from .zmod import (
-    MAX_MODULUS, ResidueSet, bit_flags, bit_positions, check_horizon, check_width, fold_bits,
-    members_mask,
+    MAX_MODULUS, LimitExceededError, ResidueSet, bit_flags, bit_positions, check_horizon,
+    check_width,
 )
 
 CHAIN_KINDS = ("factorial", "primorial", "powers_of_two", "powers_of_four")
@@ -83,6 +81,24 @@ def modulus_chain(kind: str, depth: int) -> ModulusChain:
     if kind == "powers_of_four":
         return ModulusChain(kind, tuple(1 << (2 * n) for n in range(1, depth + 1)), False)
     raise ValueError(f"unknown chain kind {kind!r}")
+
+
+#: every chain's modulus at this depth exceeds the width cap: from its second
+#: modulus on, each is at least twice the one before
+_DEPTH_PAST_CAP = MAX_MODULUS.bit_length()
+
+
+def check_chain_depth(kind: str, depth: int, what: str) -> None:
+    """Refuse a chain whose largest modulus exceeds the width cap, before it is
+    built: at most ``_DEPTH_PAST_CAP`` moduli are formed, and the first one
+    over the cap is named by its bit length."""
+    values = modulus_chain(kind, min(depth, _DEPTH_PAST_CAP)).values
+    if depth >= _DEPTH_PAST_CAP or values[-1] > MAX_MODULUS:
+        over = next(j for j, m in enumerate(values, start=1) if m > MAX_MODULUS)
+        raise LimitExceededError(
+            f"{what} {depth} exceeds cap {MAX_MODULUS}: the {kind} chain's modulus at depth "
+            f"{over} has {values[over - 1].bit_length()} bits"
+        )
 
 
 def to_json(x):
@@ -170,21 +186,16 @@ def attained_residues(
     """Residues mod m hit by the set: (set, certified-exact flag).
 
     The exact profile answers where the description supports m; otherwise the
-    residues are read off the members up to the horizon, which the
-    description lists once however many moduli are asked.  The members are
-    read from the description's one members mask, folded mod m, unless they
-    are sparse in its width or past the width cap (``hook``): then they are
-    reduced mod m one by one, which costs less than the mask.
+    residues are read off the members up to the horizon
+    (:meth:`SetDescription.residues`), which the description builds once
+    however many moduli are asked.
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
     if desc.supports(m):
         return desc.profile(m).attained, True
-    check_width(m, "modulus")  # before the members are enumerated
-    listed = desc.members(horizon)
-    if listed and listed[-1] < min(MAX_MODULUS, 64 * len(listed)):
-        return ResidueSet(m, fold_bits(desc.members_mask(horizon), m)), False
-    return ResidueSet(m, members_mask({n % m for n in listed}, m)), False
+    check_width(m, "modulus")  # before the members are built
+    return ResidueSet(m, desc.residues(m, horizon)), False
 
 
 def buck_upper(
@@ -252,9 +263,7 @@ def buck_lower(
             sequence=seq,
             certified="lower",
         )
-    members = desc.members(horizon)
-    count = len([n for n in members if n >= 1])
-    upper = Fraction(count, max(horizon, 1))
+    upper = Fraction(desc.positive_count(horizon), max(horizon, 1))
     return DensityEstimate(
         (Fraction(0), upper),
         "sampled",
@@ -277,18 +286,38 @@ class WindowDensities(Report):
 def window_densities(desc: SetDescription, horizon: int) -> WindowDensities:
     """Asymptotic-density estimates from tail counting ratios and
     uniform-density estimates from extremal sliding windows of length
-    floor(sqrt(horizon))."""
+    floor(sqrt(horizon)).
+
+    The counts are read off the members mask.  A checkpoint count is one
+    ``bit_count``.  The window counts are 16-bit lanes of one int, lane k
+    holding the count of X in (k, k + window]: the 0/1 flags of n = 1 ..
+    horizon are spread one per lane, and the sums of ``window`` shifted
+    copies are formed by doubling.  A count is at most window < 2^15, so no
+    lane carries into the next.  Their extremes are found by thresholds
+    (:func:`_lane_extremes`); no list of counts is made.
+    """
     if horizon < 16:
         raise ValueError("horizon must be at least 16")
-    check_horizon(horizon, "window horizon")  # before the members are listed
-    present = bit_flags(desc.members_mask(horizon) >> 1).ljust(horizon, b"\0")  # n = 1 .. horizon
-    counts = list(accumulate(present, initial=0))  # counts[n] = |X cap [1, n]|
+    check_horizon(horizon, "window horizon")  # before the members are built
+    present = desc.members_mask(horizon) >> 1  # bit n - 1 for n = 1 .. horizon
     checkpoints = [max(1, (horizon * j) // 16) for j in range(8, 17)]
-    ratios = [Fraction(counts[n], n) for n in checkpoints]
+    ratios = [Fraction((present & ((1 << n) - 1)).bit_count(), n) for n in checkpoints]
     window = isqrt(horizon)
-    # the count of X in (k, k + window], for k = 0 .. horizon - window
-    wmax = max(map(sub, islice(counts, window, None), counts))
-    wmin = min(map(sub, islice(counts, window, None), counts))
+    spread = bytearray(2 * horizon)
+    spread[::2] = bit_flags(present).ljust(horizon, b"\0")
+    lanes = int.from_bytes(spread, "little")
+    del spread  # the peak is the sums below, 2 (horizon + 1) bytes each
+    sums, width = lanes, 1
+    for digit in bin(window)[3:]:  # the binary digits of window after the first
+        sums += sums >> 16 * width
+        width *= 2
+        if digit == "1":
+            sums += lanes >> 16 * width
+            width += 1
+    del lanes
+    starts = horizon - window + 1  # the windows (k, k + window], k = 0 .. horizon - window
+    first = (present & ((1 << window) - 1)).bit_count()
+    wmin, wmax = _lane_extremes(sums & ((1 << 16 * starts) - 1), starts, first)
     sampled = lambda v: DensityEstimate(v, "sampled", horizon=horizon)
     return WindowDensities(
         d_lower=sampled(min(ratios)),
@@ -297,6 +326,44 @@ def window_densities(desc: SetDescription, horizon: int) -> WindowDensities:
         banach_upper=sampled(Fraction(wmax, window)),
         window_length=window,
     )
+
+
+def _lane_extremes(lanes: int, count: int, first: int) -> tuple[int, int]:
+    """(min, max) of the ``count`` 16-bit lanes of an int, each at most w;
+    ``first`` is the value of lane 0.
+
+    Setting bit 15 of every lane and subtracting t from each borrows from
+    no lane while -2^15 < t - w and t <= 2^15, and leaves bit 15 of a lane
+    set iff it holds at least t: one test, over every lane, of whether some
+    lane is at least t or at most t - 1.  The max and the min are the last
+    thresholds on which those tests hold, going up and down from lane 0's
+    value; the search probes t in [-2w - 1, 2w + 1], so 3w < 2^15 suffices
+    (w = isqrt(horizon) < 2^10 under the horizon cap).
+    """
+    ones = int.from_bytes(b"\1\0" * count, "little")
+    top = ones << 15
+    raised = lanes | top
+    at_least = lambda t: (raised - t * ones) & top != 0  # some lane >= t
+    at_most = lambda t: (raised - (t + 1) * ones) & top != top  # some lane <= t
+    return _last_true(at_most, first, -1), _last_true(at_least, first, 1)
+
+
+def _last_true(holds: Callable[[int], bool], start: int, step: int) -> int:
+    """The last t on the ray start, start + step, start + 2 step, ... on which
+    ``holds``, given that it holds at start and, once false, stays false:
+    galloping out, then bisecting."""
+    reach = 1
+    while holds(start + reach * step):
+        start += reach * step
+        reach *= 2
+    low, high = 0, reach  # holds at start + low * step, fails at start + high * step
+    while high - low > 1:
+        mid = (low + high) // 2
+        if holds(start + mid * step):
+            low = mid
+        else:
+            high = mid
+    return start + low * step
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Explicit set families: lazy membership oracles over N.
 
 Each family is wrapped in a :class:`SetDescription` carrying a
-membership test, a member listing built from the construction, an
+membership test, a members bitmask built from the construction, an
 optional exact modular-profile oracle for the moduli the construction
 supports, and (for families that are honestly eventually periodic) an
 exact periodic form.  Infinite parameter sequences are presented
@@ -10,19 +10,19 @@ finitely: a prefix plus a closed-form rule.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import compress
+from functools import lru_cache, partial, reduce
 from math import isqrt, prod
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from operator import or_
+from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 from . import periodic as zper
 from .periodic import EventuallyPeriodicSet, ModularProfile
 from .zmod import (
     MAX_MODULUS, CertificateError, ResidueSet, add_bits, bit_positions, check_horizon,
-    check_width, divisors, members_mask, sumset as residue_sumset,
+    check_width, digits_mask, divisors, fold_bits, members_mask, sumset as residue_sumset,
+    tile_bits,
 )
 
 
@@ -34,22 +34,24 @@ class UnsupportedModulusError(ValueError):
 class SetDescription:
     """A lazily evaluated subset of N.
 
-    ``membership`` decides n in X; ``member_iter(horizon)`` lists the
-    members n <= horizon in ascending order for every horizon >= 0, by
-    construction of the family; ``profile_fn`` gives the exact modular
-    profile at every modulus ``supports`` accepts (none by default);
-    ``periodic_form`` is set when X is exactly eventually periodic, in
-    which case :func:`from_periodic` makes every modulus supported.
+    ``membership`` decides n in X; ``builder(horizon)`` constructs the
+    members n <= horizon for every horizon >= 0, by construction of the
+    family: as a bitmask (bit n set iff n is a member), or, for a family too
+    sparse for a mask as wide as its horizons (``hook``), as an ascending
+    list.  ``profile_fn`` gives the exact modular profile at every modulus
+    ``supports`` accepts (none by default); ``periodic_form`` is set when X
+    is exactly eventually periodic, in which case :func:`from_periodic`
+    makes every modulus supported.
     """
 
     family: str
     membership: Callable[[int], bool]
-    member_iter: Callable[[int], list[int]]
+    builder: Callable[[int], Union[int, list[int]]]
     profile_fn: Optional[Callable[[int], ModularProfile]] = None
     supports: Callable[[int], bool] = lambda m: False
     cofinite_exact: bool = False
     periodic_form: Optional[EventuallyPeriodicSet] = None
-    _listed: dict = field(default_factory=dict, init=False, repr=False)
+    _built: dict = field(default_factory=dict, init=False, repr=False)
 
     def contains(self, n: int) -> bool:
         return self.membership(n)
@@ -60,32 +62,61 @@ class SetDescription:
         return self.profile_fn(m)
 
     def members(self, horizon: int) -> list[int]:
-        """All members n <= horizon, ascending.
+        """All members n <= horizon, ascending: the builder's list, or the
+        set bits of its mask, read on first use.
 
-        The list for the last horizon asked is kept, and every later call
+        Both forms for the last horizon asked are kept, and every later call
         at that horizon returns the same list object: it is shared, so
         callers must not mutate it.
         """
-        return self._slot(horizon)[0]
-
-    def members_mask(self, horizon: int) -> int:
-        """The bitmask of ``members(horizon)``, built on first use and kept
-        beside the list.  The caller checks that its largest member fits."""
         slot = self._slot(horizon)
         if slot[1] is None:
-            slot[1] = members_mask(slot[0], slot[0][-1] + 1 if slot[0] else 0)
+            slot[1] = bit_positions(slot[0])
         return slot[1]
 
+    def members_mask(self, horizon: int) -> int:
+        """The bitmask of ``members(horizon)``: the builder's mask, or one
+        built from its list on first use.  For a list, the caller checks that
+        its largest member fits."""
+        slot = self._slot(horizon)
+        if slot[0] is None:
+            listed = slot[1]
+            slot[0] = members_mask(listed, listed[-1] + 1 if listed else 0)
+        return slot[0]
+
+    def positive_count(self, horizon: int) -> int:
+        """|X cap [1, horizon]|, the numerator of the counting ratio, read
+        from whichever form the builder made."""
+        mask, listed = self._slot(horizon)
+        if mask is None:
+            return len(listed) - (listed[:1] == [0])
+        return (mask >> 1).bit_count()
+
+    def residues(self, m: int, horizon: int) -> int:
+        """The residues mod m of the members n <= horizon, as an m-bit mask.
+
+        The members mask folded mod m, unless the builder listed members
+        that are sparse in the width of their mask or lie past the width cap
+        (``hook``): those are reduced mod m one by one, which costs less than
+        the mask.  The caller checks m against the cap.
+        """
+        mask, listed = self._slot(horizon)
+        if mask is None and not (listed and listed[-1] < min(MAX_MODULUS, 64 * len(listed))):
+            return members_mask({n % m for n in listed}, m)
+        return fold_bits(self.members_mask(horizon), m)
+
     def _slot(self, horizon: int) -> list:
-        """[members, mask or None] for the horizon: one slot, for the last horizon asked."""
-        slot = self._listed.get(horizon)
+        """[mask or None, members or None] for the horizon, one of them from
+        the builder: one slot, for the last horizon asked."""
+        slot = self._built.get(horizon)
         if slot is None:
-            self._listed.clear()
-            slot = self._listed[horizon] = [self._enumerate(horizon), None]
+            self._built.clear()
+            built = self._build(horizon)
+            slot = self._built[horizon] = [built, None] if isinstance(built, int) else [None, built]
         return slot
 
-    def _enumerate(self, horizon: int) -> list[int]:
-        return self.member_iter(horizon) if horizon >= 0 else []
+    def _build(self, horizon: int) -> Union[int, list[int]]:
+        return self.builder(horizon) if horizon >= 0 else 0
 
     def __repr__(self) -> str:
         return f"SetDescription({self.family!r})"
@@ -96,7 +127,7 @@ def from_periodic(eps: EventuallyPeriodicSet, family: str = "periodic") -> SetDe
     return SetDescription(
         family=family,
         membership=lambda n: n >= 0 and n in eps,
-        member_iter=eps.members,
+        builder=eps.members_mask,
         profile_fn=eps.modular_profile,
         supports=lambda m: True,
         cofinite_exact=True,
@@ -272,7 +303,7 @@ def _dk_description(
         supports=(lambda m: True) if eps else lambda m: m >= 1 and m & (m - 1) == 0,
         profile_fn=eps.modular_profile if eps else lambda m: _dk_profile(desc, m),
         cofinite_exact=True,
-        member_iter=lambda horizon: _dk_members(desc, horizon),
+        builder=eps.members_mask if eps else lambda horizon: _dk_mask(desc, horizon),
         periodic_form=eps,
         k_prefix=prefix,
         rule=rule,
@@ -290,15 +321,12 @@ def _dk_member(desc: DKDescription, n: int) -> bool:
     return True
 
 
-def _dk_members(desc: DKDescription, horizon: int) -> list[int]:
-    width = horizon.bit_length() if horizon else 1
-    forbidden = set(desc.positions_below(width))
-    free = [p for p in range(width) if p not in forbidden]
-    members = [0]
-    for p in free:
-        step = 1 << p
-        members.extend([x + step for x in members if x + step <= horizon])
-    return sorted(members)
+def _dk_mask(desc: DKDescription, horizon: int) -> int:
+    """The members n <= horizon: the residues mod 2^e, 2^e > horizon, whose
+    digits vanish at the positions below e, truncated."""
+    check_horizon(horizon, f"{desc.family} horizon")  # before the 2^e-bit mask is built
+    e = horizon.bit_length()
+    return _digit_residues(desc.positions_below(e), e) & ((1 << (horizon + 1)) - 1)
 
 
 def _digit_residues(forbidden: Iterable[int], e: int) -> int:
@@ -396,14 +424,15 @@ def _weyl_kernel(theta: str, alpha: Fraction) -> Callable[[int], tuple[int, int,
     return kernel
 
 
-#: values of n the Weyl listing tests per big-int step
+#: values of n the Weyl builder tests per big-int step
 WEYL_LANES = 1 << 12
-#: _BELOW[k][c] is 1 iff byte c is below 2^k, i.e. iff its bits k..7 are clear
-_BELOW = [bytes(c < 1 << k for c in range(256)) for k in range(8)]
+#: _BELOW[k][c] is the ASCII digit "1" iff byte c is below 2^k, i.e. iff its
+#: bits k..7 are clear, else "0"
+_BELOW = [bytes(49 if c < 1 << k else 48 for c in range(256)) for k in range(8)]
 
 
-def _weyl_members(s: int, mask: int, bound: int, horizon: int) -> list[int]:
-    """The n <= horizon with (s n & mask) < bound: the test of
+def _weyl_mask(s: int, mask: int, bound: int, horizon: int) -> int:
+    """The n <= horizon with (s n & mask) < bound, as a bitmask: the test of
     :func:`_weyl_kernel`, on up to WEYL_LANES values of n per big-int step.
 
     With 2^P = mask + 1, lane j of a block is a field of w bytes, 8w > P,
@@ -413,7 +442,8 @@ def _weyl_members(s: int, mask: int, bound: int, horizon: int) -> list[int]:
     so nothing carries into the next lane.  Adding 2^P - bound then sets bit
     P of a lane iff its value is at least bound, i.e. iff n is not a member;
     one strided slice reads the byte holding bit P of every lane, and the
-    bits above P in that byte are 0.
+    bits above P in that byte are 0.  Each such byte becomes the ASCII digit
+    of n, and the digits are parsed as one binary numeral.
     """
     p = mask.bit_length()
     w = p // 8 + 1
@@ -423,12 +453,12 @@ def _weyl_members(s: int, mask: int, bound: int, horizon: int) -> list[int]:
         ones |= ones << 8 * w * size
         size *= 2
     lane_mask, advance, offset = mask * ones, (s * size & mask) * ones, (mask + 1 - bound) * ones
-    listed = []
-    for n0 in range(0, horizon + 1, size):
-        flags = (lanes + offset).to_bytes(w * size, "little")[p // 8 :: w]
-        listed.extend(compress(range(n0, horizon + 1), flags.translate(_BELOW[p % 8])))
+    digits, below = bytearray(), _BELOW[p % 8]
+    for _ in range(0, horizon + 1, size):
+        digits += (lanes + offset).to_bytes(w * size, "little")[p // 8 :: w].translate(below)
         lanes = (lanes + advance) & lane_mask
-    return listed
+    del digits[horizon + 1 :]
+    return digits_mask(digits)
 
 
 def gen_weyl(theta: str, alpha) -> SetDescription:
@@ -447,15 +477,11 @@ def gen_weyl(theta: str, alpha) -> SetDescription:
         s, mask, bound = kernel(n.bit_length())
         return n >= 0 and (s * n & mask) < bound
 
-    def generate(horizon: int) -> list[int]:
+    def build(horizon: int) -> int:
         check_horizon(horizon, "weyl horizon")
-        return _weyl_members(*kernel(horizon.bit_length()), horizon)
+        return _weyl_mask(*kernel(horizon.bit_length()), horizon)
 
-    return SetDescription(
-        family="weyl",
-        membership=member,
-        member_iter=generate,
-    )
+    return SetDescription(family="weyl", membership=member, builder=build)
 
 
 # ---------------------------------------------------------------------------
@@ -513,21 +539,23 @@ def gen_p_t(t: int) -> SetDescription:
     """Integers at least 2 with at most t distinct prime factors."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    at_most_t = bytes(c <= t for c in range(256))
+    at_most_t = bytes(49 if c <= t else 48 for c in range(256))  # the ASCII digit of n
 
-    def generate(horizon: int) -> list[int]:
+    def build(horizon: int) -> int:
         check_horizon(horizon, "p_t horizon")
         counts = bytearray(horizon + 1)  # counts[n] = omega(n), sieved
         p = counts.find(0, 2)
         while p > 0:  # the least n >= 2 no smaller prime divides is the next prime
             counts[p::p] = counts[p::p].translate(_INCREMENT)
             p = counts.find(0, p + 1)
-        return list(compress(range(2, horizon + 1), counts[2:].translate(at_most_t)))
+        digits = counts.translate(at_most_t)
+        digits[:2] = b"00"[: horizon + 1]  # 0 and 1 are not members
+        return digits_mask(digits)
 
     return SetDescription(
         family="p_t",
         membership=lambda n: n >= 2 and omega(n) <= t,
-        member_iter=generate,
+        builder=build,
     )
 
 
@@ -651,11 +679,8 @@ def gen_hook(rule: str = "factorial") -> SetDescription:
             r += 1
         return out
 
-    return SetDescription(
-        family="hook",
-        membership=lambda n: n in generate(n),
-        member_iter=generate,
-    )
+    # listed, not masked: its horizons are uncapped and it has 17 members below 10^15
+    return SetDescription(family="hook", membership=lambda n: n in generate(n), builder=generate)
 
 
 # ---------------------------------------------------------------------------
@@ -713,23 +738,14 @@ def gen_three_density(
             for k, low, high in _density_blocks(n_base, gamma, n)
         ) and weyl.contains(n)
 
-    def generate(horizon: int) -> list[int]:
-        listed = weyl.members(horizon)
-        out = []
+    def build(horizon: int) -> int:
+        blocks = 0  # the n <= horizon that pass some block's residue test
         for k, low, high in _density_blocks(n_base, gamma, horizon):
-            # Blocks overlap once gamma >= 1 - 1/n_base.  R_k lifts into
-            # R_(k+1), so there the later block's residue test is the weaker
-            # one and decides alone: block k keeps only n below N_(k+1).
-            stop = bisect_right(listed, min(high, low * n_base - 1))
-            residues, mask = _nested_residues(alpha, k), (1 << k) - 1
-            out += [n for n in listed[bisect_left(listed, low):stop] if n & mask in residues]
-        return out
+            residues = members_mask(_nested_residues(alpha, k), 1 << k)
+            blocks |= tile_bits(residues, 1 << k, min(high, horizon) + 1) >> low << low
+        return weyl.members_mask(horizon) & blocks
 
-    return SetDescription(
-        family="three_density",
-        membership=member,
-        member_iter=generate,
-    )
+    return SetDescription(family="three_density", membership=member, builder=build)
 
 
 # ---------------------------------------------------------------------------
@@ -776,11 +792,11 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
             m, ResidueSet(m, att), ResidueSet(m, inf), ResidueSet(m, cof)
         )
 
-    def members(horizon: int) -> list[int]:
-        out = set()
-        for p in parts:
-            out.update(p.members(horizon))
-        return sorted(out)
+    def build(horizon: int) -> Union[int, list[int]]:
+        masks = [p._slot(horizon)[0] for p in parts]
+        if None in masks:  # a part listed, not masked (hook): its mask may be out of reach
+            return sorted(set().union(*(p.members(horizon) for p in parts)))
+        return reduce(or_, masks)
 
     return SetDescription(
         family="union",
@@ -788,7 +804,7 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
         profile_fn=profile,
         supports=lambda m: all(p.supports(m) for p in parts),
         cofinite_exact=False,  # a class may be covered only jointly
-        member_iter=members,
+        builder=build,
     )
 
 
@@ -809,12 +825,15 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
         eps = zper.sumset([p.periodic_form for p in parts])
         return from_periodic(eps, family="sumset")
 
-    def members(horizon: int) -> list[int]:
+    def build(horizon: int) -> int:
         check_horizon(horizon, "sumset horizon")
-        mask = (1 << (horizon + 1)) - 1
-        acc = parts[0].members(horizon)
+        acc = parts[0].members_mask(horizon)
         for other in parts[1:]:
-            acc = bit_positions(add_bits(other.members_mask(horizon), acc) & mask)
+            sparse = other.members_mask(horizon)
+            if sparse.bit_count() > acc.bit_count():
+                acc, sparse = sparse, acc
+            # one shift of the denser mask per member of the sparser
+            acc = add_bits(acc, bit_positions(sparse)) & ((1 << (horizon + 1)) - 1)
         return acc
 
     first = parts[0]
@@ -847,7 +866,7 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
         profile_fn=profile,
         supports=lambda m: all(p.supports(m) for p in parts),
         cofinite_exact=False,
-        member_iter=members,
+        builder=build,
     )
 
 

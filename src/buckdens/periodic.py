@@ -90,12 +90,16 @@ class EventuallyPeriodicSet:
 
     def members(self, horizon: int) -> list[int]:
         """All members n <= horizon, ascending."""
-        below = min(max(horizon + 1, 0), self.threshold)
-        out = bit_positions(self.prefix & ((1 << below) - 1))
-        for r in bit_positions(self.tail.bits):
-            out.extend(range(self.threshold + r, horizon + 1, self.period))
-        out.sort()
-        return out
+        return bit_positions(self.members_mask(horizon))
+
+    def members_mask(self, horizon: int) -> int:
+        """The members n <= horizon as a bitmask: the prefix, then the tail
+        tiled.  A finite set's mask ends at its threshold, however far the
+        horizon."""
+        width = horizon + 1 if self.tail.bits else min(horizon + 1, self.threshold)
+        if width <= 0:
+            return 0
+        return _members_below(self, max(width, self.threshold)) & ((1 << width) - 1)
 
     def is_empty(self) -> bool:
         return self.prefix == 0 and self.tail.is_empty()

@@ -374,8 +374,7 @@ def suite_weyl(horizon: int = 10**6, q_max: int = 64) -> SuiteResult:
     residues_by_alpha = {}
     for alpha in (Fraction(3, 10), Fraction(1, 2)):
         desc = gen_weyl("sqrt2", alpha)
-        members = desc.members(horizon)
-        ratio = Fraction(len([n for n in members if n >= 1]), horizon)
+        ratio = Fraction(desc.positive_count(horizon), horizon)
         rows.append(
             _row(
                 f"alpha = {alpha}: counting ratio within 0.02 at horizon {horizon}",
@@ -568,10 +567,9 @@ def suite_prop67(horizon: int = 1 << 16) -> SuiteResult:
 
     # the two "cheap" parts of A+A live in the digit set with position 1 cleared
     superset = gen_d_k((1,))
-    bb = sumset_description([b, b]).members(horizon)
-    bd = sumset_description([b, d]).members(horizon)
-    outside = [n for n in bb if not superset.membership(n)]
-    outside += [n for n in bd if not superset.membership(n)]
+    bb = sumset_description([b, b]).members_mask(horizon)
+    bd = sumset_description([b, d]).members_mask(horizon)
+    outside = bit_positions((bb | bd) & ~superset.members_mask(horizon))
     rows.append(
         _row(
             f"B+B and B+D stay inside the cleared-digit superset up to {horizon}",
@@ -591,8 +589,9 @@ def suite_prop67(horizon: int = 1 << 16) -> SuiteResult:
     t_top = 3
     block_lo = d.m_t(t_top)
     block_hi = 1 << (d.k(t_top) + 1)
-    dd = sumset_description([d, d]).members(horizon)
-    inside_block = [n for n in dd if block_lo <= n < block_hi]
+    dd = sumset_description([d, d]).members_mask(horizon)
+    interval = ((1 << block_hi) - 1) >> block_lo << block_lo
+    inside_block = bit_positions(dd & interval)
     rows.append(
         _row(
             f"D+D misses the full interval [{block_lo}, {block_hi}) (length {block_hi - block_lo})",

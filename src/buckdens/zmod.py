@@ -39,9 +39,12 @@ def divisors(m: int) -> list[int]:
 
 
 def check_width(width: int, what: str) -> None:
-    """Refuse a dense vector of ``width`` bits above the cap, before it is built."""
+    """Refuse a dense vector of ``width`` bits above the cap, before it is
+    built.  A width past 2^64 is named by its bit length: its decimal may
+    have more digits than ``str`` converts."""
     if width > MAX_MODULUS:
-        raise LimitExceededError(f"{what} {width} exceeds cap {MAX_MODULUS}")
+        shown = width if width.bit_length() <= 64 else f"of {width.bit_length()} bits"
+        raise LimitExceededError(f"{what} {shown} exceeds cap {MAX_MODULUS}")
 
 
 def check_horizon(horizon: int, what: str) -> None:
@@ -97,15 +100,21 @@ def add_bits(bits: int, offsets: Iterable[int]) -> int:
     return out
 
 
+def digits_mask(digits: bytearray) -> int:
+    """The vector whose bit n is the ASCII binary digit ``digits[n]`` (48 or
+    49), parsed by ``int(.., 2)``.  Reverses ``digits`` in place."""
+    digits.reverse()  # the most significant digit first
+    return int(digits, 2) if digits else 0
+
+
 def members_mask(members: Iterable[int], width: int) -> int:
     """The bitmask of a collection of integers in [0, width), written as a
-    binary numeral of one ASCII digit per bit and parsed by ``int(.., 2)``:
-    one byte store per member, and no shift-OR or bit arithmetic."""
+    binary numeral of one ASCII digit per bit: one byte store per member,
+    and no shift-OR or bit arithmetic."""
     digits = bytearray(b"0") * width
     for n in members:
         digits[n] = 49  # ord("1")
-    digits.reverse()  # the most significant digit first
-    return int(digits, 2) if width else 0
+    return digits_mask(digits)
 
 
 def fold_bits(bits: int, g: int) -> int:

@@ -5,13 +5,13 @@ from buckdens.generators import SetDescription
 
 @pytest.fixture
 def enumerated(monkeypatch):
-    """The family of every description whose members are listed afresh (cache misses)."""
+    """The family of every description whose members are built afresh (cache misses)."""
     calls = []
-    enumerate_ = SetDescription._enumerate
+    build = SetDescription._build
 
     def counted(self, horizon):
         calls.append(self.family)
-        return enumerate_(self, horizon)
+        return build(self, horizon)
 
-    monkeypatch.setattr(SetDescription, "_enumerate", counted)
+    monkeypatch.setattr(SetDescription, "_build", counted)
     return calls

@@ -1,7 +1,12 @@
 import hashlib
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -353,6 +358,10 @@ def test_limit_exits_three_at_once(capsys, argv):
         (["density", WEYL, "--mode", "windows", "--horizon", "2000000"],
          "window horizon 2000000 exceeds cap 1048575"),
         (["gen", WEYL, "--horizon", "1048576"], "weyl horizon 1048576 exceeds cap 1048575"),
+        # the digit mask of a ruled d_k set spans 2^e > horizon bits
+        (["gen", '{"family":"x0"}', "--horizon", "1048576"], "x0 horizon 1048576 exceeds cap 1048575"),
+        (["gen", '{"family":"d_k","k_prefix":[1],"rule":"double_gap"}', "--horizon", "10000000000"],
+         "d_k horizon 10000000000 exceeds cap 1048575"),
     ],
 )
 def test_horizon_limit_names_the_horizon_given(capsys, argv, message):
@@ -417,6 +426,97 @@ def test_exact_sum_profiles_take_a_horizon_over_the_cap(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "4d77a4c6d1fce583b3ef4100cea0208bd5ab55a5059405682de38d6621cc25f9"
     )
+
+
+@pytest.mark.parametrize("depth", ["100000", "2000"])
+def test_a_chain_past_the_cap_exits_three_naming_the_depth(capsys, depth):
+    # checked by bit length before the chain is built: no 2-second build, no
+    # 603-digit modulus, no decimal past str()'s 4300-digit limit
+    start = time.perf_counter()
+    code, out, err = run(capsys, "density", '{"family":"x0"}', "--depth", depth)
+    assert code == 3 and out == ""
+    assert f"--depth {depth} exceeds cap 1048576" in err
+    assert "modulus at depth 21 has 22 bits" in err
+    assert max(map(len, re.findall(r"\d+", err))) <= 7
+    assert time.perf_counter() - start < 1
+
+
+def test_an_exact_form_reads_no_chain_at_any_depth(capsys):
+    code, out, _ = run(capsys, "density", ODDS, "--depth", "2000")
+    assert code == 0
+    assert json.loads(out)["value"] == {"num": 1, "den": 2}
+
+
+def indented(out: str) -> str:
+    """The report as ``json.dumps(indent=2, sort_keys=True)`` writes it."""
+    return json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["gen", '{"family":"p_t","t":0}', "--horizon", "50", "--format", "json"], 0),
+        (["gen", '{"family":"x0"}', "--horizon", "0", "--format", "json"], 1),
+        (["gen", WEYL, "--horizon", "20000", "--format", "json"], 6002),
+        # the nested residue lists: empty, one residue, many
+        (["sumset", '{"family":"p_t","t":0}', '{"family":"x0"}', "--horizon", "50"], 0),
+        (["sumset", '{"family":"x0"}', '{"family":"x0"}', "--horizon", "0", "--mods", "1,2"], 1),
+        (["sumset", WEYL, '{"family":"x0"}', "--horizon", "20000", "--mods", "2,7,64"], 19998),
+    ],
+)
+def test_member_lists_are_written_as_the_indenting_encoder_writes_them(capsys, argv, count):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == indented(out)
+    assert len(json.loads(out)["members"]) == count
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"members": [], "profiles": [{"residues": [0, 1], "m": 2}, {"residues": [], "m": 4}]},
+        {"members": [1, -3, 10**30]},
+        {"members": [1, True], "residues": [True, 1]},  # bools are written as true / false
+        {"members": [1, 2.5], "residues": [1, "2"]},
+        {"members": [[1, 2], [3]], "residues": [1, [2]]},
+        {"members": [1], "family": "\x000"},  # a string that reads as a placeholder
+        {"members": [1], "\x000": [2]},
+        {"residues": (1, 2), "members": {"members": [3, 4]}},
+    ],
+)
+def test_held_int_lists_leave_the_report_byte_identical(obj):
+    expect = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert cli._json_dumps(obj, ("members", "residues")) == expect
+
+
+@pytest.mark.parametrize(
+    "set_, horizon",
+    [('{"family":"p_t","t":0}', "50"), ('{"family":"x0"}', "0"), (WEYL, "20000")],
+)
+def test_text_members_one_per_line(capsys, set_, horizon):
+    code, out, _ = run(capsys, "gen", set_, "--horizon", horizon, "--format", "json")
+    members = json.loads(out)["members"]
+    code, out, _ = run(capsys, "gen", set_, "--horizon", horizon)
+    assert code == 0
+    assert out == "\n".join(map(str, members)) + "\n"
+
+
+def test_windows_at_a_million_peak_below_40_mb():
+    # a fresh process, since ru_maxrss of RUSAGE_CHILDREN is the largest
+    # child's; importing buckdens alone peaks near 17 MB
+    script = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'buckdens.cli', 'density', sys.argv[1],\n"
+        "                '--mode', 'windows', '--horizon', '1000000'], stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", script, WEYL], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 40 * 1024  # KiB
 
 
 def test_sparse_members_take_a_huge_horizon(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -94,7 +95,35 @@ class TestBuckLower:
         assert est.kind == "exact" and est.value == Fraction(1, 4)
 
 
+def plain_description(members: set) -> gen.SetDescription:
+    return gen.SetDescription("plain", members.__contains__, lambda h: sorted(n for n in members if n <= h))
+
+
+def window_reference(members: set, horizon: int) -> tuple:
+    """(d_lower, d_upper, banach_lower, banach_upper, window) by plain list
+    counting, with no zmod kernel."""
+    counts = [0]  # counts[n] = |X cap [1, n]|
+    for n in range(1, horizon + 1):
+        counts.append(counts[-1] + (n in members))
+    window = math.isqrt(horizon)
+    in_window = [counts[k + window] - counts[k] for k in range(horizon - window + 1)]
+    ratios = [Fraction(counts[n], n) for n in (max(1, (horizon * j) // 16) for j in range(8, 17))]
+    return (min(ratios), max(ratios), Fraction(min(in_window), window),
+            Fraction(max(in_window), window), window)
+
+
 class TestWindowDensities:
+    @pytest.mark.parametrize("horizon", [16, 17, 24, 99, 1000, 4097, 65537])
+    @pytest.mark.parametrize("kind", ["empty", "full", "seeded-half", "seeded-dense", "seeded-sparse"])
+    def test_lane_sums_match_a_plain_list_reference(self, kind, horizon):
+        rng = random.Random(horizon)
+        share = {"empty": 0, "full": 1, "seeded-half": 0.5, "seeded-dense": 0.97, "seeded-sparse": 0.02}
+        members = {n for n in range(horizon + 1) if rng.random() < share[kind]}
+        w = dens.window_densities(plain_description(members), horizon)
+        got = (w.d_lower.value, w.d_upper.value, w.banach_lower.value, w.banach_upper.value,
+               w.window_length)
+        assert got == window_reference(members, horizon)
+
     def test_odds(self):
         w = dens.window_densities(gen.from_periodic(per.from_progressions([(1, 2)])), 10**4)
         for est in (w.d_lower, w.d_upper):
@@ -225,6 +254,11 @@ class TestChainCap:
             report(desc, deep)
         assert calls == []
 
+    def test_a_chain_modulus_past_2_to_the_64_is_named_by_its_bit_length(self):
+        # its decimal has 6021 digits, more than str() converts by default
+        with pytest.raises(LimitExceededError, match="chain modulus of 20001 bits exceeds cap 1048576"):
+            dens.buck_upper(self.HOOK, dens.modulus_chain("powers_of_two", 20000))
+
     def test_exact_periodic_path_ignores_the_chain(self):
         odds3 = gen.from_periodic(per.from_progressions([(1, 3)]))
         est = dens.buck_upper(odds3, dens.modulus_chain("factorial", 12))
@@ -282,24 +316,19 @@ class TestSampledResidues:
         def no_fold(*args):
             raise AssertionError("folded a mask")
 
-        monkeypatch.setattr(dens, "fold_bits", no_fold)
+        monkeypatch.setattr(gen, "fold_bits", no_fold)
         monkeypatch.setattr(gen.SetDescription, "members_mask", no_fold)
         hook = gen.gen_hook()
         listed = hook.members(horizon)
         for m in range(1, 65):
             assert dens.attained_residues(hook, m, horizon)[0] == ResidueSet.of(m, {n % m for n in listed})
 
-    def test_one_members_mask_across_the_moduli(self, monkeypatch):
-        masks = []
-        members_mask = gen.members_mask
+    def test_one_members_mask_across_the_moduli(self, monkeypatch, enumerated):
+        def from_a_list(members, width):
+            raise AssertionError("a mask built from a member list")
 
-        def counted(members, width):
-            masks.append(len(members))
-            return members_mask(members, width)
-
-        monkeypatch.setattr(gen, "members_mask", counted)
-        monkeypatch.setattr(dens, "members_mask", counted)
+        monkeypatch.setattr(gen, "members_mask", from_a_list)
         desc = gen.gen_weyl("sqrt2", "1/2")
         for m in range(1, 65):
             assert dens.attained_residues(desc, m, 50000)[0].is_full()
-        assert masks == [len(desc.members(50000))]
+        assert enumerated == ["weyl"]  # one mask, built by the family's construction

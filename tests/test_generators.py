@@ -253,7 +253,7 @@ class TestWeyl:
         def built(*args):
             raise AssertionError("a lane was built")
 
-        monkeypatch.setattr(gen, "_weyl_members", built)
+        monkeypatch.setattr(gen, "_weyl_mask", built)
         for horizon in (1 << 20, 10**12):
             with pytest.raises(LimitExceededError, match=f"weyl horizon {horizon} exceeds cap"):
                 gen.gen_weyl("sqrt2", "3/10").members(horizon)
@@ -512,6 +512,27 @@ class TestCombinators:
         assert gen.sumset_description([w, x0, x0]).members(5000) == three
         assert gen.sumset_description([w, x0]).members(-1) == []
 
+    def test_sumset_shifts_the_denser_mask_by_the_sparser_members(self, monkeypatch, enumerated):
+        shifts = []
+        add_bits = gen.add_bits
+
+        def counted(bits, offsets):
+            offsets = list(offsets)
+            shifts.append(len(offsets))
+            return add_bits(bits, offsets)
+
+        monkeypatch.setattr(gen, "add_bits", counted)
+        w, x0 = gen.gen_weyl("sqrt2", "3/10"), gen.gen_x0()
+        expect = brute_sumset_members(w.members(20000), x0.members(20000), 20000)
+        for parts in ([w, x0], [x0, w]):
+            shifts.clear()
+            enumerated.clear()
+            total = gen.sumset_description(parts)
+            assert total.members(20000) == expect
+            assert total.members_mask(20000) == sum(1 << n for n in expect)
+            assert shifts == [192]  # one per member of x0 up to 20000, not 5716 for weyl
+            assert enumerated == ["sumset"]  # the summands' masks are kept; the sum's is its slot
+
     def test_sampled_sumset_does_not_load_the_oracle(self):
         script = (
             "import sys\n"
@@ -570,9 +591,7 @@ class TestCombinators:
                 assert seen == oracle, (desc.family, m)
 
 
-@pytest.mark.parametrize(
-    "build, horizon",
-    [
+FAMILIES = [
         pytest.param(lambda: gen.gen_b_alpha("1011"), 600, id="b_alpha"),
         pytest.param(lambda: gen.gen_d_k((1, 3)), 600, id="d_k-finite"),
         pytest.param(lambda: gen.gen_d_k((1, 3), rule="double_gap"), 600, id="d_k-ruled"),
@@ -589,17 +608,41 @@ class TestCombinators:
         pytest.param(
             lambda: gen.union_description([gen.gen_weyl("sqrt2", "3/10"), gen.gen_p_t(1)]), 2000, id="union"
         ),
+        # the hook summand comes first: a sum's membership test lists its first summand to n
         pytest.param(
-            lambda: gen.sumset_description([gen.gen_weyl("sqrt2", "3/10"), gen.gen_x0()]), 600,
-            id="sampled-sumset",
+            lambda: gen.sumset_description([gen.gen_hook(), gen.gen_weyl("sqrt2", "3/10")]), 600,
+            id="sampled-sumset-hook",
         ),
-    ],
-)
+        pytest.param(lambda: gen.parse_description({"family": "basis_chain", "moduli": [3, 5]}), 100,
+                     id="basis_chain"),
+        pytest.param(lambda: gen.parse_description({"q": 6, "T": 12, "prefix": [0, 4, 7], "tail": [1, 3]}),
+                     100, id="periodic"),
+        pytest.param(lambda: gen.union_description([gen.gen_hook(), gen.gen_p_t(0)]), 2000,
+                     id="union-with-hook"),
+        pytest.param(lambda: gen.union_description([gen.gen_b_alpha("01"), gen.gen_x0()]), 600,
+                     id="union-periodic-x0"),
+]
+
+
+@pytest.mark.parametrize("build, horizon", [*FAMILIES, pytest.param(
+    lambda: gen.sumset_description([gen.gen_weyl("sqrt2", "3/10"), gen.gen_x0()]), 600,
+    id="sampled-sumset",
+)])
 def test_members_are_the_members_by_membership(build, horizon):
     # the reference listing: test every n up to the horizon
     desc = build()
     for h in (-1, 0, 1, horizon):
         assert desc.members(h) == [n for n in range(h + 1) if desc.contains(n)], h
+
+
+@pytest.mark.parametrize("build, horizon", FAMILIES)
+def test_members_mask_is_the_mask_by_membership(build, horizon):
+    # the mask of the reference listing, as a binary numeral: no zmod kernel;
+    # the horizons straddle byte, word and WEYL_LANES = 4096 block boundaries
+    desc = build()
+    for h in (0, 1, 7, 8, 63, 64, 4095, 4096, 4097, 12289):
+        digits = "".join("1" if desc.contains(n) else "0" for n in reversed(range(h + 1)))
+        assert desc.members_mask(h) == int(digits, 2), h
 
 
 def test_repr_names_the_family_only():
@@ -625,7 +668,7 @@ class TestMembersCache:
             listed.append(horizon)
             return list(range(0, horizon + 1, 3))
 
-        desc = gen.SetDescription("threes", lambda n: n % 3 == 0, member_iter=threes)
+        desc = gen.SetDescription("threes", lambda n: n % 3 == 0, builder=threes)
         first = desc.members(30)
         assert desc.members(30) is first and listed == [30]
         assert desc.members(12) == [0, 3, 6, 9, 12] and listed == [30, 12]
@@ -677,6 +720,8 @@ class TestParseDescription:
     def test_thin_basis_round_trip(self):
         desc = gen.parse_description({"family": "thin_basis", "m": 10})
         assert desc.members(10) == [0, 1, 2, 5, 8]
+        # a finite set's mask ends at its threshold, however far the horizon
+        assert desc.members(10**15) == [0, 1, 2, 5, 8] and desc.members_mask(10**15).bit_length() == 9
 
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
