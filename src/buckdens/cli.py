@@ -135,10 +135,13 @@ def _cmd_density(args) -> int:
         report = dens.window_densities(desc, args.horizon).to_json_dict()
         _emit(_json_dumps(report), args.output)
         return EXIT_OK
-    kind = _CHAIN_ALIASES.get(args.chain, args.chain)
-    if desc.periodic_form is None:  # an exact form reads no chain
+    if args.depth < 1:
+        raise UsageError(f"--depth must be at least 1, got {args.depth}")
+    chain = None  # an exact form reads no chain, so none is built for it
+    if desc.periodic_form is None:
+        kind = _CHAIN_ALIASES.get(args.chain, args.chain)
         dens.check_chain_depth(kind, args.depth, "--depth")
-    chain = dens.modulus_chain(kind, args.depth)
+        chain = dens.modulus_chain(kind, args.depth)
     if args.mode == "buck-upper":
         estimate = dens.buck_upper(desc, chain, args.horizon)
     else:

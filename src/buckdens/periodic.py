@@ -28,7 +28,6 @@ from .zmod import (
     members_mask,
     rotate_bits,
     stabilizer_generator_bits,
-    sumset_bits,
     tile_bits,
 )
 
@@ -144,10 +143,15 @@ class EventuallyPeriodicSet:
         return f"EventuallyPeriodicSet(q={self.period}, T={self.threshold}, prefix={{{pre}}}, tail={{{tail}}} mod {self.period})"
 
 
+def _tail_below(s: EventuallyPeriodicSet, width: int) -> int:
+    """The tail members of s (those at or above its threshold) below width."""
+    t = s.threshold
+    return tile_bits(s.tail.bits, s.period, width) >> t << t
+
+
 def _members_below(s: EventuallyPeriodicSet, width: int) -> int:
     """The members of s below width (at least its threshold), as a bitmask."""
-    t = s.threshold
-    return s.prefix | (tile_bits(s.tail.bits, s.period, width) >> t << t)
+    return s.prefix | _tail_below(s, width)
 
 
 # -- canonical construction ----------------------------------------------
@@ -322,11 +326,21 @@ def shift(a: EventuallyPeriodicSet, c: int) -> EventuallyPeriodicSet:
 def add(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet) -> EventuallyPeriodicSet:
     """Exact sumset A + B inside the eventually periodic family.
 
-    With q the common period and T the larger threshold, every sum at or
-    above 2T + 2q comes from a tail class plus a tail class or a prefix
-    element plus a tail class, so its membership depends only on the
-    residue mod q; below that bound membership is computed outright by a
-    bitmask convolution.
+    Split each summand as A = P_A ∪ tail(A), with tail(A) = T_a + R_a +
+    q_a·N for the tail residues R_a.  Let q = lcm(q_a, q_b), T the larger
+    threshold and C = A + B.  For n >= 2T, n in C gives n + q in C: one
+    summand of n is >= T, so in its tail, and adding q keeps it there.
+    For n >= 2T + 2q, n in C gives n - q in C: one summand is >= its
+    threshold + q, and subtracting q keeps it in its tail.  So C is
+    q-periodic on [2T + q, oo), and C is known once it is known below
+    bound = 2T + 2q: the tail residues are read off the window's last
+    period.  Below the bound C is the union of three parts:
+
+    - P_A + B: one shift of B's window per prefix member of A;
+    - P_B + tail(A): one shift of A's tail window per prefix member of B;
+    - tail(A) + tail(B) = T_a + T_b + L + q_a·N + q_b·N, with the linear
+      sum L = R_a + R_b (< q_a + q_b bits, one shift per residue of the
+      sparser tail) tiled by q_a and then by q_b.
     """
     if a.is_empty() or b.is_empty():
         return empty()
@@ -334,13 +348,16 @@ def add(a: EventuallyPeriodicSet, b: EventuallyPeriodicSet) -> EventuallyPeriodi
     check_width(q, "aligned period")
     bound = 2 * max(a.threshold, b.threshold) + 2 * q
     check_width(bound, "sumset window 2T + 2q")
-    ta = tile_bits(a.tail.bits, a.period, q)
-    tb = tile_bits(b.tail.bits, b.period, q)
-    # tail + tail, prefix + tail and tail + prefix, as residues mod q
-    pa, pb = fold_bits(a.prefix, q), fold_bits(b.prefix, q)
-    tail_bits = sumset_bits([ta | pa, tb], q) | sumset_bits([pb, ta], q)
-    sum_bits = add_bits(_members_below(b, bound), bit_positions(_members_below(a, bound)))
-    return _build(q, bound, sum_bits & ((1 << bound) - 1), tail_bits)
+    sparse, dense = sorted((a.tail, b.tail), key=lambda r: r.cardinality)
+    linear = add_bits(dense.bits, bit_positions(sparse.bits))
+    t = a.threshold + b.threshold
+    width = bound - t
+    sum_bits = (
+        add_bits(_members_below(b, bound), bit_positions(a.prefix))
+        | add_bits(_tail_below(a, bound), bit_positions(b.prefix))
+        | tile_bits(tile_bits(linear, a.period, width), b.period, width) << t
+    ) & ((1 << bound) - 1)
+    return _build(q, bound, sum_bits, rotate_bits(sum_bits >> (bound - q), bound % q, q))
 
 
 def sumset(sets: list[EventuallyPeriodicSet]) -> EventuallyPeriodicSet:

@@ -69,7 +69,10 @@ def rotate_bits(bits: int, t: int, m: int) -> int:
 
 
 def tile_bits(pattern: int, q: int, width: int) -> int:
-    """The width-bit vector whose bit n is bit n mod q of a q-bit pattern."""
+    """The OR of ``pattern << j*q`` over every j with j*q < width, cut to
+    width bits.  For a q-bit pattern, bit n is bit n mod q of the pattern;
+    a wider pattern gives its copies overlapping, so a linear sum L tiles
+    to L + qN."""
     out, span = pattern, q
     while span < width:  # doubling: out holds the pattern repeated over span bits
         out |= out << span

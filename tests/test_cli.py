@@ -447,6 +447,29 @@ def test_an_exact_form_reads_no_chain_at_any_depth(capsys):
     assert json.loads(out)["value"] == {"num": 1, "den": 2}
 
 
+@pytest.mark.parametrize("mode", ["buck-upper", "buck-lower"])
+@pytest.mark.parametrize("depth", ["1000", "30000"])
+def test_an_exact_form_builds_no_chain(capsys, mode, depth):
+    # a primorial chain to depth 1000 alone takes longer than the bound
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "density", '{"progressions":[[1,2]]}', "--mode", mode,
+        "--chain", "primorial", "--depth", depth,
+    )
+    assert code == 0
+    assert json.loads(out) == {"kind": "exact", "sequence": [], "value": {"num": 1, "den": 2}}
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("argv", [["--depth", "0"], ["--chain", "fibonacci"]])
+@pytest.mark.parametrize("desc", ['{"progressions":[[1,2]]}', '{"family":"x0"}'])
+def test_depth_zero_and_unknown_chains_are_usage_errors_with_or_without_an_exact_form(
+    capsys, desc, argv
+):
+    code, out, _ = run(capsys, "density", desc, *argv)
+    assert code == 2 and out == ""
+
+
 def indented(out: str) -> str:
     """The report as ``json.dumps(indent=2, sort_keys=True)`` writes it."""
     return json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from functools import partial
 from math import lcm
@@ -256,6 +257,134 @@ class TestSumset:
         # need larger summands than the window provides
         for n in range(bound // 2):
             assert (n in total) == (n in sums), (x, y, n)
+
+
+def plain_sum_check(a, b):
+    """add(a, b) against the plain-set sum: members listed by ``in`` up to
+    H = 2(2T + 2q) + 2q, summed by nested loops, compared at every n < H
+    and as a canonical form built from that list."""
+    total = per.add(a, b)
+    q = lcm(a.period, b.period)
+    bound = 2 * max(a.threshold, b.threshold) + 2 * q
+    h = 2 * bound + 2 * q
+    amem = [n for n in range(h) if n in a]
+    bmem = [n for n in range(h) if n in b]
+    sums = {x + y for x in amem for y in bmem if x + y < h}
+    assert [n for n in range(h) if n in total] == sorted(sums)
+    assert all((n in sums) == (n + q in sums) for n in range(bound - q, h - q))
+    reference = per.from_json_dict({
+        "q": q,
+        "T": bound,
+        "prefix": sorted(n for n in sums if n < bound),
+        "tail": sorted({n % q for n in sums if n >= bound - q and n < bound}),
+    })
+    assert total == reference
+
+
+def _sparse_raw(rng, q, tail_size, blocks, share):
+    t = q * blocks
+    return {
+        "q": q,
+        "T": t,
+        "tail": sorted(rng.sample(range(q), tail_size)),
+        "prefix": [n for n in range(t) if rng.random() < share],
+    }
+
+
+def _coprime_pair(seed):
+    """Periods 101 and 103, two tail residues each, sparse prefixes."""
+    rng = random.Random(seed)
+    return per.from_json_dict(_sparse_raw(rng, 101, 2, 1, 0.02)), per.from_json_dict(
+        _sparse_raw(rng, 103, 2, 1, 0.02)
+    )
+
+
+SUM_SHAPES = {
+    # prefix members outside every tail class
+    "stray prefix members": (
+        {"q": 8, "T": 24, "prefix": [1, 6, 17, 19], "tail": [0, 4]},
+        {"q": 12, "T": 12, "prefix": [5, 7], "tail": [3]},
+    ),
+    "finite sets": ({"q": 1, "T": 30, "prefix": [0, 7, 29]}, {"q": 1, "T": 12, "prefix": [3, 11]}),
+    "finite plus periodic": (
+        {"q": 1, "T": 40, "prefix": [2, 39]},
+        {"q": 6, "T": 6, "prefix": [1], "tail": [5]},
+    ),
+    "q = 1": (
+        {"q": 1, "T": 9, "prefix": [0, 3], "tail": [0]},
+        {"q": 1, "T": 4, "prefix": [2], "tail": [0]},
+    ),
+    "equal periods": (
+        {"q": 12, "T": 24, "prefix": [1, 2, 13], "tail": [0, 5, 7]},
+        {"q": 12, "T": 12, "prefix": [4], "tail": [2, 11]},
+    ),
+    "sparse tail with a dense one": (
+        {"q": 15, "T": 0, "tail": [3]},
+        {"q": 10, "T": 20, "prefix": [0, 1, 9], "tail": [0, 1, 2, 3, 5, 8]},
+    ),
+}
+
+
+class TestAddAgainstPlainSets:
+    @pytest.mark.parametrize("shape", sorted(SUM_SHAPES))
+    def test_shapes(self, shape):
+        a, b = map(per.from_json_dict, SUM_SHAPES[shape])
+        plain_sum_check(a, b)
+        plain_sum_check(b, a)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_coprime_periods_with_sparse_prefixes(self, seed):
+        plain_sum_check(*_coprime_pair(seed))
+
+    @given(cases, cases)
+    @settings(max_examples=50, deadline=None)
+    def test_random_pairs(self, x, y):
+        if not (x.eps.is_empty() or y.eps.is_empty()):
+            plain_sum_check(x.eps, y.eps)
+
+
+def add_offsets(monkeypatch):
+    """The number of offsets each ``add_bits`` call inside ``periodic`` is passed."""
+    counts = []
+    real = per.add_bits
+
+    def spy(bits, offsets):
+        offsets = list(offsets)
+        counts.append(len(offsets))
+        return real(bits, offsets)
+
+    monkeypatch.setattr(per, "add_bits", spy)
+    return counts
+
+
+class TestAddWork:
+    """One wide shift per prefix member and per residue of the sparser tail,
+    whatever the window width."""
+
+    def _pairs(self):
+        rng = random.Random(12)
+        q = 1 << 12
+        yield _coprime_pair(0)
+        yield _coprime_pair(1)
+        yield per.from_json_dict(_sparse_raw(rng, q, q // 3, 1, 0.002)), per.from_json_dict(
+            _sparse_raw(rng, q, 40, 1, 0.002)
+        )
+        yield per.from_json_dict(_sparse_raw(rng, q, 7, 2, 0.001)), per.from_residues(
+            q, range(0, q, 3)
+        )
+
+    def test_offsets_bounded_by_prefixes_and_sparser_tail(self, monkeypatch):
+        counts = add_offsets(monkeypatch)
+        for a, b in self._pairs():
+            for x, y in ((a, b), (b, a)):
+                counts.clear()
+                per.add(x, y)
+                budget = (
+                    x.prefix.bit_count()
+                    + y.prefix.bit_count()
+                    + min(x.tail.cardinality, y.tail.cardinality)
+                )
+                assert 0 < sum(counts) <= budget
 
 
 class TestModularProfile:

@@ -85,6 +85,19 @@ class TestAddBits:
         assert add_bits(0b11, iter([0, 2])) == 0b1111
 
 
+class TestTileBits:
+    @given(st.sets(st.integers(0, 60), max_size=12), st.integers(1, 20), st.integers(0, 200))
+    def test_any_pattern_width_matches_the_shifted_copies(self, members, q, width):
+        # the pattern may be wider than q: its copies overlap
+        want = {n + j * q for n in members for j in range(width // q + 1) if n + j * q < width}
+        assert tile_bits(members_mask(members, 61), q, width) == members_mask(want, width)
+
+    def test_linear_sum_tiles_to_its_progressions(self):
+        # L = {0, 5} + {0, 2} = {0, 2, 5, 7} (wider than q = 3), tiled: L + 3N below 12
+        assert bit_positions(tile_bits(0b10100101, 3, 12)) == [0, 2, 3, 5, 6, 7, 8, 9, 10, 11]
+        assert tile_bits(0b10100101, 3, 0) == 0
+
+
 class TestMembersMask:
     @given(st.lists(st.integers(0, 2000), max_size=60), st.integers(0, 100))
     def test_matches_one_bit_per_member(self, members, spare):
