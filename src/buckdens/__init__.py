@@ -31,7 +31,6 @@ from .kneser import (
     analyze_sumset,
     buck_inequality_report,
     ruzsa_inequality_check,
-    verify_max_density_condition,
     verify_sparse_periodicity,
 )
 from .periodic import (

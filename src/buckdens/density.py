@@ -205,9 +205,9 @@ def buck_upper(
 
     Exact for eventually periodic sets.  With an exact profile oracle
     the chain ratios |X^(m)| / m are true upper bounds for the limit and
-    the minimum is reported; otherwise sampled ratios certify only
-    lower bounds on each |X^(m)| / m, so the estimate is the interval
-    [best observed ratio, 1].
+    the minimum is reported; otherwise the estimate is the interval
+    [best sampled ratio, 1].  A sampled ratio bounds one chain term from
+    below, not the limit, so neither end of that interval is certified.
     """
     if desc.periodic_form is not None:
         return DensityEstimate(desc.periodic_form.natural_density(), "exact")
@@ -229,8 +229,7 @@ def buck_upper(
         chain_kind=chain.kind,
         horizon=horizon,
         sequence=seq,
-        certified="lower",
-        warnings=("no exact profile oracle on this chain",),
+        warnings=("no exact profile oracle on this chain; no side of a sampled interval is certified",),
     )
 
 
@@ -239,10 +238,11 @@ def buck_lower(
 ) -> DensityEstimate:
     """Lower modular density along a chain.
 
-    Exact for eventually periodic sets.  When the profile oracle pins
-    down cofinitely attained residues, each ratio |X_*^(m)| / m is a
-    certified lower bound (the union of those classes sits inside X up
-    to a finite set) and the maximum is reported.  Cofiniteness is not
+    Exact for eventually periodic sets.  When the description supports
+    every chain modulus, each ratio |X_*^(m)| / m over its cofinitely
+    attained residues is a certified lower bound (by the profile contract
+    those classes are held cofinitely, so their union sits inside X up to
+    a finite set) and the maximum is reported.  Cofiniteness is not
     decidable from samples, so otherwise the result is the interval
     [0, sampled counting ratio].
     """
@@ -250,7 +250,7 @@ def buck_lower(
         return DensityEstimate(desc.periodic_form.natural_density(), "exact")
     if chain is None:
         chain = modulus_chain("powers_of_two", 10)
-    if desc.cofinite_exact and all(desc.supports(m) for m in chain.values):
+    if all(desc.supports(m) for m in chain.values):
         check_width(max(chain.values), "chain modulus")
         seq = tuple(
             (m, Fraction(desc.profile(m).cofinitely_attained.cardinality, m))

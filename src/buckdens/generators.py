@@ -22,7 +22,7 @@ from .periodic import EventuallyPeriodicSet, ModularProfile
 from .zmod import (
     MAX_MODULUS, CertificateError, ResidueSet, add_bits, bit_positions, check_horizon,
     check_width, digits_mask, divisors, fold_bits, members_mask, sumset as residue_sumset,
-    tile_bits,
+    sumset_bits, tile_bits,
 )
 
 
@@ -38,10 +38,12 @@ class SetDescription:
     members n <= horizon for every horizon >= 0, by construction of the
     family: as a bitmask (bit n set iff n is a member), or, for a family too
     sparse for a mask as wide as its horizons (``hook``), as an ascending
-    list.  ``profile_fn`` gives the exact modular profile at every modulus
-    ``supports`` accepts (none by default); ``periodic_form`` is set when X
-    is exactly eventually periodic, in which case :func:`from_periodic`
-    makes every modulus supported.
+    list.  ``profile_fn`` gives the modular profile at every modulus
+    ``supports`` accepts (none by default), under the contract stated on
+    :class:`ModularProfile`: attained and infinitely attained residues
+    exact, cofinitely attained ones a certified subset.  ``periodic_form``
+    is set when X is exactly eventually periodic, in which case
+    :func:`from_periodic` makes every modulus supported.
     """
 
     family: str
@@ -49,7 +51,6 @@ class SetDescription:
     builder: Callable[[int], Union[int, list[int]]]
     profile_fn: Optional[Callable[[int], ModularProfile]] = None
     supports: Callable[[int], bool] = lambda m: False
-    cofinite_exact: bool = False
     periodic_form: Optional[EventuallyPeriodicSet] = None
     _built: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -130,7 +131,6 @@ def from_periodic(eps: EventuallyPeriodicSet, family: str = "periodic") -> SetDe
         builder=eps.members_mask,
         profile_fn=eps.modular_profile,
         supports=lambda m: True,
-        cofinite_exact=True,
         periodic_form=eps,
     )
 
@@ -302,7 +302,6 @@ def _dk_description(
         membership=lambda n: _dk_member(desc, n),
         supports=(lambda m: True) if eps else lambda m: m >= 1 and m & (m - 1) == 0,
         profile_fn=eps.modular_profile if eps else lambda m: _dk_profile(desc, m),
-        cofinite_exact=True,
         builder=eps.members_mask if eps else lambda horizon: _dk_mask(desc, horizon),
         periodic_form=eps,
         k_prefix=prefix,
@@ -764,8 +763,12 @@ def map_distinct(fn: Callable[[SetDescription], T], descs: list[SetDescription])
 
 
 def union_description(parts: list[SetDescription]) -> SetDescription:
-    """Pointwise union; profiles combine exactly for attained and
-    infinitely-attained residues, and fully when every part is periodic."""
+    """Pointwise union, formed exactly when every part is periodic.
+
+    Each profile field is the OR of the parts' fields: exact for attained
+    and infinitely attained residues, and for cofinite ones a certified
+    subset that misses a class the parts cover only jointly.
+    """
     if not parts:
         raise ValueError("union of no descriptions")
     if len(parts) == 1:
@@ -781,16 +784,8 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
 
     def profile(m: int) -> ModularProfile:
         profs = [p.profile(m) for p in parts]
-        att = 0
-        inf = 0
-        cof = 0
-        for pr in profs:
-            att |= pr.attained.bits
-            inf |= pr.infinitely_attained.bits
-            cof |= pr.cofinitely_attained.bits
-        return ModularProfile(
-            m, ResidueSet(m, att), ResidueSet(m, inf), ResidueSet(m, cof)
-        )
+        fields = zip(*((pr.attained, pr.infinitely_attained, pr.cofinitely_attained) for pr in profs))
+        return ModularProfile(m, *(reduce(ResidueSet.union, f) for f in fields))
 
     def build(horizon: int) -> Union[int, list[int]]:
         masks = [p._slot(horizon)[0] for p in parts]
@@ -803,7 +798,6 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
         membership=member,
         profile_fn=profile,
         supports=lambda m: all(p.supports(m) for p in parts),
-        cofinite_exact=False,  # a class may be covered only jointly
         builder=build,
     )
 
@@ -811,11 +805,13 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
 def sumset_description(parts: list[SetDescription]) -> SetDescription:
     """The k-fold sumset X_1 + ... + X_k as a description.
 
-    Attained and infinitely-attained residues follow exactly from the
-    component profiles ((X+Y)^(m) is the residue sumset; a residue is
-    hit infinitely often iff some split has an infinite factor); the
-    cofinite field is only a certified lower bound unless every part is
-    eventually periodic, in which case the sumset is computed exactly.
+    Formed exactly when every part is eventually periodic.  Otherwise, with
+    att_i, inf_i, cof_i the profile fields of X_i, att = att_1 + ... + att_k
+    and inf = union over i of (inf_i + sum of att_j, j != i), exactly (a
+    class is hit infinitely often iff some split has an infinite factor).
+    cof is the same union over cof_i, a certified subset: fix a member x_j
+    of each other part in its class; X_i holds every large n in its class,
+    so the sum holds every large n + sum x_j.
     """
     if not parts:
         raise ValueError("sumset of no descriptions")
@@ -844,28 +840,23 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
 
     def profile(m: int) -> ModularProfile:
         profs = map_distinct(lambda p: p.profile(m), parts)
-        att = residue_sumset([pr.attained for pr in profs])
-        inf_bits = 0
+        att = [pr.attained.bits for pr in profs]
+        inf = cof = 0
         for i, pr in enumerate(profs):
-            if pr.infinitely_attained.is_empty():
-                continue
-            others = [p2.attained for j, p2 in enumerate(profs) if j != i]
-            if any(o.is_empty() for o in others):
-                continue
-            inf_bits |= residue_sumset([pr.infinitely_attained] + others).bits
-        cofs = [pr.cofinitely_attained for pr in profs]
-        if any(c.is_empty() for c in cofs):
-            cof = ResidueSet(m, 0)
-        else:
-            cof = residue_sumset(cofs)
-        return ModularProfile(m, att, ResidueSet(m, inf_bits), cof)
+            others = att[:i] + att[i + 1 :]  # one attained class of every other part
+            if pr.infinitely_attained.bits:
+                inf |= sumset_bits([pr.infinitely_attained.bits] + others, m)
+            if pr.cofinitely_attained.bits:
+                cof |= sumset_bits([pr.cofinitely_attained.bits] + others, m)
+        return ModularProfile(
+            m, ResidueSet(m, sumset_bits(att, m)), ResidueSet(m, inf), ResidueSet(m, cof)
+        )
 
     return SetDescription(
         family="sumset",
         membership=member,
         profile_fn=profile,
         supports=lambda m: all(p.supports(m) for p in parts),
-        cofinite_exact=False,
         builder=build,
     )
 

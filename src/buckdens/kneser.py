@@ -79,54 +79,6 @@ def verify_sparse_periodicity(
 
 
 @dataclass(frozen=True)
-class MaxDensityRow:
-    m: int
-    tail_residue: int
-    subclass: int  # k in the refinement a_j + k q + m q N
-    witnesses: int
-    example: Optional[int]
-    passed: bool
-
-
-def verify_max_density_condition(
-    desc: SetDescription,
-    a: EventuallyPeriodicSet,
-    m_max: int,
-    horizon: int = DEFAULT_HORIZON,
-) -> tuple[list[MaxDensityRow], bool]:
-    """Witness search for maximal relative modular density of X inside A.
-
-    X (verified to be a subset of A up to the horizon) has upper modular
-    density equal to the density of A = union of (a_j + qN) iff every
-    refinement class a_j + kq + mqN keeps meeting X.  Requiring at least
-    2 members per class is the finite-horizon proxy for "infinitely
-    many" (a lone prefix element does not count).
-    """
-    members = desc.members(horizon)
-    for n in members:
-        if n not in a:
-            raise ValueError(f"set is not contained in the periodic hull: {n}")
-    q = a.period
-    tail = sorted(a.tail)
-    rows = []
-    all_passed = True
-    for m in range(1, m_max + 1):
-        by_class: dict[int, list[int]] = {}
-        for n in members:
-            by_class.setdefault(n % (m * q), []).append(n)
-        for a_j in tail:
-            for k in range(m):
-                cls = (a_j + k * q) % (m * q)
-                found = by_class.get(cls, [])
-                passed = len(found) >= 2
-                all_passed &= passed
-                rows.append(
-                    MaxDensityRow(m, a_j, k, len(found), found[0] if found else None, passed)
-                )
-    return rows, all_passed
-
-
-@dataclass(frozen=True)
 class RuzsaCheck:
     lhs: int  # |R| * |S+S|
     rhs: int  # |R+S|^2

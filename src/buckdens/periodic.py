@@ -35,7 +35,13 @@ from .zmod import (
 @dataclass(frozen=True)
 class ModularProfile:
     """The residues mod m attained by a set: at all, infinitely often,
-    and cofinitely (whole class minus a finite set)."""
+    and cofinitely (whole class minus a finite set).
+
+    Every profile oracle keeps one contract: ``attained`` and
+    ``infinitely_attained`` are exact, and ``cofinitely_attained`` is a
+    certified subset of the classes held cofinitely (exact for a periodic
+    form and for ``d_k``), so a lower density read from it is certified.
+    """
 
     modulus: int
     attained: ResidueSet

@@ -77,6 +77,24 @@ class TestDensity:
         payload = json.loads(out)
         assert payload["d_upper"]["value"]["den"] > 0
 
+    def test_buck_lower_of_a_union_is_certified_by_its_profile(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "density",
+            '{"family":"union","of":[{"progressions":[[1,4]]},{"family":"x0"}]}',
+            "--mode", "buck-lower",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["kind"] == "lower_bound_sequence"
+        assert payload["value"] == {"num": 1, "den": 4}
+
+    def test_sampled_buck_upper_names_no_certified_side(self, capsys):
+        code, out, _ = run(capsys, "density", '{"family":"p_t","t":1}', "--horizon", "5000")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["kind"] == "sampled" and "certified" not in payload
+
     def test_modulus_cap_exit_code(self, capsys):
         code, _, err = run(
             capsys,

@@ -66,6 +66,14 @@ class TestBuckUpper:
         lo, hi = est.value
         assert hi == Fraction(1)
 
+    def test_sampled_interval_certifies_neither_end(self):
+        # the largest sampled ratio bounds one chain term, not the limit: no
+        # prime power is 0 mod 6, so bup(P_1) <= 5/6 although a ratio reads 1
+        est = dens.buck_upper(gen.gen_p_t(1), dens.modulus_chain("primorial", 2), horizon=5000)
+        assert est.kind == "sampled" and est.value[0] == 1
+        assert est.certified is None and est.certified_lower() is None
+        assert "certified" not in est.to_json_dict()
+
     def test_ratios_nonincreasing_for_exact_profiles(self):
         for desc in (gen.gen_x0(), gen.gen_d_k((0, 2, 5), rule="double_gap")):
             est = dens.buck_upper(desc, dens.modulus_chain("powers_of_two", 8))
@@ -88,6 +96,21 @@ class TestBuckLower:
         assert est.kind == "sampled"
         lo, hi = est.value
         assert lo == 0 and hi < Fraction(1, 1000)
+
+    P = gen.from_periodic(per.from_progressions([(1, 4)]))
+
+    def test_union_with_x0_keeps_the_certified_quarter(self):
+        est = dens.buck_lower(gen.union_description([self.P, gen.gen_x0()]))
+        assert est.kind == "lower_bound_sequence" and est.value == Fraction(1, 4)
+
+    def test_sum_with_x0_is_certified_by_the_sum_rule(self):
+        # cof(P + X0) mod 2^k holds 1 + X0's residues, two of every four classes
+        est = dens.buck_lower(gen.sumset_description([self.P, gen.gen_x0()]))
+        assert est.kind == "lower_bound_sequence" and est.value == Fraction(1, 2)
+
+    def test_doubled_x0_is_certified_zero(self):
+        est = dens.buck_lower(gen.sumset_description([gen.gen_x0(), gen.gen_x0()]))
+        assert est.kind == "lower_bound_sequence" and est.value == 0
 
     def test_finite_k_lower_equals_density(self):
         d = gen.gen_d_k((1, 3))  # eventually periodic

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from buckdens import generators as gen
 from buckdens import periodic as per
 from buckdens import suites
 from buckdens.oracle import brute_sumset_members
-from buckdens.zmod import CertificateError, LimitExceededError
+from buckdens.zmod import CertificateError, LimitExceededError, ResidueSet, sumset
 
 
 class TestBAlpha:
@@ -589,6 +590,68 @@ class TestCombinators:
                 seen = {n % m for n in members}
                 oracle = set(desc.profile(m).attained.members)
                 assert seen == oracle, (desc.family, m)
+
+
+def _raw_periodic(rng: random.Random) -> per.EventuallyPeriodicSet:
+    """A seeded nonempty periodic set with an arbitrary prefix: period q <= 12,
+    threshold a multiple of q up to 4q, and a possibly empty (finite) tail."""
+    q = rng.randint(1, 12)
+    t = q * rng.randint(0, 4)
+    prefix = [n for n in range(t) if rng.random() < 0.4]
+    tail = [r for r in range(q) if rng.random() < 0.3]
+    if not prefix and not tail:
+        tail = [rng.randrange(q)]
+    return per.from_json_dict({"q": q, "T": t, "prefix": prefix, "tail": tail})
+
+
+def _profile_only(eps: per.EventuallyPeriodicSet) -> gen.SetDescription:
+    """The set as a description with its exact profile at every modulus but no
+    periodic form, so unions and sums combine it by the profile rules."""
+    return gen.SetDescription(
+        "raw", eps.__contains__, eps.members_mask, profile_fn=eps.modular_profile,
+        supports=lambda m: True,
+    )
+
+
+class TestProfileContract:
+    """Union and sum profiles of descriptions without a periodic form, against
+    the exact profile of the periodic union and sum: attained and infinitely
+    attained residues equal, cofinitely attained ones a subset, and no smaller
+    than the rule they replace."""
+
+    MODULI = (1, 2, 3, 4, 6, 8, 12, 24)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_union_and_sum_profiles(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            sets = [_raw_periodic(rng) for _ in range(rng.choice((2, 2, 3)))]
+            descs = [_profile_only(eps) for eps in sets]
+            union = gen.union_description(descs)
+            total = gen.sumset_description(descs)
+            assert union.periodic_form is None and total.periodic_form is None
+            exact_union, exact_sum = sets[0], sets[0]
+            for eps in sets[1:]:
+                exact_union, exact_sum = per.union(exact_union, eps), per.add(exact_sum, eps)
+            for m in self.MODULI:
+                parts = [eps.modular_profile(m).cofinitely_attained for eps in sets]
+                old_union = reduce(ResidueSet.union, parts)
+                old_sum = ResidueSet(m, 0) if any(c.is_empty() for c in parts) else sumset(parts)
+                for got, exact, old in (
+                    (union.profile(m), exact_union.modular_profile(m), old_union),
+                    (total.profile(m), exact_sum.modular_profile(m), old_sum),
+                ):
+                    assert got.attained == exact.attained, (sets, m)
+                    assert got.infinitely_attained == exact.infinitely_attained, (sets, m)
+                    assert old.issubset(got.cofinitely_attained), (sets, m)
+                    assert got.cofinitely_attained.issubset(exact.cofinitely_attained), (sets, m)
+
+    def test_sum_with_x0_holds_every_shifted_class(self):
+        # P = 1 + 4N and X0 meets 0 and 1 mod 4: cof(P + X0) is every class 1 or 2 mod 4
+        p = gen.from_periodic(per.from_progressions([(1, 4)]))
+        prof = gen.sumset_description([p, gen.gen_x0()]).profile(64)
+        assert prof.cofinitely_attained.cardinality == 32
+        assert prof.cofinitely_attained == prof.infinitely_attained == prof.attained
 
 
 FAMILIES = [

@@ -132,37 +132,6 @@ class TestSparsePeriodicity:
         assert any(row.missing for row in rows)
 
 
-class TestMaxDensityCondition:
-    def test_odds_inside_their_hull(self):
-        odds = gen.gen_b_alpha("1")
-        hull = per.from_progressions([(1, 2)])
-        rows, ok = kn.verify_max_density_condition(odds, hull, m_max=3, horizon=4096)
-        assert ok and all(r.passed for r in rows)
-
-    def test_thin_subset_misses_a_refinement(self):
-        thin = gen.from_periodic(
-            per.union(per.from_finite([1]), per.from_progressions([(3, 4)]))
-        )
-        hull = per.from_progressions([(1, 2)])
-        rows, ok = kn.verify_max_density_condition(thin, hull, m_max=2, horizon=4096)
-        assert not ok
-        misses = [(r.m, r.tail_residue, r.subclass) for r in rows if not r.passed]
-        assert (2, 1, 0) in misses  # the class 1 + 4N holds only the prefix element 1
-
-    def test_not_a_subset(self):
-        evens = gen.gen_b_alpha("01")
-        hull = per.from_progressions([(1, 2)])
-        with pytest.raises(ValueError, match="not contained"):
-            kn.verify_max_density_condition(evens, hull, m_max=2, horizon=256)
-
-    def test_set_inside_itself(self):
-        hull = per.from_progressions([(1, 2)])
-        rows, ok = kn.verify_max_density_condition(
-            gen.from_periodic(hull), hull, m_max=4, horizon=4096
-        )
-        assert ok
-
-
 class TestRuzsa:
     def test_examples(self):
         check = kn.ruzsa_inequality_check(ResidueSet.of(5, [0]), ResidueSet.of(5, [0, 1]))
