@@ -31,12 +31,11 @@ from .periodic import EventuallyPeriodicSet
 from .zmod import (
     ResidueSet,
     StructureClass,
-    add_bits,
     bit_positions,
     check_width,
     classify_structure,
+    cyclic_add_bits,
     divisors,
-    fold_bits,
     is_periodic,
     sumset as residue_sumset,
     tile_bits,
@@ -88,10 +87,10 @@ class RuzsaCheck:
 def ruzsa_inequality_check(r: ResidueSet, s: ResidueSet) -> RuzsaCheck:
     """|R||S+S| <= |R+S|^2 for R inside S, by exact counting.
 
-    R inside S gives S + S = (R + S) | ((S - R) + S), so one pass over the
-    members of S forms both sums with ``add_bits``: R + S from the offsets
-    in R, then S + S by adding the offsets in S - R: |S| shifts of S in
-    all.  Each linear sum is folded once mod q.
+    R inside S gives S + S = (R + S) | ((S - R) + S), so S + S is R + S
+    with the offsets of S - R added: two ``cyclic_add_bits`` calls, the
+    second seeded with the first.  Each stops once Z/qZ is full, and a full
+    R + S makes S + S full before the second call shifts anything.
     """
     if r.is_empty():
         raise ValueError("R must be nonempty")
@@ -99,10 +98,10 @@ def ruzsa_inequality_check(r: ResidueSet, s: ResidueSet) -> RuzsaCheck:
         raise ValueError("modulus mismatch")
     if not r.issubset(s):
         raise ValueError("R must be a subset of S")
-    mixed = add_bits(s.bits, bit_positions(r.bits))
-    doubled = mixed | add_bits(s.bits, bit_positions(s.bits & ~r.bits))
-    lhs = r.cardinality * fold_bits(doubled, s.modulus).bit_count()
-    rhs = fold_bits(mixed, s.modulus).bit_count() ** 2
+    mixed = cyclic_add_bits(s.bits, r.bits, s.modulus)
+    doubled = cyclic_add_bits(s.bits, s.bits & ~r.bits, s.modulus, acc=mixed)
+    lhs = r.cardinality * doubled.bit_count()
+    rhs = mixed.bit_count() ** 2
     return RuzsaCheck(lhs, rhs, lhs <= rhs)
 
 

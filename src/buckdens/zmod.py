@@ -96,11 +96,50 @@ def bit_positions(bits: int) -> list[int]:
 
 
 def add_bits(bits: int, offsets: Iterable[int]) -> int:
-    """The vector of {x + n : x in bits, n in offsets}: every bitmask sumset."""
+    """The vector of {x + n : x in bits, n in offsets}: every linear bitmask
+    sumset (residue sums go through ``cyclic_add_bits``)."""
     out = 0
     for n in offsets:
         out |= bits << n
     return out
+
+
+#: Offsets with at most this many set bits are read lowest bit first
+#: (``o & -o``), so a sum that fills Z/mZ lists none past where it stops.
+#: Each costs three big-int operations; past a count that barely moves with
+#: the width (measured between 128 and 256 for m from 2^8 to 2^16), one
+#: O(m) ``bit_positions`` pass is cheaper.
+SPARSE_OFFSETS = 128
+
+
+def cyclic_add_bits(bits: int, offsets: int, m: int, acc: int = 0) -> int:
+    """``acc | (bits + offsets)`` in Z/mZ, for m-bit vectors: every residue sumset.
+
+    The shifts ``bits << n`` are ORed into one linear vector (below 2m - 1
+    bits).  After 1, 2, 4, ... offsets it is folded mod m and compared with
+    the full mask, and a full fold is returned at once: a sum that fills the
+    ring stops within twice the offsets it needed, and one that never does
+    pays about log2 |offsets| extra folds.
+    """
+    full = (1 << m) - 1
+    if acc == full:
+        return full
+    linear, done = acc, 0
+    if offsets.bit_count() <= SPARSE_OFFSETS:
+        while offsets:
+            low = offsets & -offsets
+            offsets ^= low
+            linear |= bits << (low.bit_length() - 1)
+            done += 1  # fold when done is a power of two
+            if not done & (done - 1) and (linear & full) | (linear >> m) == full:
+                return full
+    else:
+        for n in bit_positions(offsets):
+            linear |= bits << n
+            done += 1
+            if not done & (done - 1) and (linear & full) | (linear >> m) == full:
+                return full
+    return (linear & full) | (linear >> m)
 
 
 def digits_mask(digits: bytearray) -> int:
@@ -277,12 +316,11 @@ def _require_same_modulus(sets: Iterable[ResidueSet]) -> int:
 
 
 def sumset_bits(bit_sets: list[int], m: int) -> int:
-    """Minkowski sum of membership vectors in Z/mZ: each linear sum (< 2m - 1 bits) folded once."""
-    mask = (1 << m) - 1
+    """Minkowski sum of membership vectors in Z/mZ: one ``cyclic_add_bits``
+    per part after the first, each stopping once the ring is full."""
     acc = bit_sets[0]
     for other in bit_sets[1:]:
-        r = add_bits(acc, bit_positions(other))
-        acc = (r & mask) | (r >> m)
+        acc = cyclic_add_bits(acc, other, m)
     return acc
 
 

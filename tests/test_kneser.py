@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -188,6 +189,49 @@ class TestRuzsaAgainstNestedLoops:
         assert_matches_nested_loops(q, r, s)
         assert_matches_nested_loops(q, s, s)
         assert_matches_nested_loops(q, [4095], s)
+
+
+def assert_never_full(q, r, s):
+    """Match the nested loops on a pair whose S + S, and so R + S, misses a
+    residue: no fold of either sum is ever full."""
+    assert len({(x + y) % q for x in s for y in s}) < q, (q, r, s)
+    assert_matches_nested_loops(q, r, s)
+
+
+class TestRuzsaWithoutSaturation:
+    def test_cosets_of_subgroups(self):
+        rng = random.Random(31)
+        for q in (4, 12, 60, 398, 1024):
+            for d in [d for d in zmod.divisors(q) if 1 < d < q]:
+                coset = list(range(rng.randrange(d), q, d))
+                assert_never_full(q, coset, coset)  # R = S, a coset
+                assert_never_full(q, rng.sample(coset, rng.randint(1, len(coset))), coset)
+                subgroup = list(range(0, q, d))
+                assert_never_full(q, subgroup, subgroup)  # R = S = a subgroup
+                assert_never_full(q, [d], subgroup)
+
+    def test_intervals(self):
+        rng = random.Random(32)
+        for q in (3, 10, 97, 200, 1000):
+            for _ in range(10):
+                length = rng.randint(1, q // 2)  # 2 length - 1 < q
+                start = rng.randrange(q)
+                s = [(start + i) % q for i in range(length)]
+                assert_never_full(q, s, s)
+                assert_never_full(q, rng.sample(s, rng.randint(1, length)), s)
+                assert_never_full(q, s[:1], s)
+
+    def test_arithmetic_progressions(self):
+        rng = random.Random(33)
+        for q in (7, 64, 199, 360, 997):
+            for _ in range(10):
+                step = rng.randrange(1, q)
+                order = q // math.gcd(step, q)
+                length = rng.randint(1, max(1, (order - 1) // 2))
+                start = rng.randrange(q)
+                s = sorted({(start + i * step) % q for i in range(length)})
+                assert_never_full(q, s, s)
+                assert_never_full(q, rng.sample(s, rng.randint(1, len(s))), s)
 
 
 class TestRuzsaSuite:

@@ -18,6 +18,7 @@ from buckdens.zmod import (
     bit_positions,
     check_horizon,
     classify_structure,
+    cyclic_add_bits,
     detect_arithmetic_progression,
     detect_quasi_periodic,
     divisors,
@@ -29,6 +30,7 @@ from buckdens.zmod import (
     rotate_bits,
     stabilizer,
     sumset,
+    sumset_bits,
     tile_bits,
 )
 
@@ -172,6 +174,94 @@ class TestSumset:
         c = ResidueSet(m, c.bits & ((1 << m) - 1) or 1)
         assert sumset([a, b]) == sumset([b, a])
         assert sumset([sumset([a, b]), c]) == sumset([a, sumset([b, c])])
+
+
+def residue_sum(m, bits, offsets, acc=0):
+    """acc | (bits + offsets) in Z/mZ as a set of residues, by a set
+    comprehension over member lists: the reference for cyclic_add_bits."""
+    xs, ns = enumerated_bit_positions(bits), enumerated_bit_positions(offsets)
+    return {(x + n) % m for x in xs for n in ns} | set(enumerated_bit_positions(acc))
+
+
+def assert_cyclic_sum(m, bits, offsets, acc=0):
+    """Check the kernel (and sumset_bits when acc is 0); True iff the sum is full."""
+    want = residue_sum(m, bits, offsets, acc)
+    got = cyclic_add_bits(bits, offsets, m, acc)
+    assert set(enumerated_bit_positions(got)) == want, (m, bits, offsets, acc)
+    if acc == 0:
+        assert sumset_bits([bits, offsets], m) == got
+    return len(want) == m
+
+
+def random_vector(rng, m, density):
+    return int("".join("1" if rng.random() < density else "0" for _ in range(m)), 2)
+
+
+class TestCyclicAddBits:
+    def test_every_pair_up_to_modulus_six(self):
+        for m in range(1, 7):
+            for bits in range(1 << m):
+                for offsets in range(1 << m):
+                    assert_cyclic_sum(m, bits, offsets)
+
+    def test_random_widths_and_densities_on_both_sides_of_saturation(self):
+        rng = random.Random(16)
+        densities = (0.001, 0.01, 0.1, 0.5, 0.9)
+        widths = (64, 1000, rng.randrange(2, 1 << 12), rng.randrange(1 << 12, 1 << 16), 1 << 16)
+        full = partial = 0
+        for m in widths:
+            for da in densities:
+                for db in densities:
+                    if da * db * m * m > 4_000_000:
+                        continue  # keep the comprehension below 4M pairs
+                    bits, offsets = random_vector(rng, m, da), random_vector(rng, m, db)
+                    if assert_cyclic_sum(m, bits, offsets):
+                        full += 1
+                    else:
+                        partial += 1
+        assert full >= 10 and partial >= 10
+
+    def test_seeded_acc(self):
+        rng = random.Random(17)
+        for m in (1, 5, 64, 300, 4099):
+            fullmask = (1 << m) - 1
+            for _ in range(20):
+                bits, offsets = random_vector(rng, m, 0.05), random_vector(rng, m, 0.05)
+                acc = random_vector(rng, m, rng.choice((0.01, 0.5, 0.99)))
+                assert_cyclic_sum(m, bits, offsets, acc)
+                assert cyclic_add_bits(bits, offsets, m, fullmask) == fullmask
+                assert cyclic_add_bits(0, offsets, m, acc) == acc
+                assert cyclic_add_bits(bits, 0, m, acc) == acc
+
+    def test_empty_operands_and_modulus_one(self):
+        assert cyclic_add_bits(0, 0, 1) == 0
+        assert cyclic_add_bits(1, 0, 1) == 0
+        assert cyclic_add_bits(0, 1, 1) == 0
+        assert cyclic_add_bits(1, 1, 1) == 1
+        assert cyclic_add_bits(0, 0, 1, acc=1) == 1
+        assert cyclic_add_bits(0, 0b1011, 9) == 0
+        assert cyclic_add_bits(0b1011, 0, 9) == 0
+        assert cyclic_add_bits(0b1011, 0, 9, acc=0b100) == 0b100
+
+    @pytest.mark.parametrize("m", [257, 1000, 5003])
+    def test_offset_counts_around_the_dispatch(self, monkeypatch, m):
+        rng = random.Random(m)
+        positions = counted(monkeypatch, "bit_positions")
+        for k in (zmod.SPARSE_OFFSETS - 1, zmod.SPARSE_OFFSETS, zmod.SPARSE_OFFSETS + 1):
+            offsets = sum(1 << n for n in rng.sample(range(m), k))
+            for density in (0.002, 0.02, 0.5):  # sums short of, near and past full
+                positions.clear()
+                assert_cyclic_sum(m, random_vector(rng, m, density) or 1, offsets)
+                assert bool(positions) == (k > zmod.SPARSE_OFFSETS)
+
+    def test_all_but_one_residue_mod_two_to_the_sixteen(self):
+        m = 1 << 16
+        s = ((1 << m) - 1) ^ 1  # Z/mZ minus {0}
+        for t in (0, 1, 12345, m - 1):
+            assert cyclic_add_bits(s, 1 << t, m, acc=1 << t) == (1 << m) - 1  # full after one
+            assert_cyclic_sum(m, s, 1 << t)
+            assert_cyclic_sum(m, 1 << t, s)  # the singleton shifted by every offset
+        assert_cyclic_sum(m, s, 0b11)
 
 
 class TestStabilizer:
