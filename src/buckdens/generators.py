@@ -10,9 +10,11 @@ finitely: a prefix plus a closed-form rule.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
+from itertools import islice
 from math import isqrt, prod
 from operator import or_
 from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
@@ -835,8 +837,14 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
     first = parts[0]
     rest = parts[1] if len(parts) == 2 else sumset_description(parts[1:])
 
+    held: list = [-1, []]  # [h, first.members(h)], h doubling past each n asked
+
     def member(n: int) -> bool:
-        return any(rest.membership(n - x) for x in first.members(n))
+        if n > held[0]:  # below the cap, unless n is past it (a listed family)
+            h = max(n, min(2 * held[0] + 1, MAX_MODULUS - 1))
+            held[:] = h, first.members(h)
+        xs = held[1]
+        return any(rest.membership(n - x) for x in islice(xs, bisect_right(xs, n)))
 
     def profile(m: int) -> ModularProfile:
         profs = map_distinct(lambda p: p.profile(m), parts)

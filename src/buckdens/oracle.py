@@ -1,12 +1,12 @@
-"""Brute-force reference implementations for cross-validation.
+"""Plain-set references, and sweeps that run the library's checks.
 
 Quasi-periodicity and arithmetic progressions are recomputed from first
 principles with plain set arithmetic, so agreement with
-:mod:`buckdens.zmod` is a genuine two-route check; the Kneser sweep still
-uses zmod's bit operations.  Subsets of Z/mZ are integer-encoded
-characteristic vectors, and the sweeps walk rotation-class
-representatives in ascending order, which pins down the first
-counterexample of a scan over all encodings.
+:mod:`buckdens.zmod` is a genuine two-route check.  The sweeps run
+``zmod.kneser_bits`` and ``zmod.kemperman_classify`` on integer-encoded
+characteristic vectors, walking rotation-class representatives in
+ascending order, which pins down the first counterexample of a scan over
+all encodings.
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ from bisect import bisect_right
 from typing import Optional
 
 from .zmod import (
+    CertificateError,
     ResidueSet,
     bit_positions,
     divisors,
-    is_periodic,
+    kemperman_classify,
+    kneser_bits,
     members_mask,
     rotate_bits,
-    saturate_bits,
-    sumset_bits,
 )
 
 EXHAUSTIVE_MODULUS_CAP = 12
@@ -97,21 +97,14 @@ def _rotation_representatives(m: int) -> list[int]:
     ]
 
 
-def _kneser_violated(m: int, divs: list[int], enc1: int, enc2: int) -> bool:
-    """Whether (enc1, enc2) breaks the Kneser bound or, under deficiency,
-    its equality case."""
-    total = sumset_bits([enc1, enc2], m)
-    for d in divs:
-        if rotate_bits(total, d, m) == total:
-            break
-    h_size = m // d
-    lhs = total.bit_count()
-    s1h = saturate_bits(enc1, d, m).bit_count()
-    s2h = saturate_bits(enc2, d, m).bit_count()
-    if lhs < s1h + s2h - h_size:
+def _kneser_violated(m: int, enc1: int, enc2: int) -> bool:
+    """Whether (enc1, enc2) fails ``zmod.kneser_bits``: the Kneser bound, or
+    under deficiency its equality case or the multiplicity bound."""
+    try:
+        kneser_bits([enc1, enc2], m)
+    except CertificateError:
         return True
-    # deficiency forces the equality case
-    return lhs < enc1.bit_count() + enc2.bit_count() - 1 and lhs != s1h + s2h - h_size
+    return False
 
 
 def exhaustive_kneser(m: int, workers: int = 1) -> Optional[tuple[ResidueSet, ResidueSet]]:
@@ -128,11 +121,10 @@ def exhaustive_kneser(m: int, workers: int = 1) -> Optional[tuple[ResidueSet, Re
     that pass it.
     """
     _check_sweep_modulus(m)
-    divs = divisors(m)
     reps = _rotation_representatives(m)
     for i, enc1 in enumerate(reps):
         for enc2 in reps[i:]:
-            if _kneser_violated(m, divs, enc1, enc2):
+            if _kneser_violated(m, enc1, enc2):
                 return ResidueSet(m, enc1), ResidueSet(m, enc2)
     return None
 
@@ -144,20 +136,19 @@ def exhaustive_kemperman_ap(
     nor quasi-periodic (under the given convention) while S is not an
     arithmetic progression; None when the dichotomy holds throughout.
 
-    Every condition is unchanged by translating S, so the first hit is
-    a rotation-class representative and only those are scanned.
+    ``zmod.kemperman_classify`` reads each S (ValueError: not critical); a
+    hit has no ``base_ap``, and S + S is tagged ``none`` or, when it is an AP
+    while S is not, ``arithmetic-progression``.  Every condition is unchanged
+    by translating S, so only rotation-class representatives are scanned.
     """
     _check_sweep_modulus(m)
     for enc in _rotation_representatives(m):
         s = ResidueSet(m, enc)
-        doubled = ResidueSet(m, sumset_bits([enc, enc], m))
-        if doubled.cardinality != 2 * s.cardinality - 1:
+        try:
+            found = kemperman_classify(s, require_nonempty_periodic_part)
+        except ValueError:
             continue
-        if is_periodic(doubled):  # brute_quasi_periodic is False on periodic sets
-            continue
-        if brute_quasi_periodic(doubled, require_nonempty_periodic_part):
-            continue
-        if not brute_arithmetic_progression(s):
+        if found.sumset_class.tag in ("none", "arithmetic-progression") and found.base_ap is None:
             return s
     return None
 

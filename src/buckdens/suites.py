@@ -31,7 +31,7 @@ from .generators import (
     sumset_description,
     union_description,
 )
-from .kneser import analyze_sumset, ruzsa_inequality_check
+from .kneser import analyze_sumset, buck_inequality_report, ruzsa_inequality_check
 from .oracle import (
     brute_quasi_periodic,
     exhaustive_kemperman_ap,
@@ -426,11 +426,9 @@ def _ruzsa_draw(rng: random.Random, q_max: int) -> tuple[int, int, int]:
 def suite_ruzsa(trials: int = 10**4, q_max: int = 200, seed: int = DEFAULT_SEED) -> SuiteResult:
     """|R||S+S| <= |R+S|^2 on ``trials`` seeded draws R inside S mod q <= q_max,
     and the exact doubling inequality bdo(A+A)^2 >= bdo(A)*bup(A+A) on three
-    periodic sets.
+    periodic sets, read from ``buck_inequality_report``.
 
-    The draws are bitmasks (``_ruzsa_draw``), so a seed gives other pairs
-    than the earlier per-residue ``random()`` draws did; the distribution of
-    the pairs and the texts of the rows are unchanged.
+    The draws are bitmasks (``_ruzsa_draw``).
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -454,14 +452,13 @@ def suite_ruzsa(trials: int = 10**4, q_max: int = 200, seed: int = DEFAULT_SEED)
         ([(0, 4), (1, 4)], "two classes mod 4"),
         ([(0, 1)], "all of N"),
     ):
-        eps = zper.from_progressions(progressions)
-        doubled = zper.add(eps, eps)
-        lhs = doubled.natural_density() ** 2
-        rhs = eps.natural_density() * doubled.natural_density()
+        report = buck_inequality_report(from_periodic(zper.from_progressions(progressions)))
+        lhs = report.bdo_AA.value**2
+        rhs = report.bdo_A.value * report.bup_AA.value
         rows.append(
             _row(
                 f"exact doubling inequality for {label}",
-                lhs >= rhs,
+                report.consistent,
                 f"bdo(A+A)^2 = {lhs}, bdo(A)*bup(A+A) = {rhs}",
             )
         )

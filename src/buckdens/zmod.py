@@ -8,7 +8,6 @@ Bit i of ``bits`` is set iff residue i belongs to the set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, count
 from math import gcd
 from typing import Iterable, Iterator, Optional
@@ -461,32 +460,44 @@ class KneserDeficiency:
     deficient: bool  # |sum| < sum|S_i| - (k - 1)
 
 
-def kneser_deficiency(sets: list[ResidueSet]) -> KneserDeficiency:
-    """Kneser stabilizer report for S_1 + ... + S_k.
+def kneser_bits(bit_sets: list[int], m: int) -> tuple[int, tuple[int, ...], int, int, bool]:
+    """Kneser's theorem on S_1 + ... + S_k (nonempty m-bit vectors), checked.
 
-    When the sumset is deficient the equality case of Kneser's theorem
-    and the multiplicity bound sum(r_i) <= (k-1)/eta' are re-checked and
-    a CertificateError signals any violation (none is expected).
+    Returns (d, r, |sum|, bound, deficient), with H = <d> the stabilizer of
+    the sum, r_i = |S_i + H| / |H| and bound = (sum(r_i - 1) + 1) * |H|.  A
+    CertificateError means |sum| < bound, or a deficient sum (one below
+    sum|S_i| - (k - 1)) with |sum| != bound or sum(r_i) > (k - 1) / eta',
+    where eta' = 1 - |sum| / sum|S_i|.
     """
+    k = len(bit_sets)
+    total = sumset_bits(bit_sets, m)
+    d = stabilizer_generator_bits(total, m)
+    h_size = m // d
+    mult = tuple(saturate_bits(bits, d, m).bit_count() // h_size for bits in bit_sets)
+    size = total.bit_count()
+    bound = (sum(mult) - k + 1) * h_size
+    if size < bound:
+        raise CertificateError("Kneser bound violated")
+    card_sum = sum(bits.bit_count() for bits in bit_sets)
+    deficient = size < card_sum - (k - 1)
+    if deficient:
+        if size != bound:
+            raise CertificateError("Kneser equality case violated")
+        if sum(mult) * (card_sum - size) > (k - 1) * card_sum:
+            raise CertificateError("multiplicity bound violated")
+    return d, mult, size, bound, deficient
+
+
+def kneser_deficiency(sets: list[ResidueSet]) -> KneserDeficiency:
+    """Kneser stabilizer report for S_1 + ... + S_k, with the bound and its
+    equality case checked by ``kneser_bits`` (none is expected to fail)."""
     if not sets:
         raise ValueError("need at least one set")
     m = _require_same_modulus(sets)
-    total = sumset(sets)
-    h = stabilizer(total)
-    d = h.generator
-    h_size = h.order
-    mult = tuple(saturate_bits(s.bits, d, m).bit_count() // h_size for s in sets)
-    bound = (sum(r - 1 for r in mult) + 1) * h_size
-    k = len(sets)
-    card_sum = sum(s.cardinality for s in sets)
-    deficient = total.cardinality < card_sum - (k - 1)
-    if deficient:
-        if total.cardinality != bound:
-            raise CertificateError("Kneser equality case violated")
-        eta = 1 - Fraction(total.cardinality, card_sum)
-        if sum(mult) > Fraction(k - 1, 1) / eta:
-            raise CertificateError("multiplicity bound violated")
-    return KneserDeficiency(h, mult, total.cardinality, bound, deficient)
+    if any(s.is_empty() for s in sets):
+        raise ValueError("sumset of an empty residue set")
+    d, mult, size, bound, deficient = kneser_bits([s.bits for s in sets], m)
+    return KneserDeficiency(Subgroup(m, d), mult, size, bound, deficient)
 
 
 @dataclass(frozen=True)

@@ -753,6 +753,27 @@ class TestMembersCache:
         assert masks == [[0, 3, 6, 9]]
         assert desc.members_mask(4) == 0b1001 and masks == [[0, 3, 6, 9], [0, 3]]
 
+    def test_sum_membership_builds_its_first_part_once_per_doubling(self):
+        weyl = gen.gen_weyl("sqrt2", "3/10")
+        builds = []
+
+        def spy(horizon):
+            builds.append(horizon)
+            return weyl.builder(horizon)
+
+        desc = gen.sumset_description([replace(weyl, builder=spy), gen.gen_x0()])
+        answers = [n for n in range(3001) if desc.contains(n)]
+        assert len(builds) <= (3000).bit_length() + 1  # h = 0, 1, 3, 7, ..., 4095
+        assert answers == desc.members(3000)
+
+    def test_sum_membership_past_the_cap_for_a_listed_part(self):
+        hook, x0 = gen.gen_hook(), gen.gen_x0()
+        desc = gen.sumset_description([hook, x0])
+        top = hook.members(10**16)[-1]  # 17! + 18, past 10^15
+        assert desc.contains(top + 5)  # 5 is in x0
+        for n in (top + 3, 10**15):
+            assert desc.contains(n) == any(x0.contains(n - x) for x in hook.members(n))
+
 
 class TestParseDescription:
     CASES = (

@@ -1,6 +1,6 @@
 import pytest
 
-from buckdens import oracle
+from buckdens import oracle, zmod
 from buckdens.oracle import (
     brute_arithmetic_progression,
     brute_quasi_periodic,
@@ -11,6 +11,7 @@ from buckdens.oracle import (
 from buckdens.zmod import (
     ResidueSet,
     detect_quasi_periodic,
+    kemperman_classify,
     rotate_bits,
     saturate_bits,
     stabilizer_generator_bits,
@@ -126,7 +127,7 @@ def test_swept_pairs_cover_every_pair(monkeypatch, m):
     # visits up to all (2^m - 1)^2 ordered nonempty pairs
     visited = []
     monkeypatch.setattr(
-        oracle, "_kneser_violated", lambda m, divs, a, b: visited.append((a, b))
+        oracle, "_kneser_violated", lambda m, a, b: visited.append((a, b))
     )
     assert exhaustive_kneser(m) is None
     pairs = set()
@@ -161,7 +162,7 @@ def test_kneser_quantities_invariant_under_rotation(m):
 def test_kneser_first_hit_matches_full_scan(monkeypatch):
     # no Kneser violation exists, so plant a predicate with the same
     # symmetries and check the sweep reports the full scan's first pair
-    def planted(m, divs, enc1, enc2):
+    def planted(m, enc1, enc2):
         a, b = enc1.bit_count(), enc2.bit_count()
         return min(a, b) >= 2 and a != b and sumset_bits([enc1, enc2], m).bit_count() == a + b
 
@@ -169,7 +170,7 @@ def test_kneser_first_hit_matches_full_scan(monkeypatch):
     hits = 0
     for m in range(3, 9):
         full = range(1, 1 << m)
-        want = next(((a, b) for a in full for b in full if planted(m, [], a, b)), None)
+        want = next(((a, b) for a in full for b in full if planted(m, a, b)), None)
         got = exhaustive_kneser(m)
         assert (got and (got[0].bits, got[1].bits)) == want, m
         hits += want is not None
@@ -179,7 +180,7 @@ def test_kneser_first_hit_matches_full_scan(monkeypatch):
 def test_kemperman_first_hit_matches_full_scan(monkeypatch):
     # with no set called quasi-periodic, the first hit is the first S
     # whose critical doubling is not periodic while S is not an AP
-    monkeypatch.setattr(oracle, "brute_quasi_periodic", lambda s, flag=False: False)
+    monkeypatch.setattr(zmod, "detect_quasi_periodic", lambda s, flag=False: None)
     hits = 0
     for m in range(3, 10):
         want = None
@@ -196,3 +197,25 @@ def test_kemperman_first_hit_matches_full_scan(monkeypatch):
         assert exhaustive_kemperman_ap(m) == want, m
         hits += want is not None
     assert hits == 3
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_kemperman_classify_agrees_with_plain_sets(m):
+    # the Kemperman sweep reads kemperman_classify on these sets, to m = 12
+    for enc in oracle._rotation_representatives(m):
+        s = ResidueSet(m, enc)
+        doubled = {(x + y) % m for x in s for y in s}
+        if len(doubled) != 2 * len(s) - 1:
+            continue
+        periodic = any({(x + d) % m for x in doubled} == doubled for d in range(1, m))
+        for flag in (False, True):
+            found = kemperman_classify(s, flag)
+            tag = found.sumset_class.tag
+            assert found.doubled == ResidueSet.of(m, doubled)
+            assert (tag == "periodic") == periodic, (m, enc)
+            if not periodic:
+                assert ("quasi-periodic" in tag) == brute_quasi_periodic(found.doubled, flag)
+                assert (tag in ("arithmetic-progression", "ap-and-quasi-periodic")) == (
+                    brute_arithmetic_progression(found.doubled)
+                )
+            assert (found.base_ap is not None) == brute_arithmetic_progression(s), (m, enc)

@@ -419,7 +419,7 @@ class TestModularProfile:
             assert project(prof.attained, d) == a.modular_profile(d).attained
 
     @given(cases, st.integers(1, 16))
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     def test_profile_matches_enumeration(self, x, m):
         prof = x.eps.modular_profile(m)
         # past x.start membership repeats with period x.period, so one

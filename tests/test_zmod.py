@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from buckdens import zmod
 from buckdens.zmod import (
     APWitness,
+    CertificateError,
     LimitExceededError,
     QuasiPeriodicWitness,
     ResidueSet,
@@ -546,6 +547,55 @@ class TestKneserDeficiency:
         assert report.sum_size == 5
         assert report.stabilizer.order == 5
         assert not report.deficient
+
+
+def plain_kneser(parts, m):
+    """Kneser's quantities from Python sets: the stabilizer generator d, the
+    r_i = |S_i + H| / |H|, |sum|, the bound and the deficiency."""
+    total = set(parts[0])
+    for part in parts[1:]:
+        total = {(x + y) % m for x in total for y in part}
+    d = min(d for d in range(1, m + 1) if m % d == 0 and {(x + d) % m for x in total} == total)
+    h_size = m // d
+    mult = tuple(len({(x + y) % m for x in part for y in range(0, m, d)}) // h_size for part in parts)
+    bound = (sum(r - 1 for r in mult) + 1) * h_size
+    deficient = len(total) < sum(map(len, parts)) - (len(parts) - 1)
+    return d, mult, len(total), bound, deficient
+
+
+class TestKneserBits:
+    """``kneser_bits`` against the plain-set reference, which checks the
+    theorem's bound and equality case on its own."""
+
+    def check(self, parts, m):
+        want = plain_kneser(parts, m)
+        d, mult, size, bound, deficient = want
+        assert size >= bound and (not deficient or size == bound)
+        assert zmod.kneser_bits([members_mask(p, m) for p in parts], m) == want
+        report = kneser_deficiency([rs(m, p) for p in parts])
+        assert (report.stabilizer.generator, report.multiplicities) == (d, mult)
+        assert (report.sum_size, report.bound, report.deficient) == (size, bound, deficient)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_every_ordered_pair(self, m):
+        subsets = [[x for x in range(m) if enc >> x & 1] for enc in range(1, 1 << m)]
+        for a in subsets:
+            for b in subsets:
+                self.check([a, b], m)
+
+    def test_seeded_triples(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            m = rng.randint(1, 10)
+            self.check([rng.sample(range(m), rng.randint(1, m)) for _ in range(3)], m)
+
+    def test_sum_below_its_bound_raises_without_deficiency(self, monkeypatch):
+        # {0, 1} + {0, 1, 4} mod 6 is {0, 1, 2, 4, 5}; without 0 it is stable
+        # under H = {0, 3}, 4 = |S1| + |S2| - 1 members against a bound of 6
+        real = zmod.sumset_bits
+        monkeypatch.setattr(zmod, "sumset_bits", lambda parts, m: real(parts, m) & ~1)
+        with pytest.raises(CertificateError, match="Kneser bound"):
+            kneser_deficiency([rs(6, [0, 1]), rs(6, [0, 1, 4])])
 
 
 class TestKempermanClassify:
