@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import count, islice
 from math import isqrt
 from typing import Callable, Optional, Union
 
 from .generators import SetDescription
 from .zmod import (
     MAX_MODULUS, LimitExceededError, ResidueSet, bit_flags, bit_positions, check_horizon,
-    check_width,
+    check_width, prime_factors,
 )
 
 CHAIN_KINDS = ("factorial", "primorial", "powers_of_two", "powers_of_four")
@@ -43,16 +44,6 @@ class ModulusChain:
                 raise ValueError("chain moduli must divide their successors")
 
 
-def _primes(count: int) -> list[int]:
-    out = []
-    n = 2
-    while len(out) < count:
-        if all(n % p for p in out):
-            out.append(n)
-        n += 1
-    return out
-
-
 def modulus_chain(kind: str, depth: int) -> ModulusChain:
     """Build a named chain; factorial and primorial chains are exhaustive.
 
@@ -69,7 +60,7 @@ def modulus_chain(kind: str, depth: int) -> ModulusChain:
             values.append(acc)
         return ModulusChain(kind, tuple(values), True)
     if kind == "primorial":
-        primes = _primes(depth)
+        primes = list(islice((n for n in count(2) if prime_factors(n) == [n]), depth))
         values = []
         prod = 1
         for n in range(1, depth + 1):
@@ -150,18 +141,6 @@ class DensityEstimate:
         if isinstance(self.value, tuple):
             return self.value[0], False
         return self.value, self.kind == "exact"
-
-    def certified_upper(self) -> Optional[Fraction]:
-        if self.kind in ("exact", "upper_bound_sequence"):
-            return self.value
-        return None
-
-    def certified_lower(self) -> Optional[Fraction]:
-        if self.kind in ("exact", "lower_bound_sequence"):
-            return self.value
-        if self.kind == "sampled" and self.certified == "lower" and isinstance(self.value, tuple):
-            return self.value[0]
-        return None
 
     def to_json_dict(self) -> dict:
         if isinstance(self.value, tuple):

@@ -23,8 +23,8 @@ from . import periodic as zper
 from .periodic import EventuallyPeriodicSet, ModularProfile
 from .zmod import (
     MAX_MODULUS, CertificateError, ResidueSet, add_bits, bit_positions, check_horizon,
-    check_width, digits_mask, divisors, fold_bits, members_mask, sumset as residue_sumset,
-    sumset_bits, tile_bits,
+    check_width, digits_mask, divisors, fold_bits, members_mask, prime_factors,
+    sumset as residue_sumset, sumset_bits, tile_bits,
 )
 
 
@@ -339,9 +339,9 @@ def _digit_residues(forbidden: Iterable[int], e: int) -> int:
 
 
 def _dk_periodic_form(prefix: tuple[int, ...]) -> Optional[EventuallyPeriodicSet]:
+    if prefix[-1] >= MAX_MODULUS.bit_length() - 1:
+        return None  # the period 2^(k + 1) would exceed the cap: refused before the shift
     period = 1 << (prefix[-1] + 1)
-    if period > MAX_MODULUS:
-        return None
     # already canonical: the top digit is forbidden, so no smaller period fits
     tail = ResidueSet(period, _digit_residues(prefix, prefix[-1] + 1))
     return EventuallyPeriodicSet(period, 0, 0, tail)
@@ -382,6 +382,15 @@ _QUADRATIC_THETAS = {
 }
 
 
+def _rational(value: Union[int, float, str, Fraction], name: str) -> Fraction:
+    """``Fraction(value)``, or a ValueError naming the field: a malformed
+    string, a zero denominator and an infinite or NaN float all land here."""
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"field {name!r} must be a finite rational, got {value!r:.40}") from exc
+
+
 def _weyl_kernel(theta: str, alpha: Fraction) -> Callable[[int], tuple[int, int, int]]:
     """Exact integer test for {theta n} < alpha = a/b, one per bit length.
 
@@ -407,10 +416,7 @@ def _weyl_kernel(theta: str, alpha: Fraction) -> Callable[[int], tuple[int, int,
     if theta in _QUADRATIC_THETAS:
         r, s, d, t = _QUADRATIC_THETAS[theta]
     else:
-        try:
-            frac = Fraction(theta)
-        except ValueError as exc:
-            raise ValueError(f"unknown theta constant {theta!r}") from exc
+        frac = _rational(theta, "theta")
         if frac <= 0:
             raise ValueError("theta must be positive")
         r, s, d, t = frac.numerator, 0, 0, frac.denominator
@@ -469,7 +475,7 @@ def gen_weyl(theta: str, alpha) -> SetDescription:
     "golden") or a positive decimal/rational string; alpha is a rational
     in (0, 1).  Membership is exact for every n (see :func:`_weyl_kernel`).
     """
-    alpha = Fraction(alpha)
+    alpha = _rational(alpha, "alpha")
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     kernel = _weyl_kernel(theta, alpha)
@@ -490,31 +496,16 @@ def gen_weyl(theta: str, alpha) -> SetDescription:
 # ---------------------------------------------------------------------------
 
 
-def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n, ascending, by trial division (none for n < 2)."""
-    primes = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        primes.append(n)
-    return primes
-
-
 def omega(n: int) -> int:
     """Number of distinct prime divisors."""
-    return len(_prime_factors(n))
+    return len(prime_factors(n))
 
 
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("phi is defined for positive integers")
     result = n
-    for p in _prime_factors(n):
+    for p in prime_factors(n):
         result -= result // p
     return result
 
@@ -725,7 +716,8 @@ def gen_three_density(
     densities of the result separate: asymptotic ~ alpha*beta*gamma,
     uniform ~ alpha*beta, modular ~ alpha.
     """
-    alpha, beta, gamma = Fraction(alpha), Fraction(beta), Fraction(gamma)
+    alpha, beta = _rational(alpha, "alpha"), _rational(beta, "beta")
+    gamma = _rational(gamma, "gamma")
     for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if not 0 < value < 1:
             raise ValueError(f"{name} must lie in (0, 1), got {value}")
@@ -894,7 +886,7 @@ def parse_description(obj: dict) -> SetDescription:
     if family == "x0":
         return gen_x0()
     if family == "weyl":
-        return gen_weyl(field("theta", "sqrt2"), Fraction(field("alpha")))
+        return gen_weyl(field("theta", "sqrt2"), field("alpha"))
     if family == "p_t":
         return gen_p_t(field("t"))
     if family == "thin_basis":

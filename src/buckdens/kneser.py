@@ -1,8 +1,9 @@
 """Structure extraction for small-doubling sumsets.
 
 Given descriptions X_1, ..., X_k, the analyzer looks for the smallest
-modulus q at which the projected sumset of attained residues is
-non-periodic, non-full, and of the critical size sum(r_i - 1) + 1, and
+modulus q at which the projected sumset of attained residues meets
+Kneser's bound with equality under a trivial stabilizer (so it is
+non-periodic, non-full, and of the critical size sum(r_i - 1) + 1), and
 at which the upper modular density of the true sumset matches
 (sum(r_i - 1) + 1) / q.  At that q the residues spread over every
 refinement class ("sparse periodicity"), which is what the verification
@@ -36,7 +37,7 @@ from .zmod import (
     classify_structure,
     cyclic_add_bits,
     divisors,
-    is_periodic,
+    kneser_bits,
     sumset as residue_sumset,
     tile_bits,
 )
@@ -123,12 +124,15 @@ class BuckInequalityReport(Report):
 def buck_inequality_report(
     desc: SetDescription, chain=None, horizon: int = DEFAULT_HORIZON
 ) -> BuckInequalityReport:
-    """Check bdo(A+A) >= sqrt(bdo(A) * bup(A+A)) on certified sides.
+    """Check bdo(A+A) >= sqrt(bdo(A) * bup(A+A)) for a set with a periodic
+    form, exactly: by the sign of the rational margin
+    bdo(A+A)^2 - bdo(A) * bup(A+A), compared square-free.
 
-    Exact (with a rational margin, compared square-free) for eventually
-    periodic sets; otherwise the report states whether the certified
-    bounds are consistent with the inequality, i.e. no certified
-    violation exists.
+    Only a set with a periodic form is decided.  Any other set has a sum
+    A + A with none either, so no estimate bounds bdo(A+A) from above or
+    bup(A+A) from below with a certificate, and no violation can be
+    certified: the report carries the three estimates, no margin, and
+    reads consistent.
     """
     doubled = sumset_description([desc, desc])
     bdo_aa = buck_lower(doubled, chain, horizon)
@@ -137,16 +141,7 @@ def buck_inequality_report(
     margin = None
     if desc.periodic_form is not None:
         margin = bdo_aa.value**2 - bdo_a.value * bup_aa.value
-        consistent = margin >= 0
-    else:
-        lhs_hi = bdo_aa.certified_upper()
-        rhs_lo_a = bdo_a.certified_lower()
-        rhs_lo_aa = bup_aa.certified_lower()
-        if lhs_hi is not None and rhs_lo_a is not None and rhs_lo_aa is not None:
-            consistent = lhs_hi**2 >= rhs_lo_a * rhs_lo_aa
-        else:
-            consistent = True  # nothing certified on the violating side
-    return BuckInequalityReport(bdo_aa, bdo_a, bup_aa, margin, consistent)
+    return BuckInequalityReport(bdo_aa, bdo_a, bup_aa, margin, margin is None or margin >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +190,15 @@ def analyze_sumset(
     convention of ``classify_structure``.  A report with minimal=False
     signals that no small-doubling structure was detected at this scale.
 
+    The per-q test is Kneser's bound met with equality under a trivial
+    stabilizer: ``kneser_bits`` on the profiles P_i, accepted iff d = q
+    and |sum| = bound.  With H trivial, r_i = |P_i|, so the bound is
+    sum(r_i - 1) + 1, the critical size; a full sum has d = 1 < q, so
+    d = q is non-periodic and non-full at once.  ``kneser_bits`` checks
+    the theorem as it goes, so a violation at any visited q raises
+    CertificateError, as in the sweeps.  The projected sumset itself is
+    formed only at the accepted q.
+
     Which q are visited.  Call a summand prunable when it has a periodic
     form (period p) whose prefix lies in its tail classes: every
     progression union and every ``b_alpha`` is.  Its profile mod q is
@@ -211,7 +215,7 @@ def analyze_sumset(
     A scan over every q rejects all three cases, so the first accepted
     q, and with it the whole report, is unchanged.  Among the visited
     q, one where the two largest profiles P, P' have sizes r + r' > q
-    is skipped before its sumset is formed: for every residue s the
+    is skipped before ``kneser_bits`` runs: for every residue s the
     sets s - P and P' hold r + r' > q residues in all, so they meet
     (pigeonhole), P + P' is full, and so is the projected sumset.
     """
@@ -260,13 +264,10 @@ def analyze_sumset(
         mults = tuple(p.cardinality for p in profiles)
         if 0 in mults or sum(sorted(mults)[-2:]) > q:
             continue  # an empty part, or (pigeonhole) a full projected sumset
-        projected = residue_sumset(profiles)
-        if projected.is_full() or is_periodic(projected):
-            continue
-        critical = sum(r - 1 for r in mults) + 1
-        if projected.cardinality != critical:
-            continue
-        target = Fraction(critical, q)
+        d, _, size, bound, _ = kneser_bits([p.bits for p in profiles], q)
+        if d != q or size != bound:
+            continue  # periodic or full, or above the critical size
+        target = Fraction(size, q)
         if sum_exact:
             identity = sum_desc.periodic_form.natural_density() == target
             identity_certified = True
@@ -277,6 +278,7 @@ def analyze_sumset(
         if not identity:
             continue
 
+        projected = residue_sumset(profiles)
         classification = classify_structure(projected)
         eta = 1 - target / sigma if sigma > 0 else None
         q_bound = None
@@ -297,7 +299,7 @@ def analyze_sumset(
             summand_profiles=tuple(profiles),
             multiplicities=mults,
             sumset_profile=projected,
-            sum_size=projected.cardinality,
+            sum_size=size,
             classification=classification,
             eta=eta,
             sigma=sigma,

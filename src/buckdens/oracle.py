@@ -1,8 +1,10 @@
 """Plain-set references, and sweeps that run the library's checks.
 
-Quasi-periodicity and arithmetic progressions are recomputed from first
-principles with plain set arithmetic, so agreement with
-:mod:`buckdens.zmod` is a genuine two-route check.  The sweeps run
+Quasi-periodicity, arithmetic progressions and sampled sumsets are
+recomputed from first principles with plain ints and sets: the
+references use no bitmask kernel, divisor list or other helper of
+:mod:`buckdens.zmod`, so agreement with the library is a genuine
+two-route check.  The sweeps run
 ``zmod.kneser_bits`` and ``zmod.kemperman_classify`` on integer-encoded
 characteristic vectors, walking rotation-class representatives in
 ascending order, which pins down the first counterexample of a scan over
@@ -11,19 +13,9 @@ all encodings.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Optional
 
-from .zmod import (
-    CertificateError,
-    ResidueSet,
-    bit_positions,
-    divisors,
-    kemperman_classify,
-    kneser_bits,
-    members_mask,
-    rotate_bits,
-)
+from .zmod import CertificateError, ResidueSet, kemperman_classify, kneser_bits, rotate_bits
 
 EXHAUSTIVE_MODULUS_CAP = 12
 
@@ -46,13 +38,12 @@ def brute_quasi_periodic(s: ResidueSet, require_nonempty_periodic_part: bool = F
         raise ValueError("cannot classify the empty set")
     m = s.modulus
     members = set(s.members)
+    proper = [d for d in range(1, m) if m % d == 0]
     # naive periodicity: any proper divisor translation fixing the set
-    for d in divisors(m):
-        if d < m and members == {(x + d) % m for x in members}:
+    for d in proper:
+        if members == {(x + d) % m for x in members}:
             return False
-    for d in divisors(m):
-        if d <= 1 or d >= m:
-            continue
+    for d in proper[1:]:
         subgroup = {x for x in range(0, m, d)}
         for shift in sorted(members):
             trace = {(x - shift) % m for x in members} & subgroup
@@ -159,20 +150,8 @@ def exhaustive_kemperman_ap(
 
 
 def brute_sumset_members(xs: list[int], ys: list[int], horizon: int) -> list[int]:
-    """Sorted, deduplicated pairwise sums x + y <= horizon of ascending
-    inputs, by shifted-OR of membership bitmasks.  A test reference only:
-    production sumsets go through ``zmod.add_bits``, never through here.
+    """Sorted, deduplicated pairwise sums x + y <= horizon, by nested loops
+    over plain ints.  A test reference only: production sumsets go through
+    ``zmod.add_bits``, never through here.
     """
-    if horizon < 0 or not xs or not ys:
-        return []
-    kept = ys[:bisect_right(ys, horizon)]
-    if not kept:
-        return []
-    y_bits = members_mask(kept, kept[-1] + 1)
-    acc = 0
-    first_y = ys[0]
-    for x in xs:
-        if x + first_y > horizon:
-            break
-        acc |= y_bits << x
-    return bit_positions(acc & ((1 << (horizon + 1)) - 1))
+    return sorted({x + y for x in xs for y in ys if x + y <= horizon})

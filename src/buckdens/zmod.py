@@ -37,6 +37,21 @@ def divisors(m: int) -> list[int]:
     return small + large[::-1]
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, ascending, by trial division (none for n < 2)."""
+    primes = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def check_width(width: int, what: str) -> None:
     """Refuse a dense vector of ``width`` bits above the cap, before it is
     built.  A width past 2^64 is named by its bit length: its decimal may
@@ -335,11 +350,20 @@ def sumset(sets: list[ResidueSet]) -> ResidueSet:
 
 
 def stabilizer_generator_bits(bits: int, m: int) -> int:
-    """Smallest divisor d of m with S + d = S (d = m when only trivial)."""
-    for d in divisors(m):
-        if rotate_bits(bits, d, m) == bits:
-            return d
-    return m  # unreachable: d = m always stabilizes
+    """Smallest divisor d of m with S + d = S (d = m when only trivial).
+
+    By prime descent: start at d = m and, for each prime p of m, divide p
+    out of d while d / p still fixes S.  The translations fixing S form a
+    subgroup <d0> of Z/mZ, d0 | m, so the divisors of m that fix S are the
+    multiples of d0.  Every d visited is one, and d / p fixes S iff
+    v_p(d) > v_p(d0): each prime's descent stops at v_p(d0), and d ends at
+    d0.  That is at most Omega(m) + omega(m) rotations, and no divisor list.
+    """
+    d = m
+    for p in prime_factors(m):
+        while d % p == 0 and rotate_bits(bits, d // p, m) == bits:
+            d //= p
+    return d
 
 
 def stabilizer(s: ResidueSet) -> Subgroup:

@@ -328,6 +328,24 @@ def test_wrong_typed_or_missing_field_is_usage_error(capsys, text, field):
     assert f"field {field!r}" in err
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"family":"weyl","alpha":"1/0"}', "alpha"),
+        ('{"family":"weyl","alpha":Infinity}', "alpha"),
+        ('{"family":"weyl","alpha":NaN}', "alpha"),
+        ('{"family":"weyl","alpha":"3/10","theta":"1/0"}', "theta"),
+        ('{"family":"weyl","alpha":"3/10","theta":1e999}', "theta"),
+        ('{"family":"three_density","alpha":"1/2","beta":"1/2","gamma":1e999}', "gamma"),
+        ('{"family":"three_density","alpha":"1/2","beta":"x","gamma":"1/2"}', "beta"),
+    ],
+)
+def test_a_bad_rational_is_a_usage_error_naming_its_field(capsys, text, field):
+    code, out, err = run(capsys, "gen", text, "--horizon", "5")
+    assert code == 2 and out == ""
+    assert f"field {field!r}" in err and "Traceback" not in err
+
+
 WEYL = '{"family":"weyl","theta":"sqrt2","alpha":"3/10"}'
 # 500 of the 1024 residues, neither an AP nor quasi-periodic
 SEEDED_ELEMS = [str(n) for n in random.Random(0).sample(range(1024), 500)]

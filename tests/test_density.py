@@ -71,7 +71,7 @@ class TestBuckUpper:
         # prime power is 0 mod 6, so bup(P_1) <= 5/6 although a ratio reads 1
         est = dens.buck_upper(gen.gen_p_t(1), dens.modulus_chain("primorial", 2), horizon=5000)
         assert est.kind == "sampled" and est.value[0] == 1
-        assert est.certified is None and est.certified_lower() is None
+        assert est.certified is None
         assert "certified" not in est.to_json_dict()
 
     def test_ratios_nonincreasing_for_exact_profiles(self):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
@@ -112,6 +113,22 @@ class TestDK:
         assert eps.natural_density() == Fraction(1, 4)
         prof = d.profile(16)
         assert prof.cofinitely_attained == prof.attained
+
+    def test_a_far_position_builds_no_period_wider_than_the_cap(self):
+        # 2^(10^8 + 1) would be a 12.5 MB int, refused only after it was built
+        tracemalloc.start()
+        try:
+            d = gen.gen_d_k((10**8,))
+            members = d.members(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.periodic_form is None and members == list(range(11))
+        assert peak < 1 << 20
+
+    def test_periods_up_to_the_cap_stay_exact(self):
+        assert gen.gen_d_k((19,)).periodic_form.period == 1 << 20
+        assert gen.gen_d_k((20,)).periodic_form is None
 
     def test_unsupported_modulus(self):
         d = gen.gen_d_k((1,), rule="double_gap")

@@ -482,6 +482,39 @@ class TestPrunedScan:
             assert zmod.sumset([profile, profile]).is_full()
 
 
+class TestOneKneserCheckPerQ:
+    def test_kneser_bits_runs_at_every_q_past_the_skips(self, monkeypatch):
+        calls = _spy(monkeypatch, "kneser_bits")
+        sumsets = _spy(monkeypatch, "residue_sumset")
+        # the stray prefix member 2 lies outside the tail classes, so the scan
+        # is linear; the odd q and 3 are skipped by pigeonhole, q = 12 accepted
+        eps = per.from_json_dict({"q": 12, "T": 24, "prefix": [2], "tail": [0, 4]})
+        parts = [gen.from_periodic(eps)]
+        report = kn.analyze_sumset(parts, q_max=48)
+        assert report.q == 12
+        passed = []
+        for q in range(2, 13):
+            r = attained_residues(parts[0], q, kn.DEFAULT_HORIZON)[0].cardinality
+            if 0 < r and 2 * r <= q:
+                passed.append(q)
+        assert [q for _, q in calls] == passed == [2, 4, 6, 8, 10, 12]
+        # the projected sumset is formed at the accepted q only
+        assert [profiles[0].modulus for (profiles,) in sumsets] == [12]
+
+    def test_a_planted_violation_raises(self, monkeypatch):
+        parts = [gen.from_periodic(per.from_progressions([(1, 5), (2, 5)]))]
+        assert kn.analyze_sumset(parts, q_max=10).q == 5
+        real = zmod.sumset_bits
+
+        def planted(bit_sets, m):  # drop the top member of any sum of two or more
+            total = real(bit_sets, m)
+            return total ^ (1 << (total.bit_length() - 1)) if total.bit_count() >= 2 else total
+
+        monkeypatch.setattr(zmod, "sumset_bits", planted)
+        with pytest.raises(zmod.CertificateError, match="Kneser bound"):
+            kn.analyze_sumset(parts, q_max=10)
+
+
 class TestDoubledSummandReadOnce:
     def test_one_attained_residues_call_per_q(self, monkeypatch):
         calls = _spy(monkeypatch, "attained_residues")

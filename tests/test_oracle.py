@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from buckdens import oracle, zmod
@@ -106,6 +109,30 @@ def test_brute_sumset_members_x0():
     got = brute_sumset_members(x0, x0, 21)
     assert 2 in got and 5 in got and 6 in got and 8 in got
     assert all(n % 4 != 3 for n in got)
+
+
+def test_brute_sumset_members_edges():
+    assert brute_sumset_members([0, 2], [1, 3], -1) == []
+    assert brute_sumset_members([0, 2], [], 9) == []
+    assert brute_sumset_members([5], [5], 9) == []
+    assert brute_sumset_members([2, 0, 2], [3, 1], 9) == [1, 3, 5]  # any order, duplicates too
+
+
+def test_brute_references_run_no_zmod_helper():
+    # the plain-set references must not share code with what they check
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    from_zmod = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "zmod"
+        for alias in node.names
+    }
+    assert "kneser_bits" in from_zmod  # the sweeps still run the library's checks
+    brutes = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("brute_")]
+    assert len(brutes) == 3
+    for fn in brutes:
+        named = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+        assert named & from_zmod <= {"ResidueSet"}, fn.name
 
 
 def _orbit(enc, m):

@@ -27,9 +27,11 @@ from buckdens.zmod import (
     kemperman_classify,
     kneser_deficiency,
     members_mask,
+    prime_factors,
     project,
     rotate_bits,
     stabilizer,
+    stabilizer_generator_bits,
     sumset,
     sumset_bits,
     tile_bits,
@@ -284,6 +286,63 @@ class TestStabilizer:
         for d in range(1, h.generator):
             if s.modulus % d == 0:
                 assert s.shift(d) != s
+
+
+def translation_stabilizer(bits, m, divs):
+    """The least divisor d of m (from ``divs``, ascending) whose translation fixes the mask."""
+    return next(d for d in divs if rotate_bits(bits, d, m) == bits)
+
+
+def plain_divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+class TestStabilizerByPrimeDescent:
+    """``stabilizer_generator_bits`` against a scan of every divisor."""
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_every_mask(self, m):
+        divs = plain_divisors(m)
+        for bits in range(1 << m):
+            assert stabilizer_generator_bits(bits, m) == translation_stabilizer(bits, m, divs)
+
+    @pytest.mark.parametrize(
+        "m", [1 << k for k in range(4, 21)] + [10403, 720720, 1048573]
+    )
+    def test_seeded_masks_aperiodic_and_tiled(self, m):
+        rng = random.Random(m)
+        divs = plain_divisors(m)
+        masks = [rng.getrandbits(m) for _ in range(2)]
+        for _ in range(3):  # tiled from a random proper divisor (1 when m is prime)
+            e = rng.choice(divs[:-1])
+            masks.append(tile_bits(rng.getrandbits(e), e, m))
+        for bits in masks:
+            assert stabilizer_generator_bits(bits, m) == translation_stabilizer(bits, m, divs)
+
+    @pytest.mark.parametrize("m", [720720, 1 << 20, 1048573])
+    def test_no_divisor_list_and_few_rotations(self, monkeypatch, m):
+        def listed(n):
+            raise AssertionError("the stabilizer listed the divisors of m")
+
+        monkeypatch.setattr(zmod, "divisors", listed)
+        rotations = counted(monkeypatch, "rotate_bits")
+        factors = prime_factors(m)
+        big_omega, n = 0, m  # the prime factors of m counted with multiplicity
+        for p in factors:
+            while n % p == 0:
+                n, big_omega = n // p, big_omega + 1
+        rng = random.Random(m)
+        for bits in (rng.getrandbits(m), tile_bits(rng.getrandbits(16), 16, m), 0):
+            rotations.clear()
+            stabilizer_generator_bits(bits, m)
+            assert len(rotations) <= big_omega + len(factors)
+
+
+def test_prime_factors_by_trial_division():
+    primes = [p for p in range(2, 5001) if all(p % q for q in range(2, p))]
+    assert prime_factors(0) == prime_factors(1) == []
+    for n in range(2, 5001):
+        assert prime_factors(n) == [p for p in primes if n % p == 0], n
 
 
 class TestPeriodicity:
