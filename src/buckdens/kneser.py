@@ -85,24 +85,28 @@ class RuzsaCheck:
     holds: bool
 
 
-def ruzsa_inequality_check(r: ResidueSet, s: ResidueSet) -> RuzsaCheck:
-    """|R||S+S| <= |R+S|^2 for R inside S, by exact counting.
+def ruzsa_counts(q: int, r: int, s: int) -> tuple[int, int]:
+    """(|R||S+S|, |R+S|^2) for q-bit vectors R inside S of Z/qZ, by exact counting.
 
     R inside S gives S + S = (R + S) | ((S - R) + S), so S + S is R + S
     with the offsets of S - R added: two ``cyclic_add_bits`` calls, the
     second seeded with the first.  Each stops once Z/qZ is full, and a full
     R + S makes S + S full before the second call shifts anything.
     """
-    if r.is_empty():
+    if not r:
         raise ValueError("R must be nonempty")
+    if r & ~s:
+        raise ValueError("R must be a subset of S")
+    mixed = cyclic_add_bits(s, r, q)
+    doubled = cyclic_add_bits(s, s & ~r, q, acc=mixed)
+    return r.bit_count() * doubled.bit_count(), mixed.bit_count() ** 2
+
+
+def ruzsa_inequality_check(r: ResidueSet, s: ResidueSet) -> RuzsaCheck:
+    """|R||S+S| <= |R+S|^2 for R inside S, by ``ruzsa_counts``."""
     if r.modulus != s.modulus:
         raise ValueError("modulus mismatch")
-    if not r.issubset(s):
-        raise ValueError("R must be a subset of S")
-    mixed = cyclic_add_bits(s.bits, r.bits, s.modulus)
-    doubled = cyclic_add_bits(s.bits, s.bits & ~r.bits, s.modulus, acc=mixed)
-    lhs = r.cardinality * doubled.bit_count()
-    rhs = mixed.bit_count() ** 2
+    lhs, rhs = ruzsa_counts(s.modulus, r.bits, s.bits)
     return RuzsaCheck(lhs, rhs, lhs <= rhs)
 
 

@@ -31,9 +31,12 @@ from .generators import (
     sumset_description,
     union_description,
 )
-from .kneser import analyze_sumset, buck_inequality_report, ruzsa_inequality_check
+from .kneser import analyze_sumset, buck_inequality_report, ruzsa_counts
 from .oracle import (
+    KEMPERMAN_MODULUS_CAP,
+    KNESER_MODULUS_CAP,
     brute_quasi_periodic,
+    check_sweep_modulus,
     exhaustive_kemperman_ap,
     exhaustive_kneser,
 )
@@ -66,6 +69,7 @@ def _finish(name: str, rows: list[dict]) -> SuiteResult:
 
 
 def suite_kneser_exhaustive(m_max: int = 10) -> SuiteResult:
+    check_sweep_modulus(m_max, KNESER_MODULUS_CAP, "m_max")  # before the first sweep
     rows = []
     for m in range(1, m_max + 1):
         hit = exhaustive_kneser(m)
@@ -81,6 +85,7 @@ def suite_kneser_exhaustive(m_max: int = 10) -> SuiteResult:
 
 
 def suite_kemperman_ap(m_max: int = 12, agree_m_max: int = 10) -> SuiteResult:
+    check_sweep_modulus(m_max, KEMPERMAN_MODULUS_CAP, "m_max")  # before the first sweep
     rows = []
     validating = []
     for allow_empty_part in (False, True):
@@ -428,7 +433,8 @@ def suite_ruzsa(trials: int = 10**4, q_max: int = 200, seed: int = DEFAULT_SEED)
     and the exact doubling inequality bdo(A+A)^2 >= bdo(A)*bup(A+A) on three
     periodic sets, read from ``buck_inequality_report``.
 
-    The draws are bitmasks (``_ruzsa_draw``).
+    The draws are bitmasks (``_ruzsa_draw``), counted by ``ruzsa_counts``
+    on the bare ints.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -437,8 +443,8 @@ def suite_ruzsa(trials: int = 10**4, q_max: int = 200, seed: int = DEFAULT_SEED)
     rng = random.Random(seed)
     violations = 0
     for _ in range(trials):
-        q, r, s = _ruzsa_draw(rng, q_max)
-        if not ruzsa_inequality_check(ResidueSet(q, r), ResidueSet(q, s)).holds:
+        lhs, rhs = ruzsa_counts(*_ruzsa_draw(rng, q_max))
+        if lhs > rhs:
             violations += 1
     rows = [
         _row(

@@ -397,6 +397,12 @@ def detect_arithmetic_progression(s: ResidueSet) -> Optional[APWitness]:
     S is empty, full or maximal runs with one start each, and l <= ord(d)
     leaves no other member beside a full coset.  No start: S is one coset,
     an AP from any member (min(S) is taken).  One start a: S is one run.
+
+    When |S|(|S| - 1) < m, only the differences of two members are tried,
+    fewer than the m - 1 of a linear scan: an AP {a, a + d, ...} of l >= 2
+    terms holds a and a + d, so d is in (S - S) minus {0}.  S - S is one
+    ``cyclic_add_bits`` of S and -S, and its members are tried ascending,
+    so the witness (smallest d, then smallest start) is the linear scan's.
     """
     if s.is_empty():
         raise ValueError("cannot classify the empty set")
@@ -404,7 +410,11 @@ def detect_arithmetic_progression(s: ResidueSet) -> Optional[APWitness]:
     length = s.cardinality
     if length == 1:
         return APWitness(next(iter(s)), 1, 1)
-    for d in range(1, m):
+    differences = range(1, m)
+    if length * (length - 1) < m:
+        negated = rotate_bits(int(format(s.bits, f"0{m}b")[::-1], 2), 1, m)  # x -> -x
+        differences = bit_positions(cyclic_add_bits(s.bits, negated, m) & ~1)
+    for d in differences:
         if length > m // gcd(d, m):
             continue
         starts = s.bits & ~rotate_bits(s.bits, d, m)

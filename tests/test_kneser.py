@@ -150,6 +150,18 @@ class TestRuzsa:
         with pytest.raises(ValueError):
             kn.ruzsa_inequality_check(ResidueSet(5, 0), ResidueSet.of(5, [0, 1]))
 
+    def test_same_modulus_required(self):
+        with pytest.raises(ValueError, match="modulus"):
+            kn.ruzsa_inequality_check(ResidueSet.of(5, [0]), ResidueSet.of(6, [0, 1]))
+
+    def test_counts_on_bare_masks(self):
+        assert kn.ruzsa_counts(5, 0b1, 0b11) == (3, 4)
+        assert kn.ruzsa_counts(6, 0b1001, 0b1001) == (4, 4)
+        with pytest.raises(ValueError, match="nonempty"):
+            kn.ruzsa_counts(5, 0, 0b11)
+        with pytest.raises(ValueError, match="subset"):
+            kn.ruzsa_counts(5, 0b100, 0b11)
+
 
 def nested_loop_ruzsa(q, r, s):
     """(|R||S+S|, |R+S|^2, holds) from plain pair loops over member lists."""
@@ -299,12 +311,12 @@ class TestRuzsaSuite:
             suites.suite_ruzsa(**kwargs)
 
     def test_reported_violations_fail_the_first_row(self, monkeypatch):
-        def odd_moduli_violate(r, s):
-            return kn.RuzsaCheck(2, 1, False) if r.modulus % 2 else kn.RuzsaCheck(1, 1, True)
+        def odd_moduli_violate(q, r, s):
+            return (2, 1) if q % 2 else (1, 1)
 
         rng = random.Random(11)
         odd = sum(suites._ruzsa_draw(rng, 9)[0] % 2 for _ in range(40))
-        monkeypatch.setattr(suites, "ruzsa_inequality_check", odd_moduli_violate)
+        monkeypatch.setattr(suites, "ruzsa_counts", odd_moduli_violate)
         result = suites.suite_ruzsa(trials=40, q_max=9, seed=11)
         assert 0 < odd < 40
         assert not result.passed
@@ -315,8 +327,7 @@ class TestRuzsaSuite:
         # python -O strips assert statements; the count must survive it
         script = (
             "import buckdens.suites as s\n"
-            "from buckdens.kneser import RuzsaCheck\n"
-            "s.ruzsa_inequality_check = lambda r, t: RuzsaCheck(2, 1, False)\n"
+            "s.ruzsa_counts = lambda q, r, t: (2, 1)\n"
             "row = s.suite_ruzsa(trials=5, q_max=9).rows[0]\n"
             "print(row['passed'], row['detail'])\n"
         )

@@ -1,9 +1,10 @@
 import ast
+from math import gcd
 from pathlib import Path
 
 import pytest
 
-from buckdens import oracle, zmod
+from buckdens import oracle, suites, zmod
 from buckdens.oracle import (
     brute_arithmetic_progression,
     brute_quasi_periodic,
@@ -15,6 +16,7 @@ from buckdens.zmod import (
     ResidueSet,
     detect_quasi_periodic,
     kemperman_classify,
+    kneser_bits,
     rotate_bits,
     saturate_bits,
     stabilizer_generator_bits,
@@ -85,7 +87,7 @@ def test_exhaustive_kneser_small():
 
 def test_exhaustive_kneser_range():
     with pytest.raises(ValueError):
-        exhaustive_kneser(13)
+        exhaustive_kneser(oracle.KNESER_MODULUS_CAP + 1)
     with pytest.raises(ValueError):
         exhaustive_kneser(0)
 
@@ -94,6 +96,29 @@ def test_exhaustive_kemperman_small():
     for m in (2, 7, 8):
         assert exhaustive_kemperman_ap(m) is None
         assert exhaustive_kemperman_ap(m, require_nonempty_periodic_part=True) is None
+
+
+def test_exhaustive_kemperman_at_its_cap():
+    cap = oracle.KEMPERMAN_MODULUS_CAP
+    assert exhaustive_kemperman_ap(cap) is None
+    assert exhaustive_kemperman_ap(cap, require_nonempty_periodic_part=True) is None
+    with pytest.raises(ValueError, match="m must be"):
+        exhaustive_kemperman_ap(cap + 1)
+
+
+@pytest.mark.parametrize(
+    "suite, sweep, cap",
+    [
+        (suites.suite_kneser_exhaustive, "exhaustive_kneser", oracle.KNESER_MODULUS_CAP),
+        (suites.suite_kemperman_ap, "exhaustive_kemperman_ap", oracle.KEMPERMAN_MODULUS_CAP),
+    ],
+)
+def test_suite_refuses_m_max_past_the_cap_before_any_sweep(monkeypatch, suite, sweep, cap):
+    swept = []
+    monkeypatch.setattr(suites, sweep, lambda m, *args, **kwargs: swept.append(m))
+    with pytest.raises(ValueError, match="m_max"):
+        suite(m_max=cap + 1)
+    assert swept == []
 
 
 def test_brute_sumset_members():
@@ -139,7 +164,33 @@ def _orbit(enc, m):
     return {rotate_bits(enc, t, m) for t in range(m)}
 
 
-@pytest.mark.parametrize("m", range(1, 8))
+def _units(m):
+    return [u for u in range(1, m) if gcd(u, m) == 1] or [0]  # Z/1Z: u = 0 is the unit
+
+
+def _scaled(enc, u, m):
+    """The encoding of {u x mod m : x in S}, from the plain member list."""
+    return sum({1 << (u * x % m) for x in range(m) if enc >> x & 1})
+
+
+def _affine_orbit(enc, m):
+    return {y for u in _units(m) for y in _orbit(_scaled(enc, u, m), m)}
+
+
+def _filtered_representatives(m):
+    """The rotation representatives by testing every odd encoding (the
+    filter the necklace walk replaced)."""
+    return [
+        e for e in range(1, 1 << m, 2) if all(rotate_bits(e, t, m) >= e for t in range(1, m))
+    ]
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_necklaces_match_the_rotation_filter(m):
+    assert oracle._rotation_representatives(m) == _filtered_representatives(m)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
 def test_representatives_cover_every_subset(m):
     reps = oracle._rotation_representatives(m)
     assert reps == sorted(reps)
@@ -148,10 +199,31 @@ def test_representatives_cover_every_subset(m):
     assert covered == set(range(1, 1 << m))
 
 
+@pytest.mark.parametrize("m", range(1, 11))
+def test_affine_representatives_cover_every_subset(m):
+    reps = oracle._affine_representatives(m, oracle._rotation_representatives(m))
+    assert reps == sorted(reps)
+    orbits = [_affine_orbit(enc, m) for enc in reps]
+    assert all(enc == min(orbit) for enc, orbit in zip(reps, orbits))
+    assert sum(map(len, orbits)) == (1 << m) - 1  # disjoint classes
+    assert set().union(*orbits) == set(range(1, 1 << m))
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_pairs_past_m_members_pass_with_a_full_sum(m):
+    # the pigeonhole skip of the Kneser sweep: |A| + |B| > m settles the pair
+    full = (1 << m) - 1
+    for a in range(1, full + 1):
+        for b in range(1, full + 1):
+            if a.bit_count() + b.bit_count() > m:
+                d, mult, size, bound, _ = kneser_bits([a, b], m)
+                assert (d, mult, size, bound) == (1, (1, 1), m, m), (m, a, b)
+
+
 @pytest.mark.parametrize("m", range(1, 8))
 def test_swept_pairs_cover_every_pair(monkeypatch, m):
-    # rotating each part and swapping close the pairs the Kneser sweep
-    # visits up to all (2^m - 1)^2 ordered nonempty pairs
+    # a common unit multiplier, rotating each part and swapping close the
+    # pairs the Kneser sweep visits up to all (2^m - 1)^2 ordered nonempty pairs
     visited = []
     monkeypatch.setattr(
         oracle, "_kneser_violated", lambda m, a, b: visited.append((a, b))
@@ -159,9 +231,10 @@ def test_swept_pairs_cover_every_pair(monkeypatch, m):
     assert exhaustive_kneser(m) is None
     pairs = set()
     for a, b in visited:
-        for x in _orbit(a, m):
-            for y in _orbit(b, m):
-                pairs.update({(x, y), (y, x)})
+        for u in _units(m):
+            for x in _orbit(_scaled(a, u, m), m):
+                for y in _orbit(_scaled(b, u, m), m):
+                    pairs.update({(x, y), (y, x)})
     assert len(pairs) == ((1 << m) - 1) ** 2
 
 

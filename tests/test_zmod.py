@@ -532,6 +532,20 @@ class TestDetectorsMatchTheSearch:
         for s in seeded_aps(rng, 4, 400):
             assert_same_witnesses(s)
 
+    @pytest.mark.parametrize("m", [200, 211, 256])
+    def test_progressions_either_side_of_the_difference_switch(self, m):
+        # under |S|(|S| - 1) < m only differences of members are tried
+        rng = random.Random(m)
+        switch = max(k for k in range(2, m) if k * (k - 1) < m)
+        for length in (2, 3, switch - 1, switch, switch + 1, switch + 2):
+            for _ in range(8):
+                a, d = rng.randrange(m), rng.randrange(1, m)
+                ap = [(a + i * d) % m for i in range(length)]
+                moved = ap[:-1] + [rng.randrange(m)]
+                for members in (ap, moved, rng.sample(range(m), length)):
+                    s = ResidueSet.of(m, members)
+                    assert detect_arithmetic_progression(s) == ap_by_search(s), s
+
     def test_one_partial_coset_beside_full_cosets(self):
         rng = random.Random(2)
         for _ in range(300):
