@@ -13,16 +13,19 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Union
 
 from . import density as dens
 from . import suites as suite_mod
 from .generators import SetDescription, parse_description, sumset_description
 from .kneser import analyze_sumset
-from .zmod import LimitExceededError, ResidueSet, bit_positions, classify_structure
+from .zmod import (
+    LimitExceededError, ResidueSet, bit_positions, classify_structure, positions_text,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -50,52 +53,80 @@ def _load_set(arg: str) -> SetDescription:
     return parse_description(obj)
 
 
+def _check_output(path: str) -> None:
+    """Refuse an --output path that names a directory or lies in none,
+    before the report is computed."""
+    if os.path.isdir(path):
+        raise UsageError(f"--output {path!r} is a directory")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise UsageError(f"--output {path!r}: no directory {folder!r}")
+
+
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"--output {out_path!r}: cannot write: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
 
 #: a placeholder string, "\0" and an index, as the indenting encoder writes it
 _HELD = re.compile(r'"\\u0000(\d+)"')
-#: the characters of a list of ints as the C encoder writes it, brackets aside
-_INT_LIST_CHARS = str.maketrans("", "", "0123456789-, ")
+
+
+def _list_text(source: Union[int, list[int]], sep: str) -> str:
+    """``sep.join(map(str, members))`` from a member list's source: the set
+    bits of a mask (``positions_text``), or a list of ints as the C encoder
+    writes it."""
+    if isinstance(source, int):
+        return positions_text(source, sep)
+    return json.dumps(source)[1:-1].replace(", ", sep)
 
 
 def _json_dumps(obj, int_lists: tuple[str, ...] = ()) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    where an int under one of the keys ``int_lists`` is the mask of a
+    member list and reads as the list of its set bits.
 
     With ``indent`` set, ``json`` encodes in pure Python, item by item.  So
-    the lists of ints held under the keys ``int_lists`` (members, residues)
-    are written by the C encoder and re-indented, as their items hold no
-    ", ", and the indenting encoder writes the rest of the report, with a
-    placeholder string for each such list.
+    each member list under those keys (members, residues), a mask or a
+    nonempty list of ints, is held as its source and written by
+    ``_list_text`` with the separator its indentation gives, and the
+    indenting encoder writes the rest of the report, with a placeholder
+    string for each held list.
     """
     if not int_lists:
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
     held = []
 
-    def hold(x, key=None):
+    def hold(x, key=None, plain=False):
+        """x with its member lists held; with ``plain``, none is held and
+        each mask reads as its list."""
         if isinstance(x, dict):
-            return {k: hold(v, k) for k, v in x.items()}
+            return {k: hold(v, k, plain) for k, v in x.items()}
+        if key in int_lists and type(x) is int:  # a mask (a bool is not one)
+            if plain or not x:
+                return bit_positions(x)
+            held.append(x)
+            return f"\0{len(held) - 1}"
         if not isinstance(x, list):
             return x
-        if key in int_lists and x:
-            items = json.dumps(x)[1:-1]
-            if not items.translate(_INT_LIST_CHARS):  # ints only
-                held.append(items)
-                return f"\0{len(held) - 1}"
-        return [hold(v) for v in x]
+        if key in int_lists and x and not plain and all(type(v) is int for v in x):
+            held.append(x)
+            return f"\0{len(held) - 1}"
+        return [hold(v, None, plain) for v in x]
 
     parts = _HELD.split(json.dumps(hold(obj), indent=2, sort_keys=True))
     if len(parts) != 2 * len(held) + 1:  # a string of the report reads as a placeholder
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        return json.dumps(hold(obj, plain=True), indent=2, sort_keys=True) + "\n"
     for i in range(1, len(parts), 2):
         line = parts[i - 1][parts[i - 1].rfind("\n") + 1 :]  # the placeholder's line, up to it
         pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-        items = held[int(parts[i])].replace(", ", "," + pad + "  ")
+        items = _list_text(held[int(parts[i])], "," + pad + "  ")
         parts[i] = f"[{pad}  {items}{pad}]"
     return "".join(parts) + "\n"
 
@@ -115,12 +146,12 @@ def _rows_to_csv(rows: list[dict], columns: list[str]) -> str:
 
 def _cmd_gen(args) -> int:
     desc = _load_set(args.set)
-    members = desc.members(args.horizon)
+    members = desc.built_members(args.horizon)
     if args.format == "json":
         payload = {"family": desc.family, "horizon": args.horizon, "members": members}
         _emit(_json_dumps(payload, ("members",)), args.output)
-    else:  # one per line: the C encoder writes ints faster than str() and join
-        _emit(json.dumps(members)[1:-1].replace(", ", "\n") + "\n", args.output)
+    else:
+        _emit(_list_text(members, "\n") + "\n", args.output)
     return EXIT_OK
 
 
@@ -172,7 +203,7 @@ def _cmd_sumset(args) -> int:
         raise UsageError(f"--mods must be comma-separated integers: {exc}") from exc
     parts = [_load_set(s) for s in args.sets]
     total = sumset_description(parts)
-    members = total.members(args.horizon)
+    members = total.built_members(args.horizon)
     table = []
     for m in moduli:
         attained, exact = dens.attained_residues(total, m, args.horizon)
@@ -180,19 +211,15 @@ def _cmd_sumset(args) -> int:
             {
                 "m": m,
                 "count": attained.cardinality,
-                "residues": bit_positions(attained.bits),
+                "residues": attained.bits,
                 "kind": "exact-profile" if exact else "sampled",
             }
         )
-    payload = {"members": members, "profiles": table, "horizon": args.horizon}
     if args.format == "csv":
-        rows = [
-            {"m": t["m"], "count": t["count"], "kind": t["kind"],
-             "residues": " ".join(map(str, t["residues"]))}
-            for t in table
-        ]
+        rows = [{**t, "residues": positions_text(t["residues"], " ")} for t in table]
         _emit(_rows_to_csv(rows, ["m", "count", "kind", "residues"]), args.output)
     else:
+        payload = {"members": members, "profiles": table, "horizon": args.horizon}
         _emit(_json_dumps(payload, ("members", "residues")), args.output)
     return EXIT_OK
 
@@ -207,8 +234,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_classify(args) -> int:
     s = ResidueSet.of(args.mod, args.elems)
     cls = classify_structure(s, args.require_nonempty_remainder)
-    payload = {"modulus": args.mod, "members": bit_positions(s.bits), **cls.to_json_dict()}
-    _emit(_json_dumps(payload), args.output)
+    payload = {"modulus": args.mod, "members": s.bits, **cls.to_json_dict()}
+    _emit(_json_dumps(payload, ("members", "trace", "periodic_part")), args.output)
     return EXIT_OK
 
 
@@ -330,6 +357,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)
     try:
+        if args.output:
+            _check_output(args.output)
         return args.func(args)
     except LimitExceededError as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)

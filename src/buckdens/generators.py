@@ -77,6 +77,13 @@ class SetDescription:
             slot[1] = bit_positions(slot[0])
         return slot[1]
 
+    def built_members(self, horizon: int) -> Union[int, list[int]]:
+        """The members n <= horizon in the form the builder made them: a
+        mask, or an ascending list (``hook``).  Neither form is made from
+        the other, so a mask's positions are left to whoever prints them."""
+        mask, listed = self._slot(horizon)
+        return listed if mask is None else mask
+
     def members_mask(self, horizon: int) -> int:
         """The bitmask of ``members(horizon)``: the builder's mask, or one
         built from its list on first use.  For a list, the caller checks that

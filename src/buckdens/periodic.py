@@ -26,6 +26,7 @@ from .zmod import (
     check_width,
     fold_bits,
     members_mask,
+    positions_text,
     rotate_bits,
     stabilizer_generator_bits,
     tile_bits,
@@ -144,8 +145,8 @@ class EventuallyPeriodicSet:
         }
 
     def __repr__(self) -> str:
-        tail = ",".join(map(str, bit_positions(self.tail.bits)))
-        pre = ",".join(map(str, bit_positions(self.prefix)))
+        tail = positions_text(self.tail.bits, ",")
+        pre = positions_text(self.prefix, ",")
         return f"EventuallyPeriodicSet(q={self.period}, T={self.threshold}, prefix={{{pre}}}, tail={{{tail}}} mod {self.period})"
 
 

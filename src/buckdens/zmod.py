@@ -8,7 +8,7 @@ Bit i of ``bits`` is set iff residue i belongs to the set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress, count, product
 from math import gcd
 from typing import Iterable, Iterator, Optional
 
@@ -109,6 +109,31 @@ def bit_positions(bits: int) -> list[int]:
     return list(compress(count(), bit_flags(bits)))
 
 
+#: the decimal numerals of 0..999, plain and padded to three digits (the
+#: padded ones as digit triples: a third of the import time of formatting)
+_NUMERALS = tuple(map(str, range(1000)))
+_PADDED = tuple(map("".join, product("0123456789", repeat=3)))
+
+
+def positions_text(bits: int, sep: str) -> str:
+    """``sep.join(map(str, bit_positions(bits)))``, with no int per position.
+
+    Position 1000 b + r is written as str(b) and then r in three digits, so
+    each block of 1000 flags past the first is one ``compress`` over the
+    padded numerals and one ``join`` whose separator is ``sep + str(b)``.
+    The first block takes the plain numerals, and empty blocks are skipped.
+    """
+    flags = bit_flags(bits)
+    first = flags[:1000]
+    parts = [sep.join(compress(_NUMERALS, first))] if 1 in first else []
+    for start in range(1000, len(flags), 1000):
+        block = flags[start : start + 1000]
+        if 1 in block:
+            lead = str(start // 1000)
+            parts.append(lead + (sep + lead).join(compress(_PADDED, block)))
+    return sep.join(parts)
+
+
 def add_bits(bits: int, offsets: Iterable[int]) -> int:
     """The vector of {x + n : x in bits, n in offsets}: every linear bitmask
     sumset (residue sums go through ``cyclic_add_bits``)."""
@@ -181,6 +206,15 @@ def fold_bits(bits: int, g: int) -> int:
     return bits
 
 
+#: ``ResidueSet.of`` writes a binary numeral from this many members on.
+#: Each shift-OR copies the vector built so far, so n of them cost about n
+#: times the width, and the numeral costs the width plus n.  Measured for m
+#: from 2^8 to 2^20 the two meet between 100 and 500 members, whatever the
+#: width: at m = 2^20 three members take 15 us shifted against 2.4 ms as a
+#: numeral, and 10^4 members 85 ms against 4.7 ms (2 vCPUs, Python 3.11.7).
+NUMERAL_MEMBERS = 256
+
+
 @dataclass(frozen=True)
 class ResidueSet:
     """A subset of Z/mZ with dense membership-vector semantics."""
@@ -195,11 +229,18 @@ class ResidueSet:
 
     @classmethod
     def of(cls, modulus: int, members: Iterable[int]) -> "ResidueSet":
+        """The set of the given residues, each in [0, modulus).  Fewer than
+        ``NUMERAL_MEMBERS`` are ORed in as shifted bits; more are written
+        as a binary numeral (``members_mask``)."""
         _check_modulus(modulus)
+        xs = list(members)
+        if xs and not 0 <= min(xs) <= max(xs) < modulus:  # a bytearray index would wrap a negative
+            bad = next(x for x in xs if not 0 <= x < modulus)
+            raise ValueError(f"member {bad} not in [0, {modulus})")
+        if len(xs) >= NUMERAL_MEMBERS:
+            return cls(modulus, members_mask(xs, modulus))
         bits = 0
-        for x in members:
-            if not 0 <= x < modulus:
-                raise ValueError(f"member {x} not in [0, {modulus})")
+        for x in xs:
             bits |= 1 << x
         return cls(modulus, bits)
 
@@ -250,7 +291,7 @@ class ResidueSet:
         return self.bits & ~other.bits == 0
 
     def __repr__(self) -> str:
-        return f"ResidueSet({self.modulus}, {{{', '.join(map(str, self))}}})"
+        return f"ResidueSet({self.modulus}, {{{positions_text(self.bits, ', ')}}})"
 
 
 @dataclass(frozen=True)

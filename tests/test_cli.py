@@ -677,3 +677,138 @@ class TestOutputFile:
         assert payload["value"] == {"num": 1, "den": 2}
         assert target.read_bytes().endswith(b"\n")
         assert b"\r" not in target.read_bytes()
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["gen", '{"family":"x0"}', "--horizon", "5"], ["verify", "x0", "--format", "json"]],
+    )
+    def test_unwritable_path_is_a_usage_error_before_the_report(
+        self, capsys, tmp_path, monkeypatch, argv, where
+    ):
+        target = tmp_path / "nonexistent" / "x" if where == "missing directory" else tmp_path
+        monkeypatch.setattr(cli, "_load_set", lambda arg: pytest.fail("set read"))
+        monkeypatch.setattr(cli.suite_mod, "run_suite", lambda *a, **k: pytest.fail("suite run"))
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --output {str(target)!r}") and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    def test_a_failed_write_is_a_usage_error_naming_the_path(self, tmp_path):
+        # a path that passes the early check but cannot be opened for writing
+        target = str(tmp_path / "a" / "b")
+        with pytest.raises(cli.UsageError, match=re.escape(f"--output {target!r}: cannot write")):
+            cli._emit("text", target)
+
+
+def plain_json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+GOLDEN = '{"family":"weyl","theta":"golden","alpha":"2/7"}'
+EMPTY_PERIODIC = '{"q":5,"T":0,"prefix":[],"tail":[]}'
+HOOK = '{"family":"hook"}'
+
+
+@pytest.mark.parametrize(
+    "set_, horizon",
+    [
+        (GOLDEN, 10**6),
+        ('{"family":"x0"}', 10**5),
+        ('{"family":"p_t","t":1}', 30000),
+        (HOOK, 10**15),  # listed, not masked
+        ('{"family":"union","of":[{"family":"hook"},{"family":"x0"}]}', 5000),
+        (EMPTY_PERIODIC, 50),
+        ('{"family":"x0"}', 0),
+        (HOOK, 1),  # an empty list
+    ],
+)
+def test_gen_is_byte_identical_to_plain_json(capsys, tmp_path, set_, horizon):
+    desc = cli._load_set(set_)
+    members = desc.members(horizon)
+    expect = plain_json({"family": desc.family, "horizon": horizon, "members": members})
+    argv = ["gen", set_, "--horizon", str(horizon)]
+    assert run(capsys, *argv, "--format", "json") == (0, expect, "")
+    assert run(capsys, *argv) == (0, "".join(f"{n}\n" for n in members) or "\n", "")
+    target = tmp_path / "members.json"
+    assert run(capsys, *argv, "--format", "json", "--output", str(target)) == (0, "", "")
+    assert target.read_text() == expect
+
+
+@pytest.mark.parametrize(
+    "sets, horizon, mods",
+    [
+        ([WEYL, '{"family":"x0"}'], 20000, [2, 7, 64, 1000]),
+        (['{"family":"x0"}', '{"family":"x0"}'], 3000, [4, 16, 64, 4096]),
+        (['{"family":"p_t","t":1}', '{"family":"x0"}'], 2000, [3, 6, 1024]),
+        ([HOOK, '{"family":"x0"}'], 1000, [3, 5]),
+        ([EMPTY_PERIODIC, '{"family":"x0"}'], 40, [1, 2]),
+        (['{"family":"x0"}', '{"family":"x0"}'], 0, [1, 2]),
+    ],
+)
+def test_sumset_is_byte_identical_to_plain_json_and_csv(capsys, sets, horizon, mods):
+    from buckdens import density
+    from buckdens.generators import sumset_description
+
+    total = sumset_description([cli._load_set(s) for s in sets])
+    table = []
+    for m in mods:
+        attained, exact = density.attained_residues(total, m, horizon)
+        table.append({"m": m, "count": len(attained), "residues": list(attained),
+                      "kind": "exact-profile" if exact else "sampled"})
+    expect = plain_json({"members": total.members(horizon), "profiles": table, "horizon": horizon})
+    argv = ["sumset", *sets, "--horizon", str(horizon), "--mods", ",".join(map(str, mods))]
+    assert run(capsys, *argv) == (0, expect, "")
+    rows = [f"{t['m']},{t['count']},{t['kind']},{' '.join(map(str, t['residues']))}\n" for t in table]
+    assert run(capsys, *argv, "--format", "csv") == (0, "m,count,kind,residues\n" + "".join(rows), "")
+
+
+@pytest.mark.parametrize(
+    "m, elems",
+    [
+        (4, [2, 0, 0, 1, 2]),
+        (12, [0, 4, 8]),
+        (1024, list(map(int, SEEDED_ELEMS))),
+        (4096, [x for x in range(4096) if x % 4 < 2] + [2]),  # quasi-periodic, long lists
+        (1 << 20, list(range(5, 1 << 20, 8))),  # 131072 members, past the numeral crossover
+    ],
+)
+def test_classify_is_byte_identical_to_plain_json(capsys, m, elems):
+    from buckdens.zmod import ResidueSet, classify_structure
+
+    cls = classify_structure(ResidueSet.of(m, elems)).to_json_dict()
+    expect = plain_json({"modulus": m, "members": sorted(set(elems)), **cls})
+    assert run(capsys, "classify", "--mod", str(m), "--elems", *map(str, elems)) == (0, expect, "")
+
+
+@pytest.mark.parametrize("colliding", ["\x000", "\x0012"])
+def test_a_report_string_read_as_a_placeholder_falls_back_with_held_masks(
+    capsys, monkeypatch, colliding
+):
+    import dataclasses
+
+    load = cli._load_set
+    monkeypatch.setattr(cli, "_load_set", lambda arg: dataclasses.replace(load(arg), family=colliding))
+    members = load(WEYL).members(3000)
+    expect = plain_json({"family": colliding, "horizon": 3000, "members": members})
+    assert run(capsys, "gen", WEYL, "--horizon", "3000", "--format", "json") == (0, expect, "")
+    obj = {"members": 0b1011, "kind": colliding, "profiles": [{"residues": 0b110}, {"residues": 0}]}
+    plain = {"members": [0, 1, 3], "kind": colliding, "profiles": [{"residues": [1, 2]}, {"residues": []}]}
+    assert cli._json_dumps(obj, ("members", "residues")) == plain_json(plain)
+    obj["kind"] = plain["kind"] = "sampled"  # no collision: the held masks are written as text
+    assert cli._json_dumps(obj, ("members", "residues")) == plain_json(plain)
+
+
+@pytest.mark.parametrize("set_", [GOLDEN, '{"family":"x0"}', '{"family":"p_t","t":2}', ODDS])
+def test_gen_reads_no_positions_off_a_mask(capsys, monkeypatch, set_):
+    from buckdens import generators, periodic, zmod
+
+    expect = [run(capsys, "gen", set_, "--horizon", "20000", *f) for f in ([], ["--format", "json"])]
+
+    def refused(bits):
+        raise AssertionError("bit_positions called")
+
+    for module in (zmod, generators, periodic, cli):
+        monkeypatch.setattr(module, "bit_positions", refused)
+    got = [run(capsys, "gen", set_, "--horizon", "20000", *f) for f in ([], ["--format", "json"])]
+    assert got == expect and expect[0][0] == 0

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 from math import gcd
 from typing import Optional
@@ -27,6 +29,7 @@ from buckdens.zmod import (
     kemperman_classify,
     kneser_deficiency,
     members_mask,
+    positions_text,
     prime_factors,
     project,
     rotate_bits,
@@ -136,6 +139,86 @@ class TestBitPositions:
             for width in (64, 1000, 21012, rng.randrange(1, 1 << 20)):
                 bits = members_mask([n for n in range(width) if rng.random() < density], width)
                 assert bit_positions(bits) == enumerated_bit_positions(bits)
+
+
+SEPARATORS = ("\n", " ", ",", ",\n    ")
+
+
+def assert_scanned_text(bits):
+    """positions_text against the set bits found by a scan of the binary
+    numeral and written by ``str``, for every separator."""
+    scanned = list(map(str, enumerated_bit_positions(bits)))
+    for sep in SEPARATORS:
+        assert positions_text(bits, sep) == sep.join(scanned), (bits.bit_length(), sep)
+
+
+class TestPositionsText:
+    def test_edge_positions(self):
+        cases = [
+            [], [0], [999], [1000], [998, 999, 1000, 1001, 1002], [0, 1, 2, 3],
+            [5, 250_000],  # 248 empty blocks between two members
+            [7_000, 7_999], [999_999], [0, 999_999], [1 << 20], [999, 1 << 20],  # 4-digit lead
+            [1_000_000, 1_000_001, 1_048_575],
+        ]
+        for members in cases:
+            bits = sum(1 << n for n in members)
+            assert_scanned_text(bits)
+            assert positions_text(bits, ", ") == ", ".join(map(str, members))
+
+    def test_seeded_widths_and_densities(self):
+        rng = random.Random(25)
+        for width in (1, 999, 1000, 1001, 2000, rng.randrange(2000, 1 << 20), 1 << 20):
+            words = [rng.getrandbits(width) for _ in range(10)]
+            # densities 2^-10, 2^-7, 1/4, 1/2 and 7/8
+            for bits in (
+                functools.reduce(operator.and_, words),
+                functools.reduce(operator.and_, words[:7]),
+                words[0] & words[1],
+                words[0],
+                words[0] | words[1] | words[2],
+            ):
+                assert_scanned_text(bits)
+
+    def test_every_vector_up_to_width_twelve(self):
+        for bits in range(1 << 12):
+            assert positions_text(bits, ",") == ",".join(map(str, enumerated_bit_positions(bits)))
+
+
+class TestResidueSetOf:
+    def test_wide_modulus_matches_a_plain_reference(self):
+        rng = random.Random(20)
+        m = 1 << 20
+        members = [rng.randrange(m) for _ in range(100_000)]
+        got = ResidueSet.of(m, iter(members))
+        assert set(enumerated_bit_positions(got.bits)) == set(members)
+        assert got.modulus == m
+
+    @pytest.mark.parametrize("count", [zmod.NUMERAL_MEMBERS - 1, zmod.NUMERAL_MEMBERS])
+    def test_both_sides_of_the_crossover_agree(self, count, monkeypatch):
+        rng = random.Random(count)
+        for m in (count, 4 * count, 1 << 16):
+            members = [rng.randrange(m) for _ in range(count)]
+            assert ResidueSet.of(m, members).bits == sum(1 << n for n in set(members))
+        built = []
+        monkeypatch.setattr(zmod, "members_mask", lambda xs, w: built.append(w) or 0)
+        ResidueSet.of(1 << 16, range(count))
+        assert built == ([1 << 16] if count >= zmod.NUMERAL_MEMBERS else [])
+
+    @pytest.mark.parametrize("count", [1, zmod.NUMERAL_MEMBERS - 1, zmod.NUMERAL_MEMBERS, 5000])
+    @pytest.mark.parametrize("bad", [-1, -(1 << 16), 1 << 16, 1 << 40])
+    def test_out_of_range_members_are_named_on_both_sides(self, count, bad):
+        # a bytearray index would wrap a negative member unnoticed
+        members = list(range(count - 1))
+        members.insert(len(members) // 2, bad)
+        with pytest.raises(ValueError, match=rf"^member {bad} not in \[0, 65536\)$"):
+            ResidueSet.of(1 << 16, members)
+
+    def test_the_first_out_of_range_member_is_named(self):
+        members = list(range(zmod.NUMERAL_MEMBERS)) + [70_000, -3]
+        with pytest.raises(ValueError, match=r"^member 70000 not"):
+            ResidueSet.of(1 << 16, members)
+        with pytest.raises(ValueError, match=r"^member 9 not"):
+            ResidueSet.of(8, [1, 9, -1])
 
 
 class TestSumset:
