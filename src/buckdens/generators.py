@@ -36,11 +36,12 @@ class UnsupportedModulusError(ValueError):
 class SetDescription:
     """A lazily evaluated subset of N.
 
-    ``membership`` decides n in X; ``builder(horizon)`` constructs the
+    ``contains`` decides n in X; ``builder(horizon)`` constructs the
     members n <= horizon for every horizon >= 0, by construction of the
     family: as a bitmask (bit n set iff n is a member), or, for a family too
     sparse for a mask as wide as its horizons (``hook``), as an ascending
-    list.  ``profile_fn`` gives the modular profile at every modulus
+    list.  Every reader answers from that one form, kept for the last
+    horizon asked.  ``profile_fn`` gives the modular profile at every modulus
     ``supports`` accepts (none by default), under the contract stated on
     :class:`ModularProfile`: attained and infinitely attained residues
     exact, cofinitely attained ones a certified subset.  ``periodic_form``
@@ -49,81 +50,58 @@ class SetDescription:
     """
 
     family: str
-    membership: Callable[[int], bool]
+    contains: Callable[[int], bool]
     builder: Callable[[int], Union[int, list[int]]]
     profile_fn: Optional[Callable[[int], ModularProfile]] = None
     supports: Callable[[int], bool] = lambda m: False
     periodic_form: Optional[EventuallyPeriodicSet] = None
     _built: dict = field(default_factory=dict, init=False, repr=False)
 
-    def contains(self, n: int) -> bool:
-        return self.membership(n)
-
     def profile(self, m: int) -> ModularProfile:
         if not self.supports(m):
             raise UnsupportedModulusError(f"family {self.family!r} has no exact profile mod {m}")
         return self.profile_fn(m)
 
-    def members(self, horizon: int) -> list[int]:
-        """All members n <= horizon, ascending: the builder's list, or the
-        set bits of its mask, read on first use.
-
-        Both forms for the last horizon asked are kept, and every later call
-        at that horizon returns the same list object: it is shared, so
-        callers must not mutate it.
-        """
-        slot = self._slot(horizon)
-        if slot[1] is None:
-            slot[1] = bit_positions(slot[0])
-        return slot[1]
-
     def built_members(self, horizon: int) -> Union[int, list[int]]:
         """The members n <= horizon in the form the builder made them: a
-        mask, or an ascending list (``hook``).  Neither form is made from
-        the other, so a mask's positions are left to whoever prints them."""
-        mask, listed = self._slot(horizon)
-        return listed if mask is None else mask
+        mask, or an ascending list (``hook``, or a union past the cap).  A
+        list is shared by every call at its horizon: callers must not
+        mutate it."""
+        if horizon not in self._built:
+            self._built.clear()
+            self._built[horizon] = self._build(horizon)
+        return self._built[horizon]
+
+    def members(self, horizon: int) -> list[int]:
+        """All members n <= horizon, ascending."""
+        built = self.built_members(horizon)
+        return bit_positions(built) if isinstance(built, int) else built
 
     def members_mask(self, horizon: int) -> int:
-        """The bitmask of ``members(horizon)``: the builder's mask, or one
-        built from its list on first use.  For a list, the caller checks that
-        its largest member fits."""
-        slot = self._slot(horizon)
-        if slot[0] is None:
-            listed = slot[1]
-            slot[0] = members_mask(listed, listed[-1] + 1 if listed else 0)
-        return slot[0]
+        """The bitmask of ``members(horizon)``; a list's mask is checked
+        against the width cap before it is built."""
+        built = self.built_members(horizon)
+        if isinstance(built, int):
+            return built
+        width = built[-1] + 1 if built else 0
+        check_width(width, f"{self.family} mask")
+        return members_mask(built, width)
 
     def positive_count(self, horizon: int) -> int:
-        """|X cap [1, horizon]|, the numerator of the counting ratio, read
-        from whichever form the builder made."""
-        mask, listed = self._slot(horizon)
-        if mask is None:
-            return len(listed) - (listed[:1] == [0])
-        return (mask >> 1).bit_count()
+        """|X cap [1, horizon]|, the numerator of the counting ratio."""
+        built = self.built_members(horizon)
+        if isinstance(built, int):
+            return (built >> 1).bit_count()
+        return len(built) - (built[:1] == [0])
 
     def residues(self, m: int, horizon: int) -> int:
-        """The residues mod m of the members n <= horizon, as an m-bit mask.
-
-        The members mask folded mod m, unless the builder listed members
-        that are sparse in the width of their mask or lie past the width cap
-        (``hook``): those are reduced mod m one by one, which costs less than
-        the mask.  The caller checks m against the cap.
-        """
-        mask, listed = self._slot(horizon)
-        if mask is None and not (listed and listed[-1] < min(MAX_MODULUS, 64 * len(listed))):
-            return members_mask({n % m for n in listed}, m)
-        return fold_bits(self.members_mask(horizon), m)
-
-    def _slot(self, horizon: int) -> list:
-        """[mask or None, members or None] for the horizon, one of them from
-        the builder: one slot, for the last horizon asked."""
-        slot = self._built.get(horizon)
-        if slot is None:
-            self._built.clear()
-            built = self._build(horizon)
-            slot = self._built[horizon] = [built, None] if isinstance(built, int) else [None, built]
-        return slot
+        """The residues mod m of the members n <= horizon, as an m-bit mask:
+        a mask folded mod m, or a list reduced mod m member by member.  The
+        caller checks m against the cap."""
+        built = self.built_members(horizon)
+        if isinstance(built, int):
+            return fold_bits(built, m)
+        return members_mask({n % m for n in built}, m)
 
     def _build(self, horizon: int) -> Union[int, list[int]]:
         return self.builder(horizon) if horizon >= 0 else 0
@@ -136,7 +114,7 @@ def from_periodic(eps: EventuallyPeriodicSet, family: str = "periodic") -> SetDe
     """An eventually periodic set as a description, exact at every modulus."""
     return SetDescription(
         family=family,
-        membership=lambda n: n >= 0 and n in eps,
+        contains=lambda n: n >= 0 and n in eps,
         builder=eps.members_mask,
         profile_fn=eps.modular_profile,
         supports=lambda m: True,
@@ -308,7 +286,7 @@ def _dk_description(
     eps = _dk_periodic_form(prefix) if rule is None else None
     desc = DKDescription(
         family=family,
-        membership=lambda n: _dk_member(desc, n),
+        contains=lambda n: _dk_member(desc, n),
         supports=(lambda m: True) if eps else lambda m: m >= 1 and m & (m - 1) == 0,
         profile_fn=eps.modular_profile if eps else lambda m: _dk_profile(desc, m),
         builder=eps.members_mask if eps else lambda horizon: _dk_mask(desc, horizon),
@@ -495,7 +473,7 @@ def gen_weyl(theta: str, alpha) -> SetDescription:
         check_horizon(horizon, "weyl horizon")
         return _weyl_mask(*kernel(horizon.bit_length()), horizon)
 
-    return SetDescription(family="weyl", membership=member, builder=build)
+    return SetDescription(family="weyl", contains=member, builder=build)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +531,7 @@ def gen_p_t(t: int) -> SetDescription:
 
     return SetDescription(
         family="p_t",
-        membership=lambda n: n >= 2 and omega(n) <= t,
+        contains=lambda n: n >= 2 and omega(n) <= t,
         builder=build,
     )
 
@@ -679,7 +657,7 @@ def gen_hook(rule: str = "factorial") -> SetDescription:
         return out
 
     # listed, not masked: its horizons are uncapped and it has 17 members below 10^15
-    return SetDescription(family="hook", membership=lambda n: n in generate(n), builder=generate)
+    return SetDescription(family="hook", contains=lambda n: n in generate(n), builder=generate)
 
 
 # ---------------------------------------------------------------------------
@@ -739,13 +717,14 @@ def gen_three_density(
         ) and weyl.contains(n)
 
     def build(horizon: int) -> int:
+        check_horizon(horizon, "three_density horizon")  # before any block is tiled
         blocks = 0  # the n <= horizon that pass some block's residue test
         for k, low, high in _density_blocks(n_base, gamma, horizon):
             residues = members_mask(_nested_residues(alpha, k), 1 << k)
             blocks |= tile_bits(residues, 1 << k, min(high, horizon) + 1) >> low << low
         return weyl.members_mask(horizon) & blocks
 
-    return SetDescription(family="three_density", membership=member, builder=build)
+    return SetDescription(family="three_density", contains=member, builder=build)
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +760,7 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
         return from_periodic(eps, family="union")
 
     def member(n: int) -> bool:
-        return any(p.membership(n) for p in parts)
+        return any(p.contains(n) for p in parts)
 
     def profile(m: int) -> ModularProfile:
         profs = [p.profile(m) for p in parts]
@@ -789,14 +768,14 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
         return ModularProfile(m, *(reduce(ResidueSet.union, f) for f in fields))
 
     def build(horizon: int) -> Union[int, list[int]]:
-        masks = [p._slot(horizon)[0] for p in parts]
-        if None in masks:  # a part listed, not masked (hook): its mask may be out of reach
-            return sorted(set().union(*(p.members(horizon) for p in parts)))
-        return reduce(or_, masks)
+        if horizon < MAX_MODULUS:
+            return reduce(or_, (p.members_mask(horizon) for p in parts))
+        # past the cap only listed parts (hook) and finite sets build, so listing is cheap
+        return sorted(set().union(*(p.members(horizon) for p in parts)))
 
     return SetDescription(
         family="union",
-        membership=member,
+        contains=member,
         profile_fn=profile,
         supports=lambda m: all(p.supports(m) for p in parts),
         builder=build,
@@ -843,7 +822,7 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
             h = max(n, min(2 * held[0] + 1, MAX_MODULUS - 1))
             held[:] = h, first.members(h)
         xs = held[1]
-        return any(rest.membership(n - x) for x in islice(xs, bisect_right(xs, n)))
+        return any(rest.contains(n - x) for x in islice(xs, bisect_right(xs, n)))
 
     def profile(m: int) -> ModularProfile:
         profs = map_distinct(lambda p: p.profile(m), parts)
@@ -861,7 +840,7 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
 
     return SetDescription(
         family="sumset",
-        membership=member,
+        contains=member,
         profile_fn=profile,
         supports=lambda m: all(p.supports(m) for p in parts),
         builder=build,

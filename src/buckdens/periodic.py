@@ -23,6 +23,7 @@ from .zmod import (
     ResidueSet,
     add_bits,
     bit_positions,
+    check_horizon,
     check_width,
     fold_bits,
     members_mask,
@@ -101,7 +102,9 @@ class EventuallyPeriodicSet:
     def members_mask(self, horizon: int) -> int:
         """The members n <= horizon as a bitmask: the prefix, then the tail
         tiled.  A finite set's mask ends at its threshold, however far the
-        horizon."""
+        horizon; an infinite set's horizon is checked before any tiling."""
+        if self.tail.bits:
+            check_horizon(horizon, "periodic horizon")
         width = horizon + 1 if self.tail.bits else min(horizon + 1, self.threshold)
         if width <= 0:
             return 0

@@ -398,6 +398,13 @@ def test_limit_exits_three_at_once(capsys, argv):
         (["gen", '{"family":"x0"}', "--horizon", "1048576"], "x0 horizon 1048576 exceeds cap 1048575"),
         (["gen", '{"family":"d_k","k_prefix":[1],"rule":"double_gap"}', "--horizon", "10000000000"],
          "d_k horizon 10000000000 exceeds cap 1048575"),
+        # an infinite periodic set checks its horizon before the tail is tiled
+        (["gen", '{"progressions":[[1,2]]}', "--horizon", "2000000"],
+         "periodic horizon 2000000 exceeds cap 1048575"),
+        (["sumset", '{"progressions":[[1,4]]}', '{"progressions":[[1,3]]}', "--horizon", "2000000",
+          "--format", "csv"], "periodic horizon 2000000 exceeds cap 1048575"),
+        (["gen", '{"family":"three_density","alpha":"1/2","beta":"1/2","gamma":"1/2"}',
+          "--horizon", "1000000000"], "three_density horizon 1000000000 exceeds cap 1048575"),
     ],
 )
 def test_horizon_limit_names_the_horizon_given(capsys, argv, message):

@@ -17,7 +17,7 @@ from buckdens import generators as gen
 from buckdens import periodic as per
 from buckdens import suites
 from buckdens.oracle import brute_sumset_members
-from buckdens.zmod import CertificateError, LimitExceededError, ResidueSet, sumset
+from buckdens.zmod import MAX_MODULUS, CertificateError, LimitExceededError, ResidueSet, bit_positions, sumset
 
 
 class TestBAlpha:
@@ -756,19 +756,48 @@ class TestMembersCache:
         copy = replace(desc)
         assert copy.members(30) == first and listed == [30, 12, 30, 30]
 
-    def test_mask_kept_beside_the_list(self, monkeypatch):
-        masks = []
-        members_mask = gen.members_mask
-
-        def counted(members, width):
-            masks.append(list(members))
-            return members_mask(members, width)
-
-        monkeypatch.setattr(gen, "members_mask", counted)
+    def test_mask_read_off_the_list(self):
         desc = gen.SetDescription("threes", lambda n: n % 3 == 0, lambda h: list(range(0, h + 1, 3)))
         assert desc.members_mask(9) == desc.members_mask(9) == 0b1001001001
-        assert masks == [[0, 3, 6, 9]]
-        assert desc.members_mask(4) == 0b1001 and masks == [[0, 3, 6, 9], [0, 3]]
+        assert desc.members_mask(4) == 0b1001
+
+    def test_listed_and_masked_forms_agree_on_every_reader(self, enumerated):
+        listed = gen.SetDescription("listed", lambda n: n % 3 == 0, lambda h: list(range(0, h + 1, 3)))
+        masked = gen.SetDescription(
+            "masked", lambda n: n % 3 == 0, lambda h: int("001" * (h // 3 + 1), 2) & ((1 << h + 1) - 1)
+        )
+        for h in (0, 1, 2, 3, 40):
+            enumerated.clear()
+            answers = [
+                (
+                    d.members(h),
+                    d.members_mask(h),
+                    d.positive_count(h),
+                    [d.residues(m, h) for m in (1, 2, 3, 7)],
+                    d.built_members(h),
+                )
+                for d in (listed, masked)
+            ]
+            assert enumerated == ["listed", "masked"], h  # one build per horizon
+            (members, mask, count, residues, as_built), other = answers
+            assert other[:4] == (members, mask, count, residues), h
+            assert as_built == members == bit_positions(other[4]), h
+            assert members == list(range(0, h + 1, 3)) and count == h // 3, h
+
+    def test_union_with_a_listed_part_builds_a_mask_below_the_cap(self):
+        hook, x0 = gen.gen_hook(), gen.gen_x0()
+        built = gen.union_description([hook, x0]).built_members(5000)
+        assert isinstance(built, int)
+        assert bit_positions(built) == sorted(set(hook.members(5000)) | set(x0.members(5000)))
+
+    def test_mask_of_a_list_past_the_cap_is_refused(self):
+        with pytest.raises(LimitExceededError, match="^hook mask 355687428096018 exceeds cap"):
+            gen.gen_hook().members_mask(10**15)
+
+    def test_union_with_a_listed_part_lists_past_the_cap(self):
+        finite = gen.parse_description({"q": 1, "T": 3, "prefix": [0, 2]})
+        built = gen.union_description([gen.gen_hook(), finite]).built_members(10**15)
+        assert built == [0] + [r + math.factorial(r) for r in range(1, 18)]
 
     def test_sum_membership_builds_its_first_part_once_per_doubling(self):
         weyl = gen.gen_weyl("sqrt2", "3/10")
@@ -790,6 +819,41 @@ class TestMembersCache:
         assert desc.contains(top + 5)  # 5 is in x0
         for n in (top + 3, 10**15):
             assert desc.contains(n) == any(x0.contains(n - x) for x in hook.members(n))
+
+
+#: one description of every family with a mask, and the name its refusal gives
+WIDTH_GUARDED = [
+    pytest.param(lambda: gen.gen_b_alpha("01"), "periodic", id="b_alpha"),
+    pytest.param(lambda: gen.gen_d_k((1, 3), rule="double_gap"), "d_k", id="d_k-ruled"),
+    pytest.param(gen.gen_x0, "x0", id="x0"),
+    pytest.param(lambda: gen.gen_weyl("sqrt2", "3/10"), "weyl", id="weyl"),
+    pytest.param(lambda: gen.gen_p_t(1), "p_t", id="p_t"),
+    pytest.param(lambda: gen.gen_three_density("1/2", "1/2", "1/2"), "three_density", id="three_density"),
+    pytest.param(lambda: gen.parse_description({"progressions": [[1, 2]]}), "periodic", id="progressions"),
+    pytest.param(lambda: gen.parse_description({"q": 6, "T": 12, "prefix": [0, 4, 7], "tail": [1, 3]}),
+                 "periodic", id="periodic"),
+    # past the cap a union lists its parts, and the first to refuse is named
+    pytest.param(lambda: gen.union_description([gen.gen_b_alpha("01"), gen.gen_weyl("sqrt2", "3/10")]),
+                 "periodic", id="union"),
+    pytest.param(lambda: gen.sumset_description([gen.gen_weyl("sqrt2", "3/10"), gen.gen_x0()]),
+                 "sumset", id="sampled-sumset"),
+]
+
+
+@pytest.mark.parametrize("build, named", WIDTH_GUARDED)
+def test_mask_past_the_cap_is_refused_before_it_is_built(build, named):
+    desc = build()
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitExceededError, match=f"^{named} horizon {MAX_MODULUS} exceeds cap"):
+            desc.members_mask(MAX_MODULUS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # a listed family and a finite set still build past the cap
+    assert gen.gen_hook().members(10**15) == [r + math.factorial(r) for r in range(1, 18)]
+    assert gen.parse_description({"q": 1, "T": 3, "prefix": [0, 2]}).members_mask(10**12) == 0b101
 
 
 class TestParseDescription:
