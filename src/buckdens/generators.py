@@ -23,8 +23,8 @@ from . import periodic as zper
 from .periodic import EventuallyPeriodicSet, ModularProfile
 from .zmod import (
     MAX_MODULUS, CertificateError, ResidueSet, add_bits, bit_positions, check_horizon,
-    check_width, digits_mask, divisors, fold_bits, members_mask, prime_factors,
-    sumset as residue_sumset, sumset_bits, tile_bits,
+    check_width, digits_mask, divisors, fold_bits, linear_sum_bits, members_mask,
+    prime_factors, sumset as residue_sumset, sumset_bits, tile_bits,
 )
 
 
@@ -805,11 +805,7 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
         check_horizon(horizon, "sumset horizon")
         acc = parts[0].members_mask(horizon)
         for other in parts[1:]:
-            sparse = other.members_mask(horizon)
-            if sparse.bit_count() > acc.bit_count():
-                acc, sparse = sparse, acc
-            # one shift of the denser mask per member of the sparser
-            acc = add_bits(acc, bit_positions(sparse)) & ((1 << (horizon + 1)) - 1)
+            acc = linear_sum_bits(acc, other.members_mask(horizon)) & ((1 << (horizon + 1)) - 1)
         return acc
 
     first = parts[0]

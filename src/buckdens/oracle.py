@@ -245,6 +245,6 @@ def exhaustive_kemperman_ap(
 def brute_sumset_members(xs: list[int], ys: list[int], horizon: int) -> list[int]:
     """Sorted, deduplicated pairwise sums x + y <= horizon, by nested loops
     over plain ints.  A test reference only: production sumsets go through
-    ``zmod.add_bits``, never through here.
+    ``zmod.linear_sum_bits`` and ``zmod.add_bits``, never through here.
     """
     return sorted({x + y for x in xs for y in ys if x + y <= horizon})

@@ -41,8 +41,8 @@ from .oracle import (
     exhaustive_kneser,
 )
 from .zmod import (
-    MAX_MODULUS, CertificateError, ResidueSet, add_bits, bit_positions, detect_quasi_periodic,
-    sumset,
+    MAX_MODULUS, CertificateError, ResidueSet, bit_positions, detect_quasi_periodic,
+    linear_sum_bits, sumset,
 )
 
 DEFAULT_SEED = 1729
@@ -151,7 +151,8 @@ DK_TEST_SEQUENCES = (
 
 def _dk_complement(desc: DKDescription, bound: int) -> list[int]:
     """E_K cap [0, bound): the n < bound missed by the double sum of the members."""
-    doubled = add_bits(desc.members_mask(bound - 1), desc.members(bound - 1))
+    mask = desc.members_mask(bound - 1)
+    doubled = linear_sum_bits(mask, mask)
     return bit_positions(~doubled & ((1 << bound) - 1))
 
 

@@ -135,12 +135,43 @@ def positions_text(bits: int, sep: str) -> str:
 
 
 def add_bits(bits: int, offsets: Iterable[int]) -> int:
-    """The vector of {x + n : x in bits, n in offsets}: every linear bitmask
-    sumset (residue sums go through ``cyclic_add_bits``)."""
+    """The vector of {x + n : x in bits, n in offsets}: one full-width shift
+    per offset (sums of two wide masks go through ``linear_sum_bits``,
+    residue sums through ``cyclic_add_bits``).
+
+    ``thin_basis_set`` and ``periodic.add`` call it directly: their offsets
+    are short lists on narrow masks, where grouping words costs more than
+    it shares."""
     out = 0
     for n in offsets:
         out |= bits << n
     return out
+
+
+def linear_sum_bits(a: int, b: int) -> int:
+    """The vector of {x + y : x in a, y in b}: every sum of two wide masks.
+
+    The sparser mask (by popcount) supplies the offsets, read as 64-bit
+    words.  Since A + (P << s) = (A + P) << s, a word P with at least two
+    bits that starts at two or more places s costs one partial sum A + P and
+    one shift per start, |P| + |starts| full-width shifts instead of
+    |P| * |starts|.  The bits of every other word shift the denser mask
+    directly, so no sum takes more shifts than one per offset.
+    """
+    if a.bit_count() < b.bit_count():
+        a, b = b, a
+    raw = b.to_bytes((b.bit_length() + 63) // 64 * 8, "little")
+    starts: dict[bytes, list[int]] = {}
+    for i in compress(count(), memoryview(raw).cast("Q")):  # the nonzero words
+        starts.setdefault(raw[8 * i : 8 * i + 8], []).append(64 * i)
+    out, direct = 0, []
+    for word, at in starts.items():
+        lows = bit_positions(int.from_bytes(word, "little"))
+        if len(at) > 1 and len(lows) > 1:
+            out |= add_bits(add_bits(a, lows), at)
+        else:
+            direct.extend(s + n for s in at for n in lows)
+    return out | add_bits(a, direct)
 
 
 #: Offsets with at most this many set bits are read lowest bit first

@@ -444,6 +444,11 @@ def test_basis_width_is_named_in_the_limit_message(capsys, argv, message):
          "1e667d53f94ace67c0076099c1972531252d82109c49daae390c8cf0871dc938"),
         (["analyze", TAIL_INTERVAL, "--qmax", "16384"],
          "dc1e6c1c174dd230e3f5eb0b21a02c9460abffc8a2073327f3ad685aa0358531"),
+        # the sampled self-sum of weyl, as printed at 121af0b by one shift per member
+        (["sumset", WEYL, WEYL, "--horizon", "20000"],
+         "cdff87c9ee4ec4d05ef53f88946a946145c8dab5dc1f5b3a39059c248a75e1d6"),
+        (["analyze", WEYL, "--horizon", "20000"],
+         "6810a91b344d4d3482af2a0e3b32c01be3c3f6458bd0a9b1f82851621ac3b14f"),
     ],
 )
 def test_report_is_pinned(capsys, argv, digest):

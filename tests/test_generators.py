@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
@@ -413,7 +414,6 @@ class TestThinBasisSuite:
             return add_bits(bits, offsets)
 
         monkeypatch.setattr(gen, "add_bits", counted)
-        monkeypatch.setattr(suites, "add_bits", counted)
         assert suites.suite_thin_basis(10**4).passed
         # two per shape: the set's mask, then its doubled sum
         assert 0 < len(calls) <= 2 * (2 * math.isqrt(10**4) + 2)
@@ -530,26 +530,34 @@ class TestCombinators:
         assert gen.sumset_description([w, x0, x0]).members(5000) == three
         assert gen.sumset_description([w, x0]).members(-1) == []
 
-    def test_sumset_shifts_the_denser_mask_by_the_sparser_members(self, monkeypatch, enumerated):
-        shifts = []
-        add_bits = gen.add_bits
-
-        def counted(bits, offsets):
-            offsets = list(offsets)
-            shifts.append(len(offsets))
-            return add_bits(bits, offsets)
-
-        monkeypatch.setattr(gen, "add_bits", counted)
+    def test_sumset_shifts_the_denser_mask_by_the_sparser_members(self, shifts, enumerated):
         w, x0 = gen.gen_weyl("sqrt2", "3/10"), gen.gen_x0()
-        expect = brute_sumset_members(w.members(20000), x0.members(20000), 20000)
+        x0m = x0.members(20000)
+        expect = brute_sumset_members(w.members(20000), x0m, 20000)
+        # x0's 64-bit words: a word P with two or more bits at k >= 2 starts
+        # costs |P| + k shifts, any other |P| per start
+        words = Counter(sum(1 << n % 64 for n in x0m if n // 64 == i) for i in {n // 64 for n in x0m})
+        bound = sum(
+            p.bit_count() + k if k > 1 and p & (p - 1) else p.bit_count() * k for p, k in words.items()
+        )
+        assert bound == 32 < len(x0m) == 192  # one shift per member of x0 would be 192
         for parts in ([w, x0], [x0, w]):
-            shifts.clear()
+            shifts[0] = 0
             enumerated.clear()
             total = gen.sumset_description(parts)
             assert total.members(20000) == expect
             assert total.members_mask(20000) == sum(1 << n for n in expect)
-            assert shifts == [192]  # one per member of x0 up to 20000, not 5716 for weyl
+            assert shifts == [bound]  # x0 supplies the offsets, not the 5716 members of weyl
             assert enumerated == ["sumset"]  # the summands' masks are kept; the sum's is its slot
+
+    def test_sumset_of_a_digit_set_with_itself_shares_repeated_words(self, shifts):
+        d = gen.gen_d_k((1, 3, 7, 15), rule="double_gap")
+        h = 1 << 16
+        mask = d.members_mask(h)
+        shift_or = gen.add_bits(mask, bit_positions(mask)) & ((2 << h) - 1)
+        assert mask.bit_count() == 4097  # the shifts of one per member, against 273
+        assert gen.sumset_description([d, d]).members_mask(h) == shift_or
+        assert shifts == [273]
 
     def test_sampled_sumset_does_not_load_the_oracle(self):
         script = (

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from buckdens import generators as gen
 from buckdens import zmod
 from buckdens.zmod import (
     APWitness,
@@ -28,6 +29,7 @@ from buckdens.zmod import (
     is_periodic,
     kemperman_classify,
     kneser_deficiency,
+    linear_sum_bits,
     members_mask,
     positions_text,
     prime_factors,
@@ -91,6 +93,87 @@ class TestAddBits:
         assert add_bits(0b1011, [0]) == 0b1011
         assert add_bits(0, [0, 5]) == 0
         assert add_bits(0b11, iter([0, 2])) == 0b1111
+
+
+def plain_mask(xs):
+    return sum(1 << x for x in set(xs))
+
+
+def assert_plain_linear_sum(xs, ys):
+    """linear_sum_bits against a set comprehension over member lists, in both
+    orders."""
+    want = plain_mask({x + y for x in xs for y in ys})
+    a, b = plain_mask(xs), plain_mask(ys)
+    assert linear_sum_bits(a, b) == want, (sorted(xs)[:8], sorted(ys)[:8])
+    assert linear_sum_bits(b, a) == want
+
+
+class TestLinearSumBits:
+    def test_seeded_widths_and_densities(self, shifts):
+        rng = random.Random(64)
+        densities = (0.001, 0.01, 0.1, 0.5, 0.9)
+        for width in (1, 63, 64, 65, 129, 700, 4096):
+            for da in densities:
+                for db in densities:
+                    # both sides dense only up to 1024 bits, so the reference stays cheap
+                    wb = width if min(da, db) < 0.5 else min(width, 1024)
+                    xs = [n for n in range(width) if rng.random() < da]
+                    ys = [n for n in range(rng.randint(1, wb)) if rng.random() < db]
+                    shifts[0] = 0
+                    assert_plain_linear_sum(xs, ys)
+                    assert shifts[0] <= 2 * min(len(xs), len(ys))  # each order within its bound
+
+    def test_repeated_words_at_seeded_starts(self, shifts):
+        rng = random.Random(128)
+        for density in (0.01, 0.1, 0.5, 0.9):
+            patterns = [[n for n in range(64) if rng.random() < density] or [63] for _ in range(3)]
+            ys = [64 * i + n for i in rng.sample(range(64), 12) for n in rng.choice(patterns)]
+            xs = [n for n in range(1000) if rng.random() < 0.95]
+            shifts[0] = 0
+            assert_plain_linear_sum(xs, ys)
+            # in each order: at most 64 per distinct word and one per start
+            assert shifts[0] <= 2 * (3 * 64 + 12)
+
+    def test_structured_masks(self):
+        h = 2048
+        sets = [
+            gen.gen_x0().members(h),
+            gen.gen_d_k((1, 3, 7, 15), rule="double_gap").members(h),
+            gen.gen_b_alpha("001").members(h),
+            gen.gen_weyl("sqrt2", "3/10").members(h),
+        ]
+        for i, xs in enumerate(sets):
+            for ys in sets[i:]:
+                assert_plain_linear_sum(xs, ys)
+
+    def test_word_edges_and_small_sets(self):
+        cases = [
+            [], [0], [63], [64], [127], [128], [63, 64], [0, 127, 128],
+            [0, 1, 64, 65, 128, 129],  # the word 0b11 at three starts
+            [62, 63, 126, 127, 190, 191],  # the top two bits of a word, repeated
+            [5, 69, 133],  # one bit at three starts
+        ]
+        for xs in cases:
+            for ys in cases:
+                assert_plain_linear_sum(xs, ys)
+        assert linear_sum_bits(0, 0) == 0
+        assert linear_sum_bits(0, (1 << 200) - 1) == 0 == linear_sum_bits((1 << 200) - 1, 0)
+
+    def test_offsets_wider_and_narrower_than_the_denser_mask(self):
+        narrow = list(range(10))
+        wide_sparse = [0, 1, 1000, 1001, 2000, 2001, 5000]
+        assert_plain_linear_sum(narrow, wide_sparse)  # offsets reach past the denser mask
+        wide_dense = [n for n in range(3000) if n % 3]
+        assert_plain_linear_sum(wide_dense, [0, 1, 64, 65])  # offsets inside its first words
+
+    def test_distinct_words_cost_one_shift_per_sparser_member(self, shifts):
+        rng = random.Random(4096)
+        a, b = rng.getrandbits(8192), rng.getrandbits(4096) & rng.getrandbits(4096)
+        words = [b >> (64 * i) & (2**64 - 1) for i in range(64)]
+        assert len(set(words)) == len(words) and b.bit_count() < a.bit_count()
+        got = linear_sum_bits(a, b)
+        assert shifts[0] == b.bit_count()
+        assert got == add_bits(a, enumerated_bit_positions(b))
 
 
 class TestTileBits:
