@@ -49,7 +49,6 @@ from .zmod import (
     is_periodic,
     kemperman_classify,
     kneser_deficiency,
-    project,
     stabilizer,
     sumset,
 )

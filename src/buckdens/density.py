@@ -36,7 +36,6 @@ class ModulusChain:
 
     kind: str
     values: tuple[int, ...]
-    exhaustive: bool
 
     def __post_init__(self) -> None:
         for a, b in zip(self.values, self.values[1:]):
@@ -58,7 +57,7 @@ def modulus_chain(kind: str, depth: int) -> ModulusChain:
         for n in range(1, depth + 1):
             acc *= n
             values.append(acc)
-        return ModulusChain(kind, tuple(values), True)
+        return ModulusChain(kind, tuple(values))
     if kind == "primorial":
         primes = list(islice((n for n in count(2) if prime_factors(n) == [n]), depth))
         values = []
@@ -66,11 +65,11 @@ def modulus_chain(kind: str, depth: int) -> ModulusChain:
         for n in range(1, depth + 1):
             prod *= primes[n - 1]
             values.append(prod**n)
-        return ModulusChain(kind, tuple(values), True)
+        return ModulusChain(kind, tuple(values))
     if kind == "powers_of_two":
-        return ModulusChain(kind, tuple(1 << n for n in range(1, depth + 1)), False)
+        return ModulusChain(kind, tuple(1 << n for n in range(1, depth + 1)))
     if kind == "powers_of_four":
-        return ModulusChain(kind, tuple(1 << (2 * n) for n in range(1, depth + 1)), False)
+        return ModulusChain(kind, tuple(1 << (2 * n) for n in range(1, depth + 1)))
     raise ValueError(f"unknown chain kind {kind!r}")
 
 

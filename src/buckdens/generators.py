@@ -666,20 +666,17 @@ def gen_hook(rule: str = "factorial") -> SetDescription:
 
 
 @lru_cache(maxsize=256)
-def _nested_residues(alpha: Fraction, k: int) -> frozenset[int]:
-    """R_k mod 2^k: R_(k-1) lifted to both halves, topped up with the
-    smallest missing residues to floor(alpha 2^k) members."""
+def _nested_residues(alpha: Fraction, k: int) -> int:
+    """R_k mod 2^k as a 2^k-bit mask: R_(k-1) lifted to both halves, topped
+    up with the smallest missing residues to floor(alpha 2^k) members."""
     if k == 0:
-        return frozenset()
+        return 0
     prev = _nested_residues(alpha, k - 1)
-    lifted = set(prev) | {r + (1 << (k - 1)) for r in prev}
+    lifted = prev | prev << (1 << (k - 1))
     want = int(alpha * (1 << k))
-    extra = 0
-    while len(lifted) < want:
-        if extra not in lifted:
-            lifted.add(extra)
-        extra += 1
-    return frozenset(lifted)
+    while lifted.bit_count() < want:
+        lifted |= (lifted + 1) & ~lifted  # the lowest clear bit
+    return lifted
 
 
 def _density_blocks(n_base: int, gamma: Fraction, horizon: int) -> Iterator[tuple[int, int, int]]:
@@ -712,7 +709,7 @@ def gen_three_density(
 
     def member(n: int) -> bool:
         return any(
-            low <= n <= high and n % (1 << k) in _nested_residues(alpha, k)
+            low <= n <= high and _nested_residues(alpha, k) >> (n % (1 << k)) & 1
             for k, low, high in _density_blocks(n_base, gamma, n)
         ) and weyl.contains(n)
 
@@ -720,7 +717,7 @@ def gen_three_density(
         check_horizon(horizon, "three_density horizon")  # before any block is tiled
         blocks = 0  # the n <= horizon that pass some block's residue test
         for k, low, high in _density_blocks(n_base, gamma, horizon):
-            residues = members_mask(_nested_residues(alpha, k), 1 << k)
+            residues = _nested_residues(alpha, k)
             blocks |= tile_bits(residues, 1 << k, min(high, horizon) + 1) >> low << low
         return weyl.members_mask(horizon) & blocks
 

@@ -115,37 +115,31 @@ class BuckInequalityReport(Report):
     bdo_AA: DensityEstimate
     bdo_A: DensityEstimate
     bup_AA: DensityEstimate
-    margin: Optional[Fraction]  # bdo(A+A)^2 - bdo(A) * bup(A+A), exact path only
+    margin: Fraction  # bdo(A+A)^2 - bdo(A) * bup(A+A)
     consistent: bool
 
-    def to_json_dict(self) -> dict:
-        out = super().to_json_dict()
-        if self.margin is None:
-            del out["margin"]
-        return out
 
-
-def buck_inequality_report(
-    desc: SetDescription, chain=None, horizon: int = DEFAULT_HORIZON
-) -> BuckInequalityReport:
+def buck_inequality_report(desc: SetDescription) -> BuckInequalityReport:
     """Check bdo(A+A) >= sqrt(bdo(A) * bup(A+A)) for a set with a periodic
     form, exactly: by the sign of the rational margin
     bdo(A+A)^2 - bdo(A) * bup(A+A), compared square-free.
 
-    Only a set with a periodic form is decided.  Any other set has a sum
-    A + A with none either, so no estimate bounds bdo(A+A) from above or
-    bup(A+A) from below with a certificate, and no violation can be
-    certified: the report carries the three estimates, no margin, and
-    reads consistent.
+    Any other set is refused with a ValueError before any sum is formed.
+    Its sum A + A has no periodic form either, so no estimate bounds
+    bdo(A+A) from above or bup(A+A) from below with a certificate, and a
+    report on it could only pass.
     """
+    if desc.periodic_form is None:
+        raise ValueError(
+            "the doubling inequality is decided only for a set with a periodic form, "
+            f"not for family {desc.family!r}"
+        )
     doubled = sumset_description([desc, desc])
-    bdo_aa = buck_lower(doubled, chain, horizon)
-    bdo_a = buck_lower(desc, chain, horizon)
-    bup_aa = buck_upper(doubled, chain, horizon)
-    margin = None
-    if desc.periodic_form is not None:
-        margin = bdo_aa.value**2 - bdo_a.value * bup_aa.value
-    return BuckInequalityReport(bdo_aa, bdo_a, bup_aa, margin, margin is None or margin >= 0)
+    bdo_aa = buck_lower(doubled)
+    bdo_a = buck_lower(desc)
+    bup_aa = buck_upper(doubled)
+    margin = bdo_aa.value**2 - bdo_a.value * bup_aa.value
+    return BuckInequalityReport(bdo_aa, bdo_a, bup_aa, margin, margin >= 0)
 
 
 # ---------------------------------------------------------------------------

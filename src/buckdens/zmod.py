@@ -282,18 +282,14 @@ class ResidueSet:
 
     @property
     def members(self) -> tuple[int, ...]:
-        return tuple(self)
+        return tuple(bit_positions(self.bits))
 
     @property
     def cardinality(self) -> int:
         return self.bits.bit_count()
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return iter(bit_positions(self.bits))
 
     def __contains__(self, x: int) -> bool:
         return 0 <= x < self.modulus and (self.bits >> x) & 1 == 1
@@ -313,9 +309,6 @@ class ResidueSet:
     def union(self, other: "ResidueSet") -> "ResidueSet":
         _require_same_modulus([self, other])
         return ResidueSet(self.modulus, self.bits | other.bits)
-
-    def complement(self) -> "ResidueSet":
-        return ResidueSet(self.modulus, self.bits ^ ((1 << self.modulus) - 1))
 
     def issubset(self, other: "ResidueSet") -> bool:
         _require_same_modulus([self, other])
@@ -364,8 +357,8 @@ class QuasiPeriodicWitness:
 
     subgroup: Subgroup
     shift: int
-    trace: frozenset[int]
-    periodic_part: frozenset[int]
+    trace: ResidueSet
+    periodic_part: ResidueSet
 
 
 @dataclass(frozen=True)
@@ -386,8 +379,8 @@ class StructureClass:
             out["qp_witness"] = {
                 "subgroup_generator": w.subgroup.generator,
                 "shift": w.shift,
-                "trace": sorted(w.trace),
-                "periodic_part": sorted(w.periodic_part),
+                "trace": bit_positions(w.trace.bits),
+                "periodic_part": bit_positions(w.periodic_part.bits),
             }
         return out
 
@@ -517,7 +510,7 @@ def detect_quasi_periodic(
     if s.is_empty():
         raise ValueError("cannot classify the empty set")
     m = s.modulus
-    if m > 1 and is_periodic(s):
+    if is_periodic(s):
         return None
     bits = s.bits
     for d in divisors(m)[1:-1]:  # nontrivial proper subgroups, largest first
@@ -530,9 +523,9 @@ def detect_quasi_periodic(
             continue
         on_coset = bits & coset  # S'' is this shifted down by its least member
         shift = (on_coset & -on_coset).bit_length() - 1
-        trace = frozenset(bit_positions(on_coset >> shift))
-        periodic_part = frozenset(bit_positions(remainder))
-        return QuasiPeriodicWitness(Subgroup(m, d), shift, trace, periodic_part)
+        return QuasiPeriodicWitness(
+            Subgroup(m, d), shift, ResidueSet(m, on_coset >> shift), ResidueSet(m, remainder)
+        )
     return None
 
 
@@ -540,10 +533,8 @@ def classify_structure(
     s: ResidueSet, require_nonempty_periodic_part: bool = False
 ) -> StructureClass:
     """Tag a residue set as periodic / quasi-periodic / AP / both / none."""
-    if s.is_empty():
-        raise ValueError("cannot classify the empty set")
-    ap = detect_arithmetic_progression(s)
-    if s.modulus > 1 and is_periodic(s):
+    ap = detect_arithmetic_progression(s)  # raises on the empty set
+    if is_periodic(s):
         return StructureClass("periodic", None, ap)
     qp = detect_quasi_periodic(s, require_nonempty_periodic_part)
     if qp is not None and ap is not None:
@@ -632,10 +623,3 @@ def kemperman_classify(
         )
     cls = classify_structure(doubled, require_nonempty_periodic_part)
     return KempermanClassification(doubled, cls, detect_arithmetic_progression(s))
-
-
-def project(s: ResidueSet, d: int) -> ResidueSet:
-    """Image of S under reduction mod d, for d | m."""
-    if d < 1 or s.modulus % d != 0:
-        raise ValueError(f"{d} does not divide modulus {s.modulus}")
-    return ResidueSet(d, fold_bits(s.bits, d))

@@ -15,12 +15,10 @@ class TestModulusChain:
     def test_factorial(self):
         chain = dens.modulus_chain("factorial", 4)
         assert chain.values == (1, 2, 6, 24)
-        assert chain.exhaustive
 
     def test_powers_of_two(self):
         chain = dens.modulus_chain("powers_of_two", 3)
         assert chain.values == (2, 4, 8)
-        assert not chain.exhaustive
 
     def test_primorial_divisibility(self):
         chain = dens.modulus_chain("primorial", 3)

@@ -468,21 +468,21 @@ class TestHook:
 class TestThreeDensity:
     def test_half_chain(self):
         half = Fraction(1, 2)
-        assert len(gen._nested_residues(half, 1)) == 1
-        assert gen._nested_residues(half, 1) == {0}
-        assert int(half * 8) == 4 and len(gen._nested_residues(half, 3)) == 4
+        assert gen._nested_residues(half, 1).bit_count() == 1
+        assert gen._nested_residues(half, 1) == 1  # the mask of {0}
+        assert int(half * 8) == 4 and gen._nested_residues(half, 3).bit_count() == 4
 
     def test_nesting(self):
         alpha = Fraction(3, 10)
         for k in range(1, 10):
             residues = gen._nested_residues(alpha, k)
-            lifted = set(residues) | {r + (1 << k) for r in residues}
-            assert lifted.issubset(gen._nested_residues(alpha, k + 1))
+            lifted = residues | residues << (1 << k)
+            assert lifted & ~gen._nested_residues(alpha, k + 1) == 0
 
     def test_r_growth(self):
         alpha = Fraction(3, 10)
         for k in range(1, 11):
-            r_k, r_next = (len(gen._nested_residues(alpha, j)) for j in (k, k + 1))
+            r_k, r_next = (gen._nested_residues(alpha, j).bit_count() for j in (k, k + 1))
             assert r_next in (2 * r_k, 2 * r_k + 1)
 
     def test_membership_respects_windows(self):
