@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import islice
+from itertools import count, islice, takewhile
 from math import isqrt, prod
 from operator import or_
 from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
@@ -43,10 +43,10 @@ class SetDescription:
     list.  Every reader answers from that one form, kept for the last
     horizon asked.  ``profile_fn`` gives the modular profile at every modulus
     ``supports`` accepts (none by default), under the contract stated on
-    :class:`ModularProfile`: attained and infinitely attained residues
-    exact, cofinitely attained ones a certified subset.  ``periodic_form``
-    is set when X is exactly eventually periodic, in which case
-    :func:`from_periodic` makes every modulus supported.
+    :class:`ModularProfile`: attained residues exact, cofinitely attained
+    ones a certified subset.  ``periodic_form`` is set when X is exactly
+    eventually periodic, in which case :func:`from_periodic` makes every
+    modulus supported.
     """
 
     family: str
@@ -187,22 +187,8 @@ class DKDescription(SetDescription):
         return last + j * self.step  # arithmetic
 
     def positions_below(self, bound: int) -> list[int]:
-        out = []
-        t = 0
-        while True:
-            try:
-                v = self.k(t)
-            except IndexError:
-                break
-            if v >= bound:
-                break
-            out.append(v)
-            t += 1
-        return out
-
-    def free_positions_are_infinite(self) -> bool:
-        # Only a step-1 arithmetic tail eventually forbids every position.
-        return not (self.rule == "arithmetic" and self.step == 1)
+        steps = range(len(self.k_prefix)) if self.rule is None else count()
+        return list(takewhile(bound.__gt__, map(self.k, steps)))
 
     # -- complement structure of D_K + D_K -------------------------------
 
@@ -336,12 +322,9 @@ def _dk_profile(desc: DKDescription, m: int) -> ModularProfile:
     check_width(m, "modulus")  # before the 2^e-bit digit mask is built
     e = m.bit_length() - 1
     attained = ResidueSet(m, _digit_residues(desc.positions_below(e), e))
-    empty = ResidueSet(m, 0)
-    high_positions_free = desc.free_positions_are_infinite()
-    infinite = attained if high_positions_free else empty
     no_high_forbidden = desc.rule is None and all(p < e for p in desc.k_prefix)
-    cofinite = attained if no_high_forbidden else empty
-    return ModularProfile(m, attained, infinite, cofinite)
+    cofinite = attained if no_high_forbidden else ResidueSet(m, 0)
+    return ModularProfile(attained, cofinite)
 
 
 def gen_x0() -> DKDescription:
@@ -743,8 +726,8 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
     """Pointwise union, formed exactly when every part is periodic.
 
     Each profile field is the OR of the parts' fields: exact for attained
-    and infinitely attained residues, and for cofinite ones a certified
-    subset that misses a class the parts cover only jointly.
+    residues, and for cofinite ones a certified subset that misses a class
+    the parts cover only jointly.
     """
     if not parts:
         raise ValueError("union of no descriptions")
@@ -761,8 +744,8 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
 
     def profile(m: int) -> ModularProfile:
         profs = [p.profile(m) for p in parts]
-        fields = zip(*((pr.attained, pr.infinitely_attained, pr.cofinitely_attained) for pr in profs))
-        return ModularProfile(m, *(reduce(ResidueSet.union, f) for f in fields))
+        fields = zip(*((pr.attained, pr.cofinitely_attained) for pr in profs))
+        return ModularProfile(*(reduce(ResidueSet.union, f) for f in fields))
 
     def build(horizon: int) -> Union[int, list[int]]:
         if horizon < MAX_MODULUS:
@@ -783,12 +766,11 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
     """The k-fold sumset X_1 + ... + X_k as a description.
 
     Formed exactly when every part is eventually periodic.  Otherwise, with
-    att_i, inf_i, cof_i the profile fields of X_i, att = att_1 + ... + att_k
-    and inf = union over i of (inf_i + sum of att_j, j != i), exactly (a
-    class is hit infinitely often iff some split has an infinite factor).
-    cof is the same union over cof_i, a certified subset: fix a member x_j
-    of each other part in its class; X_i holds every large n in its class,
-    so the sum holds every large n + sum x_j.
+    att_i, cof_i the profile fields of X_i, att = att_1 + ... + att_k
+    exactly, and cof = union over i of (cof_i + sum of att_j, j != i), a
+    certified subset: fix a member x_j of each other part in its class;
+    X_i holds every large n in its class, so the sum holds every large
+    n + sum x_j.
     """
     if not parts:
         raise ValueError("sumset of no descriptions")
@@ -820,16 +802,12 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
     def profile(m: int) -> ModularProfile:
         profs = map_distinct(lambda p: p.profile(m), parts)
         att = [pr.attained.bits for pr in profs]
-        inf = cof = 0
+        cof = 0
         for i, pr in enumerate(profs):
             others = att[:i] + att[i + 1 :]  # one attained class of every other part
-            if pr.infinitely_attained.bits:
-                inf |= sumset_bits([pr.infinitely_attained.bits] + others, m)
             if pr.cofinitely_attained.bits:
                 cof |= sumset_bits([pr.cofinitely_attained.bits] + others, m)
-        return ModularProfile(
-            m, ResidueSet(m, sumset_bits(att, m)), ResidueSet(m, inf), ResidueSet(m, cof)
-        )
+        return ModularProfile(ResidueSet(m, sumset_bits(att, m)), ResidueSet(m, cof))
 
     return SetDescription(
         family="sumset",

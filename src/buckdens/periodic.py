@@ -36,32 +36,21 @@ from .zmod import (
 
 @dataclass(frozen=True)
 class ModularProfile:
-    """The residues mod m attained by a set: at all, infinitely often,
-    and cofinitely (whole class minus a finite set).
+    """The residues mod m a set attains: at all, and cofinitely (whole
+    class minus a finite set).
 
-    Every profile oracle keeps one contract: ``attained`` and
-    ``infinitely_attained`` are exact, and ``cofinitely_attained`` is a
-    certified subset of the classes held cofinitely (exact for a periodic
-    form and for ``d_k``), so a lower density read from it is certified.
+    Every profile oracle keeps one contract: ``attained`` is exact, and
+    ``cofinitely_attained`` is a certified subset of the classes held
+    cofinitely (exact for a periodic form and for ``d_k``), so a lower
+    density read from it is certified.
     """
 
-    modulus: int
     attained: ResidueSet
-    infinitely_attained: ResidueSet
     cofinitely_attained: ResidueSet
 
     def __post_init__(self) -> None:
-        if not (
-            self.attained.modulus
-            == self.infinitely_attained.modulus
-            == self.cofinitely_attained.modulus
-            == self.modulus
-        ):
-            raise ValueError("profile components must share the modulus")
-        if not self.cofinitely_attained.issubset(self.infinitely_attained):
-            raise ValueError("cofinitely attained residues must be infinitely attained")
-        if not self.infinitely_attained.issubset(self.attained):
-            raise ValueError("infinitely attained residues must be attained")
+        if not self.cofinitely_attained.issubset(self.attained):
+            raise ValueError("cofinitely attained residues must be attained")
 
 
 @dataclass(frozen=True)
@@ -119,11 +108,11 @@ class EventuallyPeriodicSet:
         return Fraction(self.tail.cardinality, self.period)
 
     def modular_profile(self, m: int) -> ModularProfile:
-        """Exact attained / infinitely attained / cofinitely attained residues mod m.
+        """Exact attained and cofinitely attained residues mod m.
 
-        With g = gcd(q, m), the tail meets the class s mod m infinitely
-        often iff some tail residue is s mod g, and covers it cofinitely
-        iff every residue mod q that is s mod g is in the tail.
+        With g = gcd(q, m), the tail meets the class s mod m iff some tail
+        residue is s mod g, and covers it cofinitely iff every residue mod
+        q that is s mod g is in the tail.
         """
         if m < 1:
             raise ValueError("modulus must be positive")
@@ -131,11 +120,10 @@ class EventuallyPeriodicSet:
         q = self.period
         g = gcd(q, m)
         tail = self.tail.bits
-        inf_bits = tile_bits(fold_bits(tail, g), g, m)
         gaps = fold_bits(tail ^ ((1 << q) - 1), g)
         cof_bits = tile_bits(gaps ^ ((1 << g) - 1), g, m)
-        att_bits = inf_bits | fold_bits(self.prefix, m)
-        return ModularProfile(m, *(ResidueSet(m, b) for b in (att_bits, inf_bits, cof_bits)))
+        att_bits = tile_bits(fold_bits(tail, g), g, m) | fold_bits(self.prefix, m)
+        return ModularProfile(ResidueSet(m, att_bits), ResidueSet(m, cof_bits))
 
     # -- serialization ---------------------------------------------------
 

@@ -449,6 +449,16 @@ def test_basis_width_is_named_in_the_limit_message(capsys, argv, message):
          "cdff87c9ee4ec4d05ef53f88946a946145c8dab5dc1f5b3a39059c248a75e1d6"),
         (["analyze", WEYL, "--horizon", "20000"],
          "6810a91b344d4d3482af2a0e3b32c01be3c3f6458bd0a9b1f82851621ac3b14f"),
+        # three reports read from modular profiles: a sum's, a union's, a ruled d_k's
+        (["sumset", '{"family":"x0"}', '{"family":"x0"}',
+          "--mods", "4,16,64,256,1024,4096,16384,65536", "--horizon", "100000"],
+         "05ef653f78c9c9e2a351a89d431e7b987a47a26a99dbc268b69e0d62ea18e488"),
+        (["density", '{"family":"union","of":[{"progressions":[[1,4]]},{"family":"x0"}]}',
+          "--mode", "buck-lower"],
+         "917b8a40a6c5883270baf6dcf9e9a10b23267510a7cdae9304c4cdbee5582783"),
+        (["density", '{"family":"d_k","k_prefix":[1,3],"rule":"double_gap"}',
+          "--chain", "pow2", "--depth", "12"],
+         "94a9595d7fb00789fea67ca0458b89b028de40bda9311508b5f3a9fa33362f05"),
     ],
 )
 def test_report_is_pinned(capsys, argv, digest):

@@ -105,7 +105,6 @@ class TestDK:
             attained = d.profile(m).attained
             seen = {n % m for n in d.members(1 << 10)}
             assert seen == set(attained.members)
-            assert d.profile(m).infinitely_attained == attained
             assert d.profile(m).cofinitely_attained.is_empty()
 
     def test_finite_k_is_periodic(self):
@@ -600,7 +599,6 @@ class TestCombinators:
         total = gen.sumset_description([singleton, gen.gen_b_alpha("1")])
         prof = total.profile(4)
         assert prof.attained.members == (1, 3)
-        assert prof.infinitely_attained.members == (1, 3)
 
     def test_enumerated_residues_match_profiles_at_depth(self):
         # deep version: supported moduli up to 2^12, members to 2^16
@@ -640,9 +638,9 @@ def _profile_only(eps: per.EventuallyPeriodicSet) -> gen.SetDescription:
 
 class TestProfileContract:
     """Union and sum profiles of descriptions without a periodic form, against
-    the exact profile of the periodic union and sum: attained and infinitely
-    attained residues equal, cofinitely attained ones a subset, and no smaller
-    than the rule they replace."""
+    the exact profile of the periodic union and sum: attained residues equal,
+    cofinitely attained ones a subset, and no smaller than the rule they
+    replace."""
 
     MODULI = (1, 2, 3, 4, 6, 8, 12, 24)
 
@@ -667,7 +665,6 @@ class TestProfileContract:
                     (total.profile(m), exact_sum.modular_profile(m), old_sum),
                 ):
                     assert got.attained == exact.attained, (sets, m)
-                    assert got.infinitely_attained == exact.infinitely_attained, (sets, m)
                     assert old.issubset(got.cofinitely_attained), (sets, m)
                     assert got.cofinitely_attained.issubset(exact.cofinitely_attained), (sets, m)
 
@@ -676,7 +673,7 @@ class TestProfileContract:
         p = gen.from_periodic(per.from_progressions([(1, 4)]))
         prof = gen.sumset_description([p, gen.gen_x0()]).profile(64)
         assert prof.cofinitely_attained.cardinality == 32
-        assert prof.cofinitely_attained == prof.infinitely_attained == prof.attained
+        assert prof.cofinitely_attained == prof.attained
 
 
 FAMILIES = [

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from buckdens import periodic as per
 from buckdens.periodic import EventuallyPeriodicSet
-from buckdens.zmod import LimitExceededError
+from buckdens.zmod import LimitExceededError, ResidueSet
 
 
 progressions = st.lists(
@@ -110,8 +110,6 @@ class TestCanonicalForm:
         assert a.period == 1 and a.threshold == 0
 
     def test_noncanonical_constructions_rejected(self):
-        from buckdens.zmod import ResidueSet
-
         with pytest.raises(ValueError, match="minimal"):
             EventuallyPeriodicSet(4, 0, 0, ResidueSet.of(4, [0, 2]))
         with pytest.raises(ValueError, match="threshold"):
@@ -233,7 +231,7 @@ class TestSumset:
     def test_two_classes_mod4(self):
         a = per.from_progressions([(0, 4), (1, 4)])
         doubled = per.add(a, a)
-        assert sorted(doubled.modular_profile(4).infinitely_attained) == [0, 1, 2]
+        assert sorted(doubled.modular_profile(4).attained) == [0, 1, 2]
         assert doubled.natural_density() == Fraction(3, 4)
 
     def test_empty_absorbs(self):
@@ -391,15 +389,21 @@ class TestModularProfile:
     def test_odds_mod4(self):
         prof = per.from_progressions([(1, 2)]).modular_profile(4)
         assert prof.attained.members == (1, 3)
-        assert prof.infinitely_attained.members == (1, 3)
         assert prof.cofinitely_attained.members == (1, 3)
 
     def test_prefix_only_residue(self):
         a = per.union(per.from_finite([0]), per.from_progressions([(1, 2)]))
         prof = a.modular_profile(2)
         assert prof.attained.members == (0, 1)
-        assert prof.infinitely_attained.members == (1,)
         assert prof.cofinitely_attained.members == (1,)
+
+    def test_cofinite_classes_must_be_attained(self):
+        with pytest.raises(ValueError, match="must be attained"):
+            per.ModularProfile(ResidueSet.of(4, [1]), ResidueSet.of(4, [1, 3]))
+
+    def test_parts_must_share_the_modulus(self):
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            per.ModularProfile(ResidueSet.of(4, [1, 3]), ResidueSet.of(2, [1]))
 
     def test_naturals(self):
         prof = per.naturals().modular_profile(5)
@@ -409,7 +413,7 @@ class TestModularProfile:
     @given(cases, st.integers(1, 24))
     @settings(max_examples=100)
     def test_projection_compatibility(self, x, m):
-        from buckdens.zmod import ResidueSet, fold_bits
+        from buckdens.zmod import fold_bits
 
         a = x.eps
         prof = a.modular_profile(m)
@@ -426,10 +430,8 @@ class TestModularProfile:
         # window of x.period * m integers shows every class mod m
         window = range(x.start, x.start + x.period * m)
         seen = {n % m for n in range(window.stop) if x.member(n)}
-        infinite = {n % m for n in window if x.member(n)}
         cofinite = {s for s in range(m) if all(x.member(n) for n in window if n % m == s)}
         assert seen == set(prof.attained)
-        assert infinite == set(prof.infinitely_attained)
         assert cofinite == set(prof.cofinitely_attained)
         assert x.eps.members(window.stop) == [n for n in range(window.stop + 1) if x.member(n)]
 
