@@ -163,15 +163,16 @@ def attained_residues(
 ) -> tuple[ResidueSet, bool]:
     """Residues mod m hit by the set: (set, certified-exact flag).
 
-    The exact profile answers where the description supports m; otherwise the
-    residues are read off the members up to the horizon
+    The exact profile answers where the description has one mod m;
+    otherwise the residues are read off the members up to the horizon
     (:meth:`SetDescription.residues`), which the description builds once
     however many moduli are asked.
     """
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
-    if desc.supports(m):
-        return desc.profile(m).attained, True
+    prof = desc.profile(m)
+    if prof is not None:
+        return prof.attained, True
     check_width(m, "modulus")  # before the members are built
     return ResidueSet(m, desc.residues(m, horizon)), False
 
@@ -216,11 +217,12 @@ def buck_lower(
 ) -> DensityEstimate:
     """Lower modular density along a chain.
 
-    Exact for eventually periodic sets.  When the description supports
-    every chain modulus, each ratio |X_*^(m)| / m over its cofinitely
-    attained residues is a certified lower bound (by the profile contract
-    those classes are held cofinitely, so their union sits inside X up to
-    a finite set) and the maximum is reported.  Cofiniteness is not
+    Exact for eventually periodic sets.  The chain is checked against the
+    width cap before any profile is read.  When the description has an
+    exact profile at every chain modulus, each ratio |X_*^(m)| / m over its
+    cofinitely attained residues is a certified lower bound (by the profile
+    contract those classes are held cofinitely, so their union sits inside
+    X up to a finite set) and the maximum is reported.  Cofiniteness is not
     decidable from samples, so otherwise the result is the interval
     [0, sampled counting ratio].
     """
@@ -228,11 +230,12 @@ def buck_lower(
         return DensityEstimate(desc.periodic_form.natural_density(), "exact")
     if chain is None:
         chain = modulus_chain("powers_of_two", 10)
-    if all(desc.supports(m) for m in chain.values):
-        check_width(max(chain.values), "chain modulus")
+    check_width(max(chain.values), "chain modulus")
+    profs = [desc.profile(m) for m in chain.values]
+    if None not in profs:
         seq = tuple(
-            (m, Fraction(desc.profile(m).cofinitely_attained.cardinality, m))
-            for m in chain.values
+            (m, Fraction(prof.cofinitely_attained.cardinality, m))
+            for m, prof in zip(chain.values, profs)
         )
         return DensityEstimate(
             max(r for _, r in seq),

@@ -2,10 +2,10 @@
 
 Each family is wrapped in a :class:`SetDescription` carrying a
 membership test, a members bitmask built from the construction, an
-optional exact modular-profile oracle for the moduli the construction
-supports, and (for families that are honestly eventually periodic) an
-exact periodic form.  Infinite parameter sequences are presented
-finitely: a prefix plus a closed-form rule.
+optional exact modular-profile oracle, and (for families that are
+honestly eventually periodic) an exact periodic form.  Infinite
+parameter sequences are presented finitely: a prefix plus a closed-form
+rule.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ from .zmod import (
 )
 
 
-class UnsupportedModulusError(ValueError):
-    """The family has no exact profile oracle at this modulus."""
-
-
 @dataclass(frozen=True, eq=False)
 class SetDescription:
     """A lazily evaluated subset of N.
@@ -41,25 +37,22 @@ class SetDescription:
     family: as a bitmask (bit n set iff n is a member), or, for a family too
     sparse for a mask as wide as its horizons (``hook``), as an ascending
     list.  Every reader answers from that one form, kept for the last
-    horizon asked.  ``profile_fn`` gives the modular profile at every modulus
-    ``supports`` accepts (none by default), under the contract stated on
-    :class:`ModularProfile`: attained residues exact, cofinitely attained
-    ones a certified subset.  ``periodic_form`` is set when X is exactly
-    eventually periodic, in which case :func:`from_periodic` makes every
-    modulus supported.
+    horizon asked.  ``profile_fn(m)`` gives the modular profile mod m under
+    the contract stated on :class:`ModularProfile` (attained residues exact,
+    cofinitely attained ones a certified subset), or None where the family
+    has no exact profile (every modulus by default).  ``periodic_form`` is
+    set when X is exactly eventually periodic, in which case
+    :func:`from_periodic` gives a profile at every modulus.
     """
 
     family: str
     contains: Callable[[int], bool]
     builder: Callable[[int], Union[int, list[int]]]
-    profile_fn: Optional[Callable[[int], ModularProfile]] = None
-    supports: Callable[[int], bool] = lambda m: False
+    profile_fn: Callable[[int], Optional[ModularProfile]] = lambda m: None
     periodic_form: Optional[EventuallyPeriodicSet] = None
     _built: dict = field(default_factory=dict, init=False, repr=False)
 
-    def profile(self, m: int) -> ModularProfile:
-        if not self.supports(m):
-            raise UnsupportedModulusError(f"family {self.family!r} has no exact profile mod {m}")
+    def profile(self, m: int) -> Optional[ModularProfile]:
         return self.profile_fn(m)
 
     def built_members(self, horizon: int) -> Union[int, list[int]]:
@@ -117,7 +110,6 @@ def from_periodic(eps: EventuallyPeriodicSet, family: str = "periodic") -> SetDe
         contains=lambda n: n >= 0 and n in eps,
         builder=eps.members_mask,
         profile_fn=eps.modular_profile,
-        supports=lambda m: True,
         periodic_form=eps,
     )
 
@@ -229,9 +221,7 @@ class DKDescription(SetDescription):
         """
         if self.rule not in ("double_gap", "powers_of_two"):
             return None
-        first_tail_gap = self.k(t_max + 1) - self.k(t_max)
-        if first_tail_gap < 1:
-            return None
+        first_tail_gap = self.k(t_max + 1) - self.k(t_max)  # >= 1: K strictly increases
         tail_sum_bound = Fraction(2, 1 << first_tail_gap)
         if tail_sum_bound >= 1:
             return None
@@ -273,7 +263,6 @@ def _dk_description(
     desc = DKDescription(
         family=family,
         contains=lambda n: _dk_member(desc, n),
-        supports=(lambda m: True) if eps else lambda m: m >= 1 and m & (m - 1) == 0,
         profile_fn=eps.modular_profile if eps else lambda m: _dk_profile(desc, m),
         builder=eps.members_mask if eps else lambda horizon: _dk_mask(desc, horizon),
         periodic_form=eps,
@@ -318,13 +307,17 @@ def _dk_periodic_form(prefix: tuple[int, ...]) -> Optional[EventuallyPeriodicSet
     return EventuallyPeriodicSet(period, 0, 0, tail)
 
 
-def _dk_profile(desc: DKDescription, m: int) -> ModularProfile:
+def _dk_profile(desc: DKDescription, m: int) -> Optional[ModularProfile]:
+    """Exact mod a power of two m = 2^e, None elsewhere.  No class is held
+    cofinitely: with no periodic form, K is ruled or has a position at
+    log2(MAX_MODULUS) = 20 or above, and the width cap keeps e <= 20, so a
+    position at or past e excludes arbitrarily large n from every class."""
+    if m & (m - 1):
+        return None
     check_width(m, "modulus")  # before the 2^e-bit digit mask is built
     e = m.bit_length() - 1
     attained = ResidueSet(m, _digit_residues(desc.positions_below(e), e))
-    no_high_forbidden = desc.rule is None and all(p < e for p in desc.k_prefix)
-    cofinite = attained if no_high_forbidden else ResidueSet(m, 0)
-    return ModularProfile(attained, cofinite)
+    return ModularProfile(attained, ResidueSet(m, 0))
 
 
 def gen_x0() -> DKDescription:
@@ -742,8 +735,10 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
     def member(n: int) -> bool:
         return any(p.contains(n) for p in parts)
 
-    def profile(m: int) -> ModularProfile:
+    def profile(m: int) -> Optional[ModularProfile]:
         profs = [p.profile(m) for p in parts]
+        if None in profs:  # no exact profile without one for every part
+            return None
         fields = zip(*((pr.attained, pr.cofinitely_attained) for pr in profs))
         return ModularProfile(*(reduce(ResidueSet.union, f) for f in fields))
 
@@ -757,7 +752,6 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
         family="union",
         contains=member,
         profile_fn=profile,
-        supports=lambda m: all(p.supports(m) for p in parts),
         builder=build,
     )
 
@@ -799,8 +793,10 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
         xs = held[1]
         return any(rest.contains(n - x) for x in islice(xs, bisect_right(xs, n)))
 
-    def profile(m: int) -> ModularProfile:
+    def profile(m: int) -> Optional[ModularProfile]:
         profs = map_distinct(lambda p: p.profile(m), parts)
+        if None in profs:
+            return None
         att = [pr.attained.bits for pr in profs]
         cof = 0
         for i, pr in enumerate(profs):
@@ -813,7 +809,6 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
         family="sumset",
         contains=member,
         profile_fn=profile,
-        supports=lambda m: all(p.supports(m) for p in parts),
         builder=build,
     )
 

@@ -459,6 +459,18 @@ def test_basis_width_is_named_in_the_limit_message(capsys, argv, message):
         (["density", '{"family":"d_k","k_prefix":[1,3],"rule":"double_gap"}',
           "--chain", "pow2", "--depth", "12"],
          "94a9595d7fb00789fea67ca0458b89b028de40bda9311508b5f3a9fa33362f05"),
+        # three reports where some part or modulus has no profile: exact rows at 2, 4, 8
+        # and 16, sampled at 3, 6 and 12; a ruled d_k off the powers of two; a union
+        # with a weyl part
+        (["sumset", '{"family":"x0"}', '{"family":"x0"}', "--mods", "2,3,4,6,8,12,16",
+          "--horizon", "5000"],
+         "20797d9b0dae6a6dcf9a3defbb6b1ac88345c6889a11cd921944130c22ea896e"),
+        (["density", '{"family":"d_k","k_prefix":[1,3],"rule":"double_gap"}',
+          "--chain", "factorial", "--depth", "8", "--mode", "buck-lower"],
+         "5d8ffb57811588bea51c77b273a486642aac14ec310b3fc5e31829d76181d5db"),
+        (["density", '{"family":"union","of":[{"progressions":[[1,4]]},'
+          '{"family":"weyl","theta":"sqrt2","alpha":"3/10"}]}', "--mode", "buck-upper"],
+         "d5eca9a9ad1c878cfe8c618a138f4f0b4579a2b52e312947176a6fae15c524f7"),
     ],
 )
 def test_report_is_pinned(capsys, argv, digest):

@@ -250,6 +250,7 @@ class TestChainCap:
             (dens.buck_upper, DK),
             (dens.buck_upper, HOOK),
             (dens.buck_lower, DK),
+            (dens.buck_lower, HOOK),
             (dens.density_chain_report, DK),
             (dens.density_chain_report, HOOK),
         ],

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from buckdens import density as dens
 from buckdens import generators as gen
 from buckdens import periodic as per
 from buckdens import suites
@@ -131,9 +132,15 @@ class TestDK:
         assert gen.gen_d_k((20,)).periodic_form is None
 
     def test_unsupported_modulus(self):
-        d = gen.gen_d_k((1,), rule="double_gap")
-        with pytest.raises(gen.UnsupportedModulusError):
-            d.profile(6)
+        assert gen.gen_d_k((1,), rule="double_gap").profile(6) is None
+
+    def test_no_class_is_cofinite_without_a_periodic_form(self):
+        # a position at 20 or past it is at or past e = log2(m) for every m under the cap
+        m = 1 << 20
+        top = gen.gen_d_k((20,)).profile(m)
+        assert top.attained.cardinality == m and top.cofinitely_attained.is_empty()
+        past = gen.gen_d_k((3, 21)).profile(m)
+        assert past.attained.cardinality == 524288 and past.cofinitely_attained.is_empty()
 
     def test_delta_lower_bound(self):
         d = gen.gen_d_k((1, 3, 7, 15), rule="double_gap")
@@ -631,8 +638,7 @@ def _profile_only(eps: per.EventuallyPeriodicSet) -> gen.SetDescription:
     """The set as a description with its exact profile at every modulus but no
     periodic form, so unions and sums combine it by the profile rules."""
     return gen.SetDescription(
-        "raw", eps.__contains__, eps.members_mask, profile_fn=eps.modular_profile,
-        supports=lambda m: True,
+        "raw", eps.__contains__, eps.members_mask, profile_fn=eps.modular_profile
     )
 
 
@@ -674,6 +680,30 @@ class TestProfileContract:
         prof = gen.sumset_description([p, gen.gen_x0()]).profile(64)
         assert prof.cofinitely_attained.cardinality == 32
         assert prof.cofinitely_attained == prof.attained
+
+
+class TestMissingProfiles:
+    """A family with no exact profile mod m returns None there, and the
+    residues are then sampled and reported as not exact."""
+
+    FAMILIES = {
+        "weyl": lambda: gen.gen_weyl("sqrt2", "3/10"),
+        "p_t": lambda: gen.gen_p_t(1),
+        "hook": gen.gen_hook,
+        "three_density": lambda: gen.gen_three_density("1/2", "1/2", "1/2"),
+        "union": lambda: gen.union_description([gen.gen_b_alpha("1"), gen.gen_p_t(1)]),
+        "sumset": lambda: gen.sumset_description([gen.gen_x0(), gen.gen_p_t(1)]),
+        "d_k": lambda: gen.gen_d_k((1, 3), rule="double_gap"),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_profile_is_none_where_the_family_has_none(self, family):
+        # only a ruled d_k has profiles here, and exactly at the powers of two
+        desc = self.FAMILIES[family]()
+        for m in (1, 2, 3, 6, 8, 12):
+            exact = family == "d_k" and m in (1, 2, 8)
+            assert (desc.profile(m) is not None) == exact, m
+            assert dens.attained_residues(desc, m, 3000)[1] == exact, m
 
 
 FAMILIES = [
