@@ -250,9 +250,9 @@ class TestChainCap:
             (dens.buck_upper, DK),
             (dens.buck_upper, HOOK),
             (dens.buck_lower, DK),
-            (dens.buck_lower, HOOK),
             (dens.density_chain_report, DK),
             (dens.density_chain_report, HOOK),
+            (dens.buck_lower, HOOK),
         ],
     )
     def test_checked_before_any_profile(self, monkeypatch, report, desc):
