@@ -232,7 +232,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    s = ResidueSet.of(args.mod, args.elems)
+    try:  # one map over the strings, not one argparse type call per value
+        elems = list(map(int, args.elems))
+    except ValueError as exc:
+        raise UsageError(f"argument --elems: {exc}") from None
+    s = ResidueSet.of(args.mod, elems)
     cls = classify_structure(s, args.require_nonempty_remainder)
     payload = {"modulus": args.mod, "members": s.bits, **cls.to_json_dict()}
     _emit(_json_dumps(payload, ("members", "trace", "periodic_part")), args.output)
@@ -330,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="structure class of a subset of Z/mZ")
     p.add_argument("--mod", type=int, required=True)
-    p.add_argument("--elems", type=int, nargs="+", required=True)
+    p.add_argument("--elems", nargs="+", required=True)
     p.add_argument("--require-nonempty-remainder", action="store_true")
     common(p)
     p.set_defaults(func=_cmd_classify)

@@ -264,18 +264,45 @@ class WindowDensities(Report):
     window_length: int
 
 
+#: window starts whose counts one block forms.  A block's lanes take 2
+#: (WINDOW_BLOCK + window - 1) bytes, walked by each of its ~2 log2(window)
+#: shift-adds and by its two threshold tests; its fixed cost is the window -
+#: 1 lanes of overlap and the tests.  The window work of weyl (golden, 2/7),
+#: in process (least of five rounds of a best of 3), took 32 / 30 / 27 / 25 /
+#: 25 / 28 / 32 ms at horizon 10^6 and 37 / 36 / 33 / 29 / 29 / 34 / 36 ms at
+#: 2^20 - 1 for blocks of 2^12 .. 2^18 starts (2 vCPUs, Python 3.11.7);
+#: 2^15 ties 2^16 with half the bytes.
+WINDOW_BLOCK = 1 << 15
+#: bit 0 of each of WINDOW_BLOCK 16-bit lanes
+_LANE_ONES = int.from_bytes(b"\1\0" * WINDOW_BLOCK, "little")
+
+
 def window_densities(desc: SetDescription, horizon: int) -> WindowDensities:
     """Asymptotic-density estimates from tail counting ratios and
     uniform-density estimates from extremal sliding windows of length
     floor(sqrt(horizon)).
 
     The counts are read off the members mask.  A checkpoint count is one
-    ``bit_count``.  The window counts are 16-bit lanes of one int, lane k
-    holding the count of X in (k, k + window]: the 0/1 flags of n = 1 ..
-    horizon are spread one per lane, and the sums of ``window`` shifted
-    copies are formed by doubling.  A count is at most window < 2^15, so no
-    lane carries into the next.  Their extremes are found by thresholds
-    (:func:`_lane_extremes`); no list of counts is made.
+    ``bit_count``.  The window counts are formed for one block of
+    WINDOW_BLOCK window starts at a time (a horizon with fewer starts is
+    one block), as 16-bit lanes of one int: lane k of the block at ``lo``
+    holds the count of X in (lo + k, lo + k + window].  The 0/1 flags of
+    the block's own starts and of the window - 1 numbers after them are
+    spread one per lane, and the sums of ``window`` shifted copies are
+    formed by doubling.  The lanes past the block's starts hold partial
+    sums; the tests below read bit 15 of the block's own lanes only, and a
+    borrow moves up, so those lanes are left in place.
+
+    The extremes start at the count of the first window and are carried
+    from block to block.  Setting bit 15 of every lane and subtracting t
+    from each leaves bit 15 of a lane set iff it holds at least t: one
+    test, over every lane, of whether some lane is at least t or at most t
+    - 1.  Each block is tested once for a lane above the max and once for
+    one below the min, and only where a test holds does :func:`_last_true`
+    search for the new extreme, so no list of counts is made.  A count is
+    at most window, and the tests probe t in [-2 window - 1, 2 window + 1],
+    so no lane borrows from the next while 3 window < 2^15; under the
+    horizon cap window = isqrt(horizon) < 2^10.
     """
     if horizon < 16:
         raise ValueError("horizon must be at least 16")
@@ -284,21 +311,32 @@ def window_densities(desc: SetDescription, horizon: int) -> WindowDensities:
     checkpoints = [max(1, (horizon * j) // 16) for j in range(8, 17)]
     ratios = [Fraction((present & ((1 << n) - 1)).bit_count(), n) for n in checkpoints]
     window = isqrt(horizon)
-    spread = bytearray(2 * horizon)
-    spread[::2] = bit_flags(present).ljust(horizon, b"\0")
-    lanes = int.from_bytes(spread, "little")
-    del spread  # the peak is the sums below, 2 (horizon + 1) bytes each
-    sums, width = lanes, 1
-    for digit in bin(window)[3:]:  # the binary digits of window after the first
-        sums += sums >> 16 * width
-        width *= 2
-        if digit == "1":
-            sums += lanes >> 16 * width
-            width += 1
-    del lanes
+    packed = present.to_bytes((horizon + 7) // 8, "little")
     starts = horizon - window + 1  # the windows (k, k + window], k = 0 .. horizon - window
-    first = (present & ((1 << window) - 1)).bit_count()
-    wmin, wmax = _lane_extremes(sums & ((1 << 16 * starts) - 1), starts, first)
+    wmin = wmax = (present & ((1 << window) - 1)).bit_count()
+    for lo in range(0, starts, WINDOW_BLOCK):  # a multiple of 8, so flag lo is bit 0 of a byte
+        count = min(WINDOW_BLOCK, starts - lo)
+        span = count + window - 1  # the flags of n = lo + 1 .. lo + span
+        flags = bit_flags(int.from_bytes(packed[lo // 8 : (lo + span + 7) // 8], "little"))
+        spread = bytearray(2 * span)
+        spread[::2] = flags[:span].ljust(span, b"\0")
+        lanes = int.from_bytes(spread, "little")
+        sums, width = lanes, 1
+        for digit in bin(window)[3:]:  # the binary digits of window after the first
+            sums += sums >> 16 * width
+            width *= 2
+            if digit == "1":
+                sums += lanes >> 16 * width
+                width += 1
+        ones = _LANE_ONES >> 16 * (WINDOW_BLOCK - count)  # bit 0 of the block's lanes
+        top = ones << 15
+        raised = sums | top
+        at_least = lambda t: (raised - t * ones) & top != 0  # some lane >= t
+        at_most = lambda t: (raised - (t + 1) * ones) & top != top  # some lane <= t
+        if at_least(wmax + 1):
+            wmax = _last_true(at_least, wmax + 1, 1)
+        if at_most(wmin - 1):
+            wmin = _last_true(at_most, wmin - 1, -1)
     sampled = lambda v: DensityEstimate(v, "sampled", horizon=horizon)
     return WindowDensities(
         d_lower=sampled(min(ratios)),
@@ -307,26 +345,6 @@ def window_densities(desc: SetDescription, horizon: int) -> WindowDensities:
         banach_upper=sampled(Fraction(wmax, window)),
         window_length=window,
     )
-
-
-def _lane_extremes(lanes: int, count: int, first: int) -> tuple[int, int]:
-    """(min, max) of the ``count`` 16-bit lanes of an int, each at most w;
-    ``first`` is the value of lane 0.
-
-    Setting bit 15 of every lane and subtracting t from each borrows from
-    no lane while -2^15 < t - w and t <= 2^15, and leaves bit 15 of a lane
-    set iff it holds at least t: one test, over every lane, of whether some
-    lane is at least t or at most t - 1.  The max and the min are the last
-    thresholds on which those tests hold, going up and down from lane 0's
-    value; the search probes t in [-2w - 1, 2w + 1], so 3w < 2^15 suffices
-    (w = isqrt(horizon) < 2^10 under the horizon cap).
-    """
-    ones = int.from_bytes(b"\1\0" * count, "little")
-    top = ones << 15
-    raised = lanes | top
-    at_least = lambda t: (raised - t * ones) & top != 0  # some lane >= t
-    at_most = lambda t: (raised - (t + 1) * ones) & top != top  # some lane <= t
-    return _last_true(at_most, first, -1), _last_true(at_least, first, 1)
 
 
 def _last_true(holds: Callable[[int], bool], start: int, step: int) -> int:

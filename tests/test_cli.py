@@ -249,6 +249,11 @@ class TestClassify:
         assert code == 2
         assert "error" in err
 
+    def test_non_integer_element_is_named(self, capsys):
+        code, out, err = run(capsys, "classify", "--mod", "4", "--elems", "1", "x")
+        assert (code, out) == (2, "")
+        assert "--elems" in err and "'x'" in err
+
 
 class TestVerify:
     def test_dk_xi_passes(self, capsys):
@@ -594,22 +599,24 @@ def test_text_members_one_per_line(capsys, set_, horizon):
     assert out == "\n".join(map(str, members)) + "\n"
 
 
-def test_windows_at_a_million_peak_below_40_mb():
+@pytest.mark.parametrize("horizon", ["1000000", "1048575"])
+def test_windows_peak_below_26_mib(horizon):
     # a fresh process, since ru_maxrss of RUSAGE_CHILDREN is the largest
-    # child's; importing buckdens alone peaks near 17 MB
+    # child's; importing buckdens alone peaks near 18 MiB, so the run may
+    # add 8 MiB, about eight bytes per number below the horizon
     script = (
         "import resource, subprocess, sys\n"
         "subprocess.run([sys.executable, '-m', 'buckdens.cli', 'density', sys.argv[1],\n"
-        "                '--mode', 'windows', '--horizon', '1000000'], stdout=subprocess.DEVNULL, check=True)\n"
+        "                '--mode', 'windows', '--horizon', sys.argv[2]], stdout=subprocess.DEVNULL, check=True)\n"
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run(
-        [sys.executable, "-c", script, WEYL], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", script, WEYL, horizon], capture_output=True, text=True, env=env, timeout=120
     )
     assert result.returncode == 0, result.stderr
-    assert int(result.stdout) < 40 * 1024  # KiB
+    assert int(result.stdout) < 26 * 1024  # KiB
 
 
 def test_sparse_members_take_a_huge_horizon(capsys):

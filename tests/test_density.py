@@ -133,8 +133,24 @@ def window_reference(members: set, horizon: int) -> tuple:
             Fraction(max(in_window), window), window)
 
 
+B = dens.WINDOW_BLOCK
+
+
+def horizon_with_starts(starts) -> int:
+    """The least horizon h whose h - w + 1 windows of length w = isqrt(h)
+    number starts(w)."""
+    return next(h for h in itertools.count(16) if h - math.isqrt(h) + 1 == starts(math.isqrt(h)))
+
+
+#: one block less one start, one block, one block and one start, and two
+#: blocks and a partial block of window starts
+BLOCK_EDGE_HORIZONS = [horizon_with_starts(lambda w, s=s: s) for s in (B - 1, B, B + 1)] + [
+    horizon_with_starts(lambda w: 2 * B + w)
+]
+
+
 class TestWindowDensities:
-    @pytest.mark.parametrize("horizon", [16, 17, 24, 99, 1000, 4097, 65537])
+    @pytest.mark.parametrize("horizon", [16, 17, 24, 99, 1000, 4097, 65537, *BLOCK_EDGE_HORIZONS])
     @pytest.mark.parametrize("kind", ["empty", "full", "seeded-half", "seeded-dense", "seeded-sparse"])
     def test_lane_sums_match_a_plain_list_reference(self, kind, horizon):
         rng = random.Random(horizon)
@@ -144,6 +160,34 @@ class TestWindowDensities:
         got = (w.d_lower.value, w.d_upper.value, w.banach_lower.value, w.banach_upper.value,
                w.window_length)
         assert got == window_reference(members, horizon)
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_extremes_are_carried_across_blocks(self, mirror):
+        # odds, with one full window straddling the first block boundary and
+        # one empty window in the last, partial block; each is flanked so
+        # that it is the unique extreme.  The mirror is the complement.
+        horizon = BLOCK_EDGE_HORIZONS[-1]
+        window = math.isqrt(horizon)
+        half = window // 2
+        full, empty = B - half, 2 * B + half  # the starts of the two windows
+        members = set(range(1, horizon + 1, 2))
+        members -= set(range(full - half + 1, full + window + half + 1))
+        members |= set(range(full + 1, full + window + 1))
+        members |= set(range(empty - half + 1, horizon + 1))
+        members -= set(range(empty + 1, empty + window + 1))
+        if mirror:
+            members = set(range(1, horizon + 1)) - members
+        counts = list(itertools.accumulate(n in members for n in range(horizon + 1)))
+        in_window = [counts[k + window] - counts[k] for k in range(horizon - window + 1)]
+        assert len(in_window) == 2 * B + window and full < B < full + window
+        top, bottom = (empty, full) if mirror else (full, empty)
+        assert [k for k, c in enumerate(in_window) if c == window] == [top]
+        assert [k for k, c in enumerate(in_window) if c == 0] == [bottom]
+        w = dens.window_densities(plain_description(members), horizon)
+        got = (w.d_lower.value, w.d_upper.value, w.banach_lower.value, w.banach_upper.value,
+               w.window_length)
+        assert got == window_reference(members, horizon)
+        assert (w.banach_lower.value, w.banach_upper.value) == (0, 1)
 
     def test_odds(self):
         w = dens.window_densities(gen.from_periodic(per.from_progressions([(1, 2)])), 10**4)

@@ -7,7 +7,7 @@ benchmark run report wrong outputs or a failed run; here it fails Tier-1
 instead.  The modules are loaded read-only from ``perfbench/``, as
 ``test_perfbench_names.py`` loads ``spans.py``.  Every light case of each
 workload runs at seed 1, and so does the smallest case of each kind that
-has no light case.
+has no light case, and a windows case of several blocks.
 """
 
 import importlib.util
@@ -21,13 +21,15 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SEED = 1
 WORKLOADS = ("finite-sweeps", "periodic-exact", "sampled-families")
 
-#: (workload, case name): the smallest case of each kind with no light case
+#: (workload, case name): the smallest case of each kind with no light case,
+#: then a windows case whose window starts span several blocks
 HEAVY_ONLY = (
     ("finite-sweeps", "ruzsa suite #0"),
     ("finite-sweeps", "thin-basis suite"),
     ("sampled-families", "density three_density windows 1e4"),
     ("sampled-families", "suite_weyl 5e4"),
     ("sampled-families", "suite_prop67"),
+    ("sampled-families", 'density {"alpha": "2/7", "family": "weyl", "theta": "golden"} windows 1e6'),
 )
 
 
