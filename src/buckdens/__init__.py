@@ -48,7 +48,6 @@ from .zmod import (
     detect_quasi_periodic,
     is_periodic,
     kemperman_classify,
-    kneser_deficiency,
     stabilizer,
     sumset,
 )

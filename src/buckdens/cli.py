@@ -38,9 +38,11 @@ class UsageError(ValueError):
 
 
 def _load_set(arg: str) -> SetDescription:
-    """Parse an inline JSON object or a path to one."""
+    """Parse inline JSON (an argument starting with "{" or "[") or a path
+    to a file of it; a JSON value that is not an object is refused by
+    ``parse_description``."""
     text = arg
-    if not arg.lstrip().startswith("{"):
+    if not arg.lstrip().startswith(("{", "[")):
         try:
             with open(arg, "r", encoding="utf-8") as fh:
                 text = fh.read()

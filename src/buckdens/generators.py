@@ -1,20 +1,18 @@
-"""Explicit set families: lazy membership oracles over N.
+"""Explicit set families: lazily built subsets of N.
 
-Each family is wrapped in a :class:`SetDescription` carrying a
-membership test, a members bitmask built from the construction, an
-optional exact modular-profile oracle, and (for families that are
-honestly eventually periodic) an exact periodic form.  Infinite
-parameter sequences are presented finitely: a prefix plus a closed-form
-rule.
+Each family is wrapped in a :class:`SetDescription` carrying a members
+bitmask built from the construction, an optional exact modular-profile
+oracle, and (for families that are honestly eventually periodic) an
+exact periodic form.  Infinite parameter sequences are presented
+finitely: a prefix plus a closed-form rule.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import count, islice, takewhile
+from itertools import count, takewhile
 from math import isqrt, prod
 from operator import or_
 from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
@@ -32,21 +30,20 @@ from .zmod import (
 class SetDescription:
     """A lazily evaluated subset of N.
 
-    ``contains`` decides n in X; ``builder(horizon)`` constructs the
-    members n <= horizon for every horizon >= 0, by construction of the
-    family: as a bitmask (bit n set iff n is a member), or, for a family too
-    sparse for a mask as wide as its horizons (``hook``), as an ascending
-    list.  Every reader answers from that one form, kept for the last
-    horizon asked.  ``profile_fn(m)`` gives the modular profile mod m under
-    the contract stated on :class:`ModularProfile` (attained residues exact,
-    cofinitely attained ones a certified subset), or None where the family
-    has no exact profile (every modulus by default).  ``periodic_form`` is
-    set when X is exactly eventually periodic, in which case
-    :func:`from_periodic` gives a profile at every modulus.
+    ``builder(horizon)`` constructs the members n <= horizon for every
+    horizon >= 0, by construction of the family: as a bitmask (bit n set
+    iff n is a member), or, for a family too sparse for a mask as wide as
+    its horizons (``hook``), as an ascending list.  That is the only member
+    form: every reader answers from it, kept for the last horizon asked.
+    ``profile_fn(m)`` gives the modular profile mod m under the contract
+    stated on :class:`ModularProfile` (attained residues exact, cofinitely
+    attained ones a certified subset), or None where the family has no
+    exact profile (every modulus by default).  ``periodic_form`` is set when
+    X is exactly eventually periodic, in which case :func:`from_periodic`
+    gives a profile at every modulus.
     """
 
     family: str
-    contains: Callable[[int], bool]
     builder: Callable[[int], Union[int, list[int]]]
     profile_fn: Callable[[int], Optional[ModularProfile]] = lambda m: None
     periodic_form: Optional[EventuallyPeriodicSet] = None
@@ -107,7 +104,6 @@ def from_periodic(eps: EventuallyPeriodicSet, family: str = "periodic") -> SetDe
     """An eventually periodic set as a description, exact at every modulus."""
     return SetDescription(
         family=family,
-        contains=lambda n: n >= 0 and n in eps,
         builder=eps.members_mask,
         profile_fn=eps.modular_profile,
         periodic_form=eps,
@@ -262,7 +258,6 @@ def _dk_description(
     eps = _dk_periodic_form(prefix) if rule is None else None
     desc = DKDescription(
         family=family,
-        contains=lambda n: _dk_member(desc, n),
         profile_fn=eps.modular_profile if eps else lambda m: _dk_profile(desc, m),
         builder=eps.members_mask if eps else lambda horizon: _dk_mask(desc, horizon),
         periodic_form=eps,
@@ -271,15 +266,6 @@ def _dk_description(
         step=step,
     )
     return desc
-
-
-def _dk_member(desc: DKDescription, n: int) -> bool:
-    if n < 0:
-        return False
-    for p in desc.positions_below(n.bit_length()):
-        if (n >> p) & 1:
-            return False
-    return True
 
 
 def _dk_mask(desc: DKDescription, horizon: int) -> int:
@@ -434,22 +420,19 @@ def gen_weyl(theta: str, alpha) -> SetDescription:
 
     theta is a named quadratic irrational ("sqrt2", "sqrt3", "sqrt5",
     "golden") or a positive decimal/rational string; alpha is a rational
-    in (0, 1).  Membership is exact for every n (see :func:`_weyl_kernel`).
+    in (0, 1).  The members mask is exact at every horizon (see
+    :func:`_weyl_kernel`).
     """
     alpha = _rational(alpha, "alpha")
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     kernel = _weyl_kernel(theta, alpha)
 
-    def member(n: int) -> bool:
-        s, mask, bound = kernel(n.bit_length())
-        return n >= 0 and (s * n & mask) < bound
-
     def build(horizon: int) -> int:
         check_horizon(horizon, "weyl horizon")
         return _weyl_mask(*kernel(horizon.bit_length()), horizon)
 
-    return SetDescription(family="weyl", contains=member, builder=build)
+    return SetDescription(family="weyl", builder=build)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +490,6 @@ def gen_p_t(t: int) -> SetDescription:
 
     return SetDescription(
         family="p_t",
-        contains=lambda n: n >= 2 and omega(n) <= t,
         builder=build,
     )
 
@@ -633,7 +615,7 @@ def gen_hook(rule: str = "factorial") -> SetDescription:
         return out
 
     # listed, not masked: its horizons are uncapped and it has 17 members below 10^15
-    return SetDescription(family="hook", contains=lambda n: n in generate(n), builder=generate)
+    return SetDescription(family="hook", builder=generate)
 
 
 # ---------------------------------------------------------------------------
@@ -683,12 +665,6 @@ def gen_three_density(
         raise ValueError("block base must be at least 10")
     weyl = gen_weyl(theta, beta)
 
-    def member(n: int) -> bool:
-        return any(
-            low <= n <= high and _nested_residues(alpha, k) >> (n % (1 << k)) & 1
-            for k, low, high in _density_blocks(n_base, gamma, n)
-        ) and weyl.contains(n)
-
     def build(horizon: int) -> int:
         check_horizon(horizon, "three_density horizon")  # before any block is tiled
         blocks = 0  # the n <= horizon that pass some block's residue test
@@ -697,7 +673,7 @@ def gen_three_density(
             blocks |= tile_bits(residues, 1 << k, min(high, horizon) + 1) >> low << low
         return weyl.members_mask(horizon) & blocks
 
-    return SetDescription(family="three_density", contains=member, builder=build)
+    return SetDescription(family="three_density", builder=build)
 
 
 # ---------------------------------------------------------------------------
@@ -732,9 +708,6 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
             eps = zper.union(eps, p.periodic_form)
         return from_periodic(eps, family="union")
 
-    def member(n: int) -> bool:
-        return any(p.contains(n) for p in parts)
-
     def profile(m: int) -> Optional[ModularProfile]:
         profs = [p.profile(m) for p in parts]
         if None in profs:  # no exact profile without one for every part
@@ -750,7 +723,6 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
 
     return SetDescription(
         family="union",
-        contains=member,
         profile_fn=profile,
         builder=build,
     )
@@ -781,18 +753,6 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
             acc = linear_sum_bits(acc, other.members_mask(horizon)) & ((1 << (horizon + 1)) - 1)
         return acc
 
-    first = parts[0]
-    rest = parts[1] if len(parts) == 2 else sumset_description(parts[1:])
-
-    held: list = [-1, []]  # [h, first.members(h)], h doubling past each n asked
-
-    def member(n: int) -> bool:
-        if n > held[0]:  # below the cap, unless n is past it (a listed family)
-            h = max(n, min(2 * held[0] + 1, MAX_MODULUS - 1))
-            held[:] = h, first.members(h)
-        xs = held[1]
-        return any(rest.contains(n - x) for x in islice(xs, bisect_right(xs, n)))
-
     def profile(m: int) -> Optional[ModularProfile]:
         profs = map_distinct(lambda p: p.profile(m), parts)
         if None in profs:
@@ -807,7 +767,6 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
 
     return SetDescription(
         family="sumset",
-        contains=member,
         profile_fn=profile,
         builder=build,
     )

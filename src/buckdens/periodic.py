@@ -174,10 +174,6 @@ def empty() -> EventuallyPeriodicSet:
     return _build(1, 0, 0, 0)
 
 
-def naturals() -> EventuallyPeriodicSet:
-    return _build(1, 0, 0, 1)
-
-
 def from_finite(members: Iterable[int]) -> EventuallyPeriodicSet:
     members = set(members)
     if any(n < 0 for n in members):

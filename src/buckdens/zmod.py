@@ -275,11 +275,6 @@ class ResidueSet:
             bits |= 1 << x
         return cls(modulus, bits)
 
-    @classmethod
-    def full(cls, modulus: int) -> "ResidueSet":
-        _check_modulus(modulus)
-        return cls(modulus, (1 << modulus) - 1)
-
     @property
     def members(self) -> tuple[int, ...]:
         return tuple(bit_positions(self.bits))
@@ -294,17 +289,11 @@ class ResidueSet:
     def __contains__(self, x: int) -> bool:
         return 0 <= x < self.modulus and (self.bits >> x) & 1 == 1
 
-    def __len__(self) -> int:
-        return self.cardinality
-
     def is_empty(self) -> bool:
         return self.bits == 0
 
     def is_full(self) -> bool:
         return self.bits == (1 << self.modulus) - 1
-
-    def shift(self, t: int) -> "ResidueSet":
-        return ResidueSet(self.modulus, rotate_bits(self.bits, t, self.modulus))
 
     def union(self, other: "ResidueSet") -> "ResidueSet":
         _require_same_modulus([self, other])
@@ -329,16 +318,8 @@ class Subgroup:
         if self.generator < 1 or self.modulus % self.generator != 0:
             raise ValueError("generator must be a positive divisor of the modulus")
 
-    @property
-    def order(self) -> int:
-        return self.modulus // self.generator
-
     def is_trivial(self) -> bool:
         return self.generator == self.modulus
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(range(0, self.modulus, self.generator)) if not self.is_trivial() else (0,)
 
 
 @dataclass(frozen=True)
@@ -346,9 +327,6 @@ class APWitness:
     start: int
     difference: int
     length: int
-
-    def elements(self, modulus: int) -> tuple[int, ...]:
-        return tuple((self.start + i * self.difference) % modulus for i in range(self.length))
 
 
 @dataclass(frozen=True)
@@ -546,17 +524,6 @@ def classify_structure(
     return StructureClass("none", None, None)
 
 
-@dataclass(frozen=True)
-class KneserDeficiency:
-    """Stabilizer data for a k-fold sumset and its Kneser bound."""
-
-    stabilizer: Subgroup
-    multiplicities: tuple[int, ...]  # r_i = |S_i + H| / |H|
-    sum_size: int
-    bound: int  # (sum(r_i - 1) + 1) * |H|
-    deficient: bool  # |sum| < sum|S_i| - (k - 1)
-
-
 def kneser_bits(bit_sets: list[int], m: int) -> tuple[int, tuple[int, ...], int, int, bool]:
     """Kneser's theorem on S_1 + ... + S_k (nonempty m-bit vectors), checked.
 
@@ -583,18 +550,6 @@ def kneser_bits(bit_sets: list[int], m: int) -> tuple[int, tuple[int, ...], int,
         if sum(mult) * (card_sum - size) > (k - 1) * card_sum:
             raise CertificateError("multiplicity bound violated")
     return d, mult, size, bound, deficient
-
-
-def kneser_deficiency(sets: list[ResidueSet]) -> KneserDeficiency:
-    """Kneser stabilizer report for S_1 + ... + S_k, with the bound and its
-    equality case checked by ``kneser_bits`` (none is expected to fail)."""
-    if not sets:
-        raise ValueError("need at least one set")
-    m = _require_same_modulus(sets)
-    if any(s.is_empty() for s in sets):
-        raise ValueError("sumset of an empty residue set")
-    d, mult, size, bound, deficient = kneser_bits([s.bits for s in sets], m)
-    return KneserDeficiency(Subgroup(m, d), mult, size, bound, deficient)
 
 
 @dataclass(frozen=True)

@@ -310,6 +310,11 @@ class TestErrors:
         code, _, err = run(capsys, "gen", "no_such_file.json")
         assert code == 2
 
+    def test_inline_json_that_is_not_an_object(self, capsys):
+        code, out, err = run(capsys, "gen", "[1,2]")
+        assert code == 2 and out == ""
+        assert "must be a JSON object" in err
+
     def test_prefix_outside_threshold(self, capsys):
         code, _, err = run(capsys, "gen", '{"q":2,"T":2,"prefix":[0,8],"tail":[1]}')
         assert code == 2
@@ -795,7 +800,7 @@ def test_sumset_is_byte_identical_to_plain_json_and_csv(capsys, sets, horizon, m
     table = []
     for m in mods:
         attained, exact = density.attained_residues(total, m, horizon)
-        table.append({"m": m, "count": len(attained), "residues": list(attained),
+        table.append({"m": m, "count": attained.cardinality, "residues": list(attained),
                       "kind": "exact-profile" if exact else "sampled"})
     expect = plain_json({"members": total.members(horizon), "profiles": table, "horizon": horizon})
     argv = ["sumset", *sets, "--horizon", str(horizon), "--mods", ",".join(map(str, mods))]

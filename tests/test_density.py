@@ -117,7 +117,7 @@ class TestBuckLower:
 
 
 def plain_description(members: set) -> gen.SetDescription:
-    return gen.SetDescription("plain", members.__contains__, lambda h: sorted(n for n in members if n <= h))
+    return gen.SetDescription("plain", builder=lambda h: sorted(n for n in members if n <= h))
 
 
 def window_reference(members: set, horizon: int) -> tuple:
@@ -211,7 +211,7 @@ class TestWindowDensities:
 
     def test_small_horizon_rejected(self):
         with pytest.raises(ValueError):
-            dens.window_densities(gen.from_periodic(per.naturals()), 5)
+            dens.window_densities(gen.from_periodic(per.from_progressions([(0, 1)])), 5)
 
     def test_hook_banach_gap(self):
         w = dens.window_densities(gen.gen_hook(), 10**5)
@@ -265,7 +265,7 @@ class TestChainReport:
 
     def test_naturals_rows(self):
         rows = dens.density_chain_report(
-            gen.from_periodic(per.naturals()), dens.modulus_chain("factorial", 4)
+            gen.from_periodic(per.from_progressions([(0, 1)])), dens.modulus_chain("factorial", 4)
         )
         assert all(r.ratio == 1 for r in rows)
 

@@ -39,7 +39,7 @@ class TestAnalyzeSumset:
         assert report.multiplicities == (1, 1)
 
     def test_naturals_trivial(self):
-        report = kn.analyze_sumset([gen.from_periodic(per.naturals())], q_max=32)
+        report = kn.analyze_sumset([gen.from_periodic(per.from_progressions([(0, 1)]))], q_max=32)
         assert not report.minimal
         assert report.q is None and report.sumset_profile is None
 
@@ -353,7 +353,7 @@ class TestBuckInequality:
         assert report.consistent
 
     def test_naturals(self):
-        report = kn.buck_inequality_report(gen.from_periodic(per.naturals()))
+        report = kn.buck_inequality_report(gen.from_periodic(per.from_progressions([(0, 1)])))
         assert report.margin == 0 and report.consistent
 
     def test_sampled_consistency(self):

@@ -77,7 +77,7 @@ class TestFromProgressions:
 
     def test_naturals(self):
         a = per.from_progressions([(0, 1)])
-        assert a == per.naturals()
+        assert a == per.from_residues(1, [0])
         assert a.natural_density() == 1
 
     def test_zero_step_rejected(self):
@@ -124,7 +124,7 @@ class TestCanonicalForm:
 
 class TestAlgebra:
     def test_complement_of_everything(self):
-        assert per.complement(per.naturals()) == per.empty()
+        assert per.complement(per.from_progressions([(0, 1)])) == per.empty()
         assert per.empty().natural_density() == 0
 
     def test_complement_of_odds(self):
@@ -139,7 +139,7 @@ class TestAlgebra:
     def test_union_of_parities(self):
         assert per.union(
             per.from_progressions([(0, 2)]), per.from_progressions([(1, 2)])
-        ) == per.naturals()
+        ) == per.from_progressions([(0, 1)])
 
     def test_intersection_crt(self):
         meet = per.intersect(
@@ -153,7 +153,7 @@ class TestAlgebra:
         assert shifted == per.from_progressions([(2, 2)])
         assert shifted.natural_density() == Fraction(1, 2)
         with pytest.raises(ValueError):
-            per.shift(per.naturals(), -1)
+            per.shift(per.from_progressions([(0, 1)]), -1)
 
     @given(cases, cases, st.integers(0, 9))
     @settings(max_examples=150)
@@ -235,7 +235,7 @@ class TestSumset:
         assert doubled.natural_density() == Fraction(3, 4)
 
     def test_empty_absorbs(self):
-        assert per.add(per.empty(), per.naturals()) == per.empty()
+        assert per.add(per.empty(), per.from_progressions([(0, 1)])) == per.empty()
 
     def test_finite_plus_class(self):
         total = per.add(per.from_finite([0, 2]), per.from_progressions([(1, 4)]))
@@ -406,7 +406,7 @@ class TestModularProfile:
             per.ModularProfile(ResidueSet.of(4, [1, 3]), ResidueSet.of(2, [1]))
 
     def test_naturals(self):
-        prof = per.naturals().modular_profile(5)
+        prof = per.from_progressions([(0, 1)]).modular_profile(5)
         assert prof.attained.members == (0, 1, 2, 3, 4)
         assert prof.cofinitely_attained.members == (0, 1, 2, 3, 4)
 
@@ -476,7 +476,7 @@ class TestWidthCap:
 
     def test_sumset_window(self):
         with pytest.raises(LimitExceededError, match="2T"):
-            per.add(per.from_finite([600_000]), per.naturals())
+            per.add(per.from_finite([600_000]), per.from_progressions([(0, 1)]))
 
 
 class TestMembers:
@@ -488,4 +488,4 @@ class TestMembers:
 
     def test_negative_membership_rejected(self):
         with pytest.raises(ValueError):
-            (-1) in per.naturals()
+            (-1) in per.from_progressions([(0, 1)])

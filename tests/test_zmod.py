@@ -29,7 +29,6 @@ from buckdens.zmod import (
     fold_bits,
     is_periodic,
     kemperman_classify,
-    kneser_deficiency,
     linear_sum_bits,
     members_mask,
     positions_text,
@@ -79,7 +78,7 @@ class TestResidueSet:
             ResidueSet((1 << 20) + 1, 0)
 
     def test_full(self):
-        assert ResidueSet.full(5).is_full()
+        assert ResidueSet(5, (1 << 5) - 1).is_full()
 
 
 class TestAddBits:
@@ -436,7 +435,7 @@ class TestCyclicAddBits:
 class TestStabilizer:
     def test_examples(self):
         assert stabilizer(rs(4, [0, 2])) == Subgroup(4, 2)
-        assert stabilizer(rs(4, [0, 2])).order == 2
+        assert 4 // stabilizer(rs(4, [0, 2])).generator == 2
         assert stabilizer(rs(6, [0, 2, 4])) == Subgroup(6, 2)
         assert stabilizer(rs(6, [0, 1])) == Subgroup(6, 6)
         assert stabilizer(rs(6, [0, 1])).is_trivial()
@@ -448,10 +447,11 @@ class TestStabilizer:
     @given(residue_sets())
     def test_fixes_and_is_maximal(self, s):
         h = stabilizer(s)
-        assert s.shift(h.generator) == s
+        m = s.modulus
+        assert {(x + h.generator) % m for x in s} == set(s)
         for d in range(1, h.generator):
-            if s.modulus % d == 0:
-                assert s.shift(d) != s
+            if m % d == 0:
+                assert {(x + d) % m for x in s} != set(s)
 
 
 def translation_stabilizer(bits, m, divs):
@@ -515,7 +515,7 @@ class TestPeriodicity:
     def test_examples(self):
         assert is_periodic(rs(6, [0, 3]))
         assert not is_periodic(rs(6, [0, 1]))
-        assert is_periodic(ResidueSet.full(7))
+        assert is_periodic(ResidueSet(7, (1 << 7) - 1))
 
     def test_mod_one_has_no_proper_divisor(self):
         assert not is_periodic(rs(1, [0]))
@@ -528,7 +528,7 @@ class TestArithmeticProgression:
         assert detect_arithmetic_progression(rs(8, [0, 1, 4])) is None
 
     def test_full_group(self):
-        assert detect_arithmetic_progression(ResidueSet.full(6)) == APWitness(0, 1, 6)
+        assert detect_arithmetic_progression(ResidueSet(6, (1 << 6) - 1)) == APWitness(0, 1, 6)
 
     @given(residue_sets(max_modulus=9))
     @settings(max_examples=200)
@@ -538,7 +538,8 @@ class TestArithmeticProgression:
         witness = detect_arithmetic_progression(s)
         assert (witness is not None) == brute_arithmetic_progression(s)
         if witness is not None:
-            assert set(witness.elements(s.modulus)) == set(s.members)
+            w = witness
+            assert {(w.start + i * w.difference) % s.modulus for i in range(w.length)} == set(s.members)
             assert witness.length == s.cardinality
 
     @given(residue_sets(max_modulus=10))
@@ -597,7 +598,7 @@ class TestQuasiPeriodicity:
             remainder = set(s.members) - removed
             assert rs(m, remainder) == w.periodic_part
             assert {(x + w.subgroup.generator) % m for x in remainder} == remainder
-            assert not w.trace.is_empty() and w.trace != rs(m, w.subgroup.members)
+            assert not w.trace.is_empty() and w.trace != rs(m, range(0, m, w.subgroup.generator))
 
 
 # The detectors as searches over every (difference, start) and every
@@ -765,27 +766,29 @@ class TestOneMaskTestPerCandidate:
 
 
 class TestKneserDeficiency:
+    """``kneser_bits`` returns (d, r, |sum|, bound, deficient), with H = <d>."""
+
     def test_deficient_pair(self):
-        report = kneser_deficiency([rs(6, [0, 3]), rs(6, [0, 3])])
-        assert report.stabilizer == Subgroup(6, 3)
-        assert report.multiplicities == (1, 1)
-        assert report.sum_size == 2
-        assert report.bound == 2
-        assert report.deficient
+        d, mult, size, bound, deficient = zmod.kneser_bits([rs(6, [0, 3]).bits, rs(6, [0, 3]).bits], 6)
+        assert d == 3
+        assert mult == (1, 1)
+        assert size == 2
+        assert bound == 2
+        assert deficient
 
     def test_interval_pair_not_deficient(self):
-        report = kneser_deficiency([rs(6, [0, 1]), rs(6, [0, 1])])
-        assert report.stabilizer.is_trivial()
-        assert report.multiplicities == (2, 2)
-        assert report.sum_size == 3
-        assert report.bound == 3
-        assert not report.deficient
+        d, mult, size, bound, deficient = zmod.kneser_bits([rs(6, [0, 1]).bits, rs(6, [0, 1]).bits], 6)
+        assert d == 6  # the trivial stabilizer
+        assert mult == (2, 2)
+        assert size == 3
+        assert bound == 3
+        assert not deficient
 
     def test_full_sumset_not_deficient(self):
-        report = kneser_deficiency([rs(5, [0, 1, 2]), rs(5, [0, 1, 2])])
-        assert report.sum_size == 5
-        assert report.stabilizer.order == 5
-        assert not report.deficient
+        d, _, size, _, deficient = zmod.kneser_bits([rs(5, [0, 1, 2]).bits, rs(5, [0, 1, 2]).bits], 5)
+        assert size == 5
+        assert 5 // d == 5
+        assert not deficient
 
 
 def plain_kneser(parts, m):
@@ -808,12 +811,9 @@ class TestKneserBits:
 
     def check(self, parts, m):
         want = plain_kneser(parts, m)
-        d, mult, size, bound, deficient = want
+        _, _, size, bound, deficient = want
         assert size >= bound and (not deficient or size == bound)
         assert zmod.kneser_bits([members_mask(p, m) for p in parts], m) == want
-        report = kneser_deficiency([rs(m, p) for p in parts])
-        assert (report.stabilizer.generator, report.multiplicities) == (d, mult)
-        assert (report.sum_size, report.bound, report.deficient) == (size, bound, deficient)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_every_ordered_pair(self, m):
@@ -834,7 +834,7 @@ class TestKneserBits:
         real = zmod.sumset_bits
         monkeypatch.setattr(zmod, "sumset_bits", lambda parts, m: real(parts, m) & ~1)
         with pytest.raises(CertificateError, match="Kneser bound"):
-            kneser_deficiency([rs(6, [0, 1]), rs(6, [0, 1, 4])])
+            zmod.kneser_bits([rs(6, [0, 1]).bits, rs(6, [0, 1, 4]).bits], 6)
 
 
 class TestKempermanClassify:
