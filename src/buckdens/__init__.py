@@ -47,7 +47,6 @@ from .zmod import (
     detect_arithmetic_progression,
     detect_quasi_periodic,
     is_periodic,
-    kemperman_classify,
     stabilizer,
     sumset,
 )

@@ -128,6 +128,7 @@ def gen_b_alpha(bits: str) -> SetDescription:
         raise ValueError("bits must be a nonempty binary string")
     if "1" not in bits:
         raise ValueError("at least one bit must be set")
+    check_width(1 << (bits.rindex("1") + 1), "period")  # before any progression is built
     progressions = [
         (1 << (j - 1), 1 << j) for j, c in enumerate(bits, start=1) if c == "1"
     ]
@@ -196,17 +197,15 @@ class DKDescription(SetDescription):
     def delta_partial(self, t_max: int) -> Fraction:
         return 1 - self.xi(t_max)
 
-    def z_t(self, t_max: int) -> list[int]:
-        """Complement residues below 2^(k_T + 1), by the block recurrence."""
+    def z_t(self, t_max: int) -> int:
+        """Complement residues below 2^(k_T + 1), as a mask, by the block
+        recurrence: Z_t is Z_(t-1) tiled below M_t, and all of [M_t, 2^(k_t + 1))."""
         block = 1 << (self.k(0) + 1)
-        z = list(range(self.m_t(0), block))
+        z = (1 << block) - (1 << self.m_t(0))
         for t in range(1, t_max + 1):
-            prev_block = block
-            block = 1 << (self.k(t) + 1)
-            m = self.m_t(t)
-            top = list(range(m, block))
-            z = top + [x + j * prev_block for j in range(m // prev_block) for x in z]
-        return sorted(z)
+            prev_block, block, m_t = block, 1 << (self.k(t) + 1), self.m_t(t)
+            z = tile_bits(z, prev_block, m_t) | ((1 << block) - (1 << m_t))
+        return z
 
     def delta_lower_bound(self, t_max: int) -> Optional[Fraction]:
         """Certified lower bound for the infinite product delta_K.
@@ -338,8 +337,14 @@ def _rational(value: Union[int, float, str, Fraction], name: str) -> Fraction:
         raise ValueError(f"field {name!r} must be a finite rational, got {value!r:.40}") from exc
 
 
-def _weyl_kernel(theta: str, alpha: Fraction) -> Callable[[int], tuple[int, int, int]]:
+def _weyl_kernel(
+    theta: str, alpha: Fraction, name: str = "alpha"
+) -> Callable[[int], tuple[int, int, int]]:
     """Exact integer test for {theta n} < alpha = a/b, one per bit length.
+    At a bit length that horizons under the cap have, the block that
+    :func:`_weyl_mask` builds is checked against the cap before S is
+    formed (S takes a square root of 2P bits); a refusal names theta and
+    ``name``, the field that gave alpha.
 
     Write theta = (r + s sqrt d)/t, with s = 0 for a rational theta = r/t.
     For a bit length L the kernel returns (S, 2^P - 1, ceil(a 2^P / b)) with
@@ -373,6 +378,9 @@ def _weyl_kernel(theta: str, alpha: Fraction) -> Callable[[int], tuple[int, int,
     def kernel(bits: int) -> tuple[int, int, int]:
         n_max = 1 << bits
         p = (n_max * t * b * (2 * b * n_max * s * (isqrt(d) + 1) + 1)).bit_length()
+        if n_max <= MAX_MODULUS:  # _weyl_mask's lanes have p // 8 + 1 bytes each
+            what = f"weyl block of theta {theta!r:.40} against {name}, width"
+            check_width(8 * (p // 8 + 1) * min(n_max, WEYL_LANES), what)
         return ((r << p) + isqrt(s * s * d << 2 * p)) // t + 1, (1 << p) - 1, -(-(a << p) // b)
 
     return kernel
@@ -663,7 +671,7 @@ def gen_three_density(
             raise ValueError(f"{name} must lie in (0, 1), got {value}")
     if n_base < 10:
         raise ValueError("block base must be at least 10")
-    weyl = gen_weyl(theta, beta)
+    kernel = _weyl_kernel(theta, beta, "beta")
 
     def build(horizon: int) -> int:
         check_horizon(horizon, "three_density horizon")  # before any block is tiled
@@ -671,7 +679,7 @@ def gen_three_density(
         for k, low, high in _density_blocks(n_base, gamma, horizon):
             residues = _nested_residues(alpha, k)
             blocks |= tile_bits(residues, 1 << k, min(high, horizon) + 1) >> low << low
-        return weyl.members_mask(horizon) & blocks
+        return _weyl_mask(*kernel(horizon.bit_length()), horizon) & blocks
 
     return SetDescription(family="three_density", builder=build)
 

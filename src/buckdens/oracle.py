@@ -6,9 +6,10 @@ references use no bitmask kernel, divisor list or other helper of
 :mod:`buckdens.zmod`, so agreement with the library is a genuine
 two-route check.
 
-The sweeps run ``zmod.kneser_bits`` and ``zmod.kemperman_classify`` on
-integer-encoded characteristic vectors, and only where no proof already
-gives the answer.  They walk the necklaces (rotation-class
+The Kneser sweep runs ``zmod.kneser_bits``, and the Kemperman sweep the
+stabilizer, quasi-periodicity and AP detectors of :mod:`buckdens.zmod`,
+on integer-encoded characteristic vectors, and only where no proof
+already gives the answer.  They walk the necklaces (rotation-class
 representatives), generated in ascending order by the FKM algorithm; the
 Kneser sweep skips pairs whose sum is full by pigeonhole, and both sweeps
 reduce by a unit multiplier to affine-class representatives where the
@@ -28,8 +29,10 @@ from .zmod import (
     ResidueSet,
     bit_positions,
     cyclic_add_bits,
-    kemperman_classify,
+    detect_arithmetic_progression,
+    detect_quasi_periodic,
     kneser_bits,
+    stabilizer_generator_bits,
 )
 
 #: The largest m each sweep accepts: the last at which one sweep finishes
@@ -211,28 +214,37 @@ def exhaustive_kemperman_ap(
     arithmetic progression; None when the dichotomy holds throughout.
 
     The critical-pair hypothesis is tested on bits first (a set with
-    2|S| - 1 > m fails it without a sumset), so only critical sets reach
-    ``zmod.kemperman_classify``, which makes every decision: a hit has no
-    ``base_ap``, and S + S is tagged ``none`` or, when it is an AP while S
-    is not, ``arithmetic-progression``.  Of the critical rotation-class
-    representatives, only those least in their affine class are classified.
-    Criticality, periodicity, quasi-periodicity and being an AP all survive
-    x -> ux + s for a unit u (it maps each subgroup onto itself), so the
-    sets that violate form a union of affine classes, and the first one a
-    scan of all encodings finds is least in its class: it is the first hit
-    here too.  Reducing only the critical sets keeps the reduction cheap:
-    at m = 20 they are 601 of 52487 representatives.
+    2|S| - 1 > m fails it without a sumset), and the doubling it forms is
+    kept for the three decisions of the dichotomy, cheapest first: S + S
+    is not periodic (its stabilizer generator is m), S + S is not
+    quasi-periodic (``zmod.detect_quasi_periodic``), and S is not an AP
+    (``zmod.detect_arithmetic_progression``).  A set is a hit iff all three
+    hold.  Of the critical rotation-class representatives, only those
+    least in their affine class are decided.  Criticality, periodicity,
+    quasi-periodicity and being an AP all survive x -> ux + s for a unit u
+    (it maps each subgroup onto itself), so the sets that violate form a
+    union of affine classes, and the first one a scan of all encodings
+    finds is least in its class: it is the first hit here too.  Reducing
+    only the critical sets keeps the reduction cheap: at m = 20 they are
+    601 of 52487 representatives.
     """
     check_sweep_modulus(m, KEMPERMAN_MODULUS_CAP)
-    critical = []
+    critical = {}  # each critical representative -> its doubling
     for enc in _rotation_representatives(m):
         size = 2 * enc.bit_count() - 1
-        if size <= m and cyclic_add_bits(enc, enc, m).bit_count() == size:
-            critical.append(enc)
-    for enc in _affine_representatives(m, critical):
+        if size <= m:
+            doubled = cyclic_add_bits(enc, enc, m)
+            if doubled.bit_count() == size:
+                critical[enc] = doubled
+    for enc in _affine_representatives(m, list(critical)):
+        doubled = critical[enc]
         s = ResidueSet(m, enc)
-        found = kemperman_classify(s, require_nonempty_periodic_part)
-        if found.sumset_class.tag in ("none", "arithmetic-progression") and found.base_ap is None:
+        if (
+            stabilizer_generator_bits(doubled, m) == m
+            and detect_quasi_periodic(ResidueSet(m, doubled), require_nonempty_periodic_part)
+            is None
+            and detect_arithmetic_progression(s) is None
+        ):
             return s
     return None
 

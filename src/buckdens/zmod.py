@@ -550,31 +550,3 @@ def kneser_bits(bit_sets: list[int], m: int) -> tuple[int, tuple[int, ...], int,
         if sum(mult) * (card_sum - size) > (k - 1) * card_sum:
             raise CertificateError("multiplicity bound violated")
     return d, mult, size, bound, deficient
-
-
-@dataclass(frozen=True)
-class KempermanClassification:
-    doubled: ResidueSet
-    sumset_class: StructureClass
-    base_ap: Optional[APWitness]
-
-
-def kemperman_classify(
-    s: ResidueSet, require_nonempty_periodic_part: bool = False
-) -> KempermanClassification:
-    """Classify S + S under the critical-pair hypothesis |S+S| = 2|S| - 1.
-
-    Also reports whether S itself is an arithmetic progression, which is
-    forced whenever S + S is neither periodic nor quasi-periodic.
-    """
-    if s.is_empty():
-        raise ValueError("cannot classify the empty set")
-    doubled = sumset([s, s])
-    expected = 2 * s.cardinality - 1
-    if doubled.cardinality != expected:
-        raise ValueError(
-            f"critical-pair hypothesis violated: |S+S| = {doubled.cardinality}, "
-            f"2|S|-1 = {expected}"
-        )
-    cls = classify_structure(doubled, require_nonempty_periodic_part)
-    return KempermanClassification(doubled, cls, detect_arithmetic_progression(s))

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -392,6 +393,57 @@ def test_limit_exits_three_at_once(capsys, argv):
     assert code == 3 and out == ""
     assert "exceeds cap" in err
     assert time.perf_counter() - start < 5
+
+
+def run_traced(capsys, *argv):
+    """``run``, and the peak of the memory Python allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        result = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (*result, peak)
+
+
+def test_b_alpha_period_is_refused_before_any_progression(capsys):
+    # 10^5 ones would build 10^5 progressions of up to 10^5 bits each
+    spec = json.dumps({"family": "b_alpha", "bits": "1" * 10**5})
+    code, out, err, peak = run_traced(capsys, "gen", spec, "--horizon", "10")
+    assert code == 3 and out == ""
+    assert "period of 100001 bits exceeds cap 1048576" in err
+    assert peak < 4 << 20
+    # trailing zeros do not count: "1" + "0" * 40 has period 2
+    spec = json.dumps({"family": "b_alpha", "bits": "1" + "0" * 40})
+    code, out, _ = run(capsys, "gen", spec, "--horizon", "9")
+    assert code == 0 and out.split() == ["1", "3", "5", "7", "9"]
+
+
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ({"family": "weyl", "theta": "1e-16000", "alpha": "1/2"}, "theta '1e-16000' against alpha"),
+        ({"family": "weyl", "theta": "sqrt2", "alpha": "1e-16000"}, "theta 'sqrt2' against alpha"),
+        ({"family": "three_density", "alpha": "1/2", "beta": "1/3", "gamma": "1/2",
+          "theta": "1e-16000"}, "theta '1e-16000' against beta"),
+    ],
+    ids=["weyl-theta", "weyl-alpha", "three_density"],
+)
+def test_weyl_block_is_refused_before_any_lane(capsys, spec, named):
+    # P is over 53,000 bits: 4096 lanes of P // 8 + 1 bytes each
+    code, out, err, peak = run_traced(capsys, "gen", json.dumps(spec), "--horizon", "100000")
+    assert code == 3 and out == ""
+    assert re.search(f"weyl block of {named}, width [0-9]+ exceeds cap 1048576", err)
+    assert peak < 4 << 20
+
+
+def test_weyl_block_of_a_long_theta_builds_under_the_cap(capsys):
+    # P is about 3340: 256 lanes (horizon 255) fit the cap, 512 (horizon 256) do not
+    spec = '{"family":"weyl","theta":"1e-1000","alpha":"1/2"}'
+    code, out, _ = run(capsys, "gen", spec, "--horizon", "255")
+    assert code == 0 and out.split() == [str(n) for n in range(256)]
+    code, _, err = run(capsys, "gen", spec, "--horizon", "256")
+    assert code == 3 and "weyl block of theta '1e-1000' against alpha, width" in err
 
 
 @pytest.mark.parametrize(

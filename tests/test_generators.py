@@ -79,7 +79,7 @@ class TestDK:
         assert (d.m_t(0), d.m_t(1)) == (3, 12)
         assert d.xi(0) == Fraction(1, 4)
         assert d.xi(1) == Fraction(7, 16)
-        assert d.z_t(1) == [3, 7, 11, 12, 13, 14, 15]
+        assert bit_positions(d.z_t(1)) == [3, 7, 11, 12, 13, 14, 15]
         assert d.delta_partial(1) == Fraction(9, 16)
 
     def test_rule_extension(self):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from buckdens import oracle, suites, zmod
+from buckdens import oracle, suites
 from buckdens.oracle import (
     brute_arithmetic_progression,
     brute_quasi_periodic,
@@ -14,8 +14,9 @@ from buckdens.oracle import (
 )
 from buckdens.zmod import (
     ResidueSet,
+    cyclic_add_bits,
+    detect_arithmetic_progression,
     detect_quasi_periodic,
-    kemperman_classify,
     kneser_bits,
     rotate_bits,
     saturate_bits,
@@ -280,7 +281,7 @@ def test_kneser_first_hit_matches_full_scan(monkeypatch):
 def test_kemperman_first_hit_matches_full_scan(monkeypatch):
     # with no set called quasi-periodic, the first hit is the first S
     # whose critical doubling is not periodic while S is not an AP
-    monkeypatch.setattr(zmod, "detect_quasi_periodic", lambda s, flag=False: None)
+    monkeypatch.setattr(oracle, "detect_quasi_periodic", lambda s, flag=False: None)
     hits = 0
     for m in range(3, 10):
         want = None
@@ -301,21 +302,24 @@ def test_kemperman_first_hit_matches_full_scan(monkeypatch):
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_kemperman_classify_agrees_with_plain_sets(m):
-    # the Kemperman sweep reads kemperman_classify on these sets, to m = 12
+    # the decisions the Kemperman sweep reads on these sets, to m = 12: the
+    # doubled mask, its stabilizer, its quasi-periodicity and S being an AP
     for enc in oracle._rotation_representatives(m):
         s = ResidueSet(m, enc)
         doubled = {(x + y) % m for x in s for y in s}
         if len(doubled) != 2 * s.cardinality - 1:
             continue
         periodic = any({(x + d) % m for x in doubled} == doubled for d in range(1, m))
+        found = ResidueSet(m, cyclic_add_bits(enc, enc, m))
         for flag in (False, True):
-            found = kemperman_classify(s, flag)
-            tag = found.sumset_class.tag
-            assert found.doubled == ResidueSet.of(m, doubled)
-            assert (tag == "periodic") == periodic, (m, enc)
+            assert found == ResidueSet.of(m, doubled)
+            assert (stabilizer_generator_bits(found.bits, m) != m) == periodic, (m, enc)
             if not periodic:
-                assert ("quasi-periodic" in tag) == brute_quasi_periodic(found.doubled, flag)
-                assert (tag in ("arithmetic-progression", "ap-and-quasi-periodic")) == (
-                    brute_arithmetic_progression(found.doubled)
+                assert (detect_quasi_periodic(found, flag) is not None) == (
+                    brute_quasi_periodic(found, flag)
                 )
-            assert (found.base_ap is not None) == brute_arithmetic_progression(s), (m, enc)
+                assert (detect_arithmetic_progression(found) is not None) == (
+                    brute_arithmetic_progression(found)
+                )
+            base_ap = detect_arithmetic_progression(s)
+            assert (base_ap is not None) == brute_arithmetic_progression(s), (m, enc)

@@ -28,7 +28,6 @@ from buckdens.zmod import (
     divisors,
     fold_bits,
     is_periodic,
-    kemperman_classify,
     linear_sum_bits,
     members_mask,
     positions_text,
@@ -838,26 +837,28 @@ class TestKneserBits:
 
 
 class TestKempermanClassify:
+    # the decisions the Kemperman sweep reads on a critical set: the class
+    # of S + S and whether S itself is an AP
     def test_prime_modulus_progression(self):
-        result = kemperman_classify(rs(7, [0, 1]))
-        assert result.doubled.members == (0, 1, 2)
-        assert result.sumset_class.tag == "arithmetic-progression"
-        assert result.base_ap == APWitness(0, 1, 2)
+        s = rs(7, [0, 1])
+        doubled = sumset([s, s])
+        assert doubled.members == (0, 1, 2)
+        assert classify_structure(doubled).tag == "arithmetic-progression"
+        assert detect_arithmetic_progression(s) == APWitness(0, 1, 2)
 
     def test_complement_of_singleton_is_both(self):
-        result = kemperman_classify(rs(4, [0, 1]))
-        assert result.doubled.members == (0, 1, 2)
-        assert result.sumset_class.tag == "ap-and-quasi-periodic"
-        assert result.sumset_class.qp_witness.shift == 1
+        s = rs(4, [0, 1])
+        doubled = sumset([s, s])
+        assert doubled.members == (0, 1, 2)
+        found = classify_structure(doubled)
+        assert found.tag == "ap-and-quasi-periodic"
+        assert found.qp_witness.shift == 1
 
     def test_singleton(self):
-        result = kemperman_classify(rs(2, [0]))
-        assert result.doubled.members == (0,)
-        assert result.sumset_class.tag == "arithmetic-progression"
-
-    def test_hypothesis_violation_reports_sizes(self):
-        with pytest.raises(ValueError, match=r"\|S\+S\| = 4.*2\|S\|-1 = 5"):
-            kemperman_classify(rs(8, [0, 2, 4]))
+        s = rs(2, [0])
+        doubled = sumset([s, s])
+        assert doubled.members == (0,)
+        assert classify_structure(doubled).tag == "arithmetic-progression"
 
 
 def folded(s: ResidueSet, d: int) -> ResidueSet:
