@@ -172,9 +172,7 @@ def _cmd_density(args) -> int:
         raise UsageError(f"--depth must be at least 1, got {args.depth}")
     chain = None  # an exact form reads no chain, so none is built for it
     if desc.periodic_form is None:
-        kind = _CHAIN_ALIASES.get(args.chain, args.chain)
-        dens.check_chain_depth(kind, args.depth, "--depth")
-        chain = dens.modulus_chain(kind, args.depth)
+        chain = dens.modulus_chain(_CHAIN_ALIASES.get(args.chain, args.chain), args.depth)
     if args.mode == "buck-upper":
         estimate = dens.buck_upper(desc, chain, args.horizon)
     else:
@@ -205,7 +203,6 @@ def _cmd_sumset(args) -> int:
         raise UsageError(f"--mods must be comma-separated integers: {exc}") from exc
     parts = [_load_set(s) for s in args.sets]
     total = sumset_description(parts)
-    members = total.built_members(args.horizon)
     table = []
     for m in moduli:
         attained, exact = dens.attained_residues(total, m, args.horizon)
@@ -217,10 +214,11 @@ def _cmd_sumset(args) -> int:
                 "kind": "exact-profile" if exact else "sampled",
             }
         )
-    if args.format == "csv":
+    if args.format == "csv":  # profiles only: an exact one needs no members
         rows = [{**t, "residues": positions_text(t["residues"], " ")} for t in table]
         _emit(_rows_to_csv(rows, ["m", "count", "kind", "residues"]), args.output)
     else:
+        members = total.built_members(args.horizon)
         payload = {"members": members, "profiles": table, "horizon": args.horizon}
         _emit(_json_dumps(payload, ("members", "residues")), args.output)
     return EXIT_OK
@@ -368,6 +366,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except LimitExceededError as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
+    except RecursionError:  # only a set description nests: its JSON, its parse or its build
+        limit = sys.getrecursionlimit()
+        print(
+            f"limit exceeded: set description nested past the recursion limit {limit}",
+            file=sys.stderr,
+        )
         return EXIT_LIMIT
     except ValueError as exc:  # UsageError included: bad input, named in the message
         print(f"error: {exc}", file=sys.stderr)

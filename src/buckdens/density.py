@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count
 from math import isqrt
 from typing import Callable, Optional, Union
 
@@ -32,7 +32,9 @@ DEFAULT_HORIZON = 1 << 16
 
 @dataclass(frozen=True)
 class ModulusChain:
-    """Divisibility chain of moduli m_1 | m_2 | ... used as sampling grid."""
+    """Divisibility chain of moduli m_1 | m_2 | ... used as sampling grid,
+    under the width cap by construction: its last modulus, the largest, is
+    checked."""
 
     kind: str
     values: tuple[int, ...]
@@ -41,6 +43,8 @@ class ModulusChain:
         for a, b in zip(self.values, self.values[1:]):
             if b % a != 0:
                 raise ValueError("chain moduli must divide their successors")
+        if self.values:
+            check_width(self.values[-1], "chain modulus")
 
 
 def modulus_chain(kind: str, depth: int) -> ModulusChain:
@@ -48,47 +52,33 @@ def modulus_chain(kind: str, depth: int) -> ModulusChain:
 
     Plain primorials are not exhaustive (4 divides none), so the
     primorial chain uses (p_1 ... p_n)^n, the minimal natural fix.
+    The moduli are formed one at a time, and the first past the width cap
+    is refused, named by its depth and bit length.  From the second
+    modulus on each is at least twice the one before, so at most
+    MAX_MODULUS.bit_length() = 21 are formed, whatever the depth.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if kind == "factorial":
-        values = []
-        acc = 1
-        for n in range(1, depth + 1):
-            acc *= n
-            values.append(acc)
-        return ModulusChain(kind, tuple(values))
-    if kind == "primorial":
-        primes = list(islice((n for n in count(2) if prime_factors(n) == [n]), depth))
-        values = []
-        prod = 1
-        for n in range(1, depth + 1):
-            prod *= primes[n - 1]
-            values.append(prod**n)
-        return ModulusChain(kind, tuple(values))
-    if kind == "powers_of_two":
-        return ModulusChain(kind, tuple(1 << n for n in range(1, depth + 1)))
-    if kind == "powers_of_four":
-        return ModulusChain(kind, tuple(1 << (2 * n) for n in range(1, depth + 1)))
-    raise ValueError(f"unknown chain kind {kind!r}")
-
-
-#: every chain's modulus at this depth exceeds the width cap: from its second
-#: modulus on, each is at least twice the one before
-_DEPTH_PAST_CAP = MAX_MODULUS.bit_length()
-
-
-def check_chain_depth(kind: str, depth: int, what: str) -> None:
-    """Refuse a chain whose largest modulus exceeds the width cap, before it is
-    built: at most ``_DEPTH_PAST_CAP`` moduli are formed, and the first one
-    over the cap is named by its bit length."""
-    values = modulus_chain(kind, min(depth, _DEPTH_PAST_CAP)).values
-    if depth >= _DEPTH_PAST_CAP or values[-1] > MAX_MODULUS:
-        over = next(j for j, m in enumerate(values, start=1) if m > MAX_MODULUS)
-        raise LimitExceededError(
-            f"{what} {depth} exceeds cap {MAX_MODULUS}: the {kind} chain's modulus at depth "
-            f"{over} has {values[over - 1].bit_length()} bits"
-        )
+    if kind not in CHAIN_KINDS:
+        raise ValueError(f"unknown chain kind {kind!r}")
+    primes = (p for p in count(2) if prime_factors(p) == [p])
+    values = []
+    base = 1
+    for n in range(1, depth + 1):
+        if kind == "factorial":
+            base *= n
+        elif kind == "primorial":
+            base *= next(primes)
+        else:
+            base *= 2 if kind == "powers_of_two" else 4
+        m = base**n if kind == "primorial" else base
+        if m > MAX_MODULUS:
+            raise LimitExceededError(
+                f"depth {depth} exceeds cap {MAX_MODULUS}: the {kind} chain's modulus at depth "
+                f"{n} has {m.bit_length()} bits"
+            )
+        values.append(m)
+    return ModulusChain(kind, tuple(values))
 
 
 def to_json(x):
@@ -217,8 +207,7 @@ def buck_lower(
 ) -> DensityEstimate:
     """Lower modular density along a chain.
 
-    Exact for eventually periodic sets.  The chain is checked against the
-    width cap before any profile is read.  When the description has an
+    Exact for eventually periodic sets.  When the description has an
     exact profile at every chain modulus, each ratio |X_*^(m)| / m over its
     cofinitely attained residues is a certified lower bound (by the profile
     contract those classes are held cofinitely, so their union sits inside
@@ -230,7 +219,6 @@ def buck_lower(
         return DensityEstimate(desc.periodic_form.natural_density(), "exact")
     if chain is None:
         chain = modulus_chain("powers_of_two", 10)
-    check_width(max(chain.values), "chain modulus")
     profs = [desc.profile(m) for m in chain.values]
     if None not in profs:
         seq = tuple(
@@ -377,7 +365,6 @@ def density_chain_report(
     desc: SetDescription, chain: ModulusChain, horizon: int = DEFAULT_HORIZON
 ) -> list[ChainReportRow]:
     """One row per chain modulus: attained-residue count and ratio."""
-    check_width(max(chain.values), "chain modulus")
     rows = []
     for m in chain.values:
         attained, exact = attained_residues(desc, m, horizon)

@@ -9,19 +9,20 @@ finitely: a prefix plus a closed-form rule.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import count, takewhile
-from math import isqrt, prod
+from math import ceil, isqrt, log10, prod
 from operator import or_
 from typing import Callable, Iterable, Iterator, Optional, TypeVar, Union
 
 from . import periodic as zper
 from .periodic import EventuallyPeriodicSet, ModularProfile
 from .zmod import (
-    MAX_MODULUS, CertificateError, ResidueSet, add_bits, bit_positions, check_horizon,
-    check_width, digits_mask, divisors, fold_bits, linear_sum_bits, members_mask,
+    MAX_MODULUS, CertificateError, LimitExceededError, ResidueSet, add_bits, bit_positions,
+    check_horizon, check_width, digits_mask, divisors, fold_bits, linear_sum_bits, members_mask,
     prime_factors, sumset as residue_sumset, sumset_bits, tile_bits,
 )
 
@@ -328,9 +329,31 @@ _QUADRATIC_THETAS = {
 }
 
 
+#: a decimal numeral with an exponent, as ``Fraction`` reads one; group 1
+#: holds the exponent's digits
+_EXPONENT = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?e[-+]?(\d+(?:_\d+)*)\s*",
+    re.IGNORECASE,
+)
+#: the least |e| for which 10^|e| is wider than the cap (2^20 log10 2 = 315652.83)
+_EXPONENT_CAP = ceil(MAX_MODULUS * log10(2))
+
+
 def _rational(value: Union[int, float, str, Fraction], name: str) -> Fraction:
     """``Fraction(value)``, or a ValueError naming the field: a malformed
-    string, a zero denominator and an infinite or NaN float all land here."""
+    string, a zero denominator and an infinite or NaN float all land here.
+    ``Fraction`` forms 10^|e| for a string's decimal exponent e, so an
+    exponent from ``_EXPONENT_CAP`` on is refused first, named by its
+    digits (or their count, past 40)."""
+    exponent = _EXPONENT.fullmatch(value) if isinstance(value, str) else None
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(_EXPONENT_CAP)) or int(digits or "0") >= _EXPONENT_CAP:
+            shown = digits if len(digits) <= 40 else f"of {len(digits)} digits"
+            raise LimitExceededError(
+                f"field {name!r}: decimal exponent {shown} exceeds cap {_EXPONENT_CAP - 1}, "
+                f"past which 10^|e| is wider than {MAX_MODULUS} bits"
+            )
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -556,6 +579,17 @@ def thin_basis_refined_bound(m: int) -> int:
     return 2 * ((isqrt(4 * m + 1) - 1) // 2)
 
 
+def _chain_product(moduli: list[int]) -> int:
+    """The product of a basis chain's moduli, checked before any component is built."""
+    if not moduli:
+        raise ValueError("at least one modulus is required")
+    if any(m < 2 for m in moduli):
+        raise ValueError("moduli must be at least 2")
+    total = prod(moduli)
+    check_width(total, "basis_chain modulus product")
+    return total
+
+
 def basis_chain(moduli: list[int], sparsify: bool = False) -> tuple[int, ...]:
     """Chained thin basis B = A(m1) + m1 A(m2) + m1 m2 A(m3) + ...
 
@@ -565,12 +599,7 @@ def basis_chain(moduli: list[int], sparsify: bool = False) -> tuple[int, ...]:
     2^a * (product of the later moduli) * m_i, which spreads the set out
     while leaving every element's residue mod the full product intact.
     """
-    if not moduli:
-        raise ValueError("at least one modulus is required")
-    if any(m < 2 for m in moduli):
-        raise ValueError("moduli must be at least 2")
-    total = prod(moduli)
-    check_width(total, "basis_chain modulus product")  # before any component is built
+    total = _chain_product(moduli)
     components = []
     scale = 1
     for i, m in enumerate(moduli):
@@ -811,7 +840,16 @@ def parse_description(obj: dict) -> SetDescription:
     if family == "thin_basis":
         return from_periodic(zper.from_finite(thin_basis(field("m"))), family="thin_basis")
     if family == "basis_chain":
-        members = basis_chain(field("moduli"), field("sparsify", False))
+        moduli, sparsify = field("moduli"), field("sparsify", False)
+        if sparsify:  # T is one past the sum of the components' largest members
+            top, scale, total = 0, 1, _chain_product(moduli)
+            for m in moduli:
+                q, s = thin_basis_shape(m)
+                a = q * (s + 1) - 1  # the largest member of A(m)
+                top += scale * a + (total << a)  # scale (a + 2^a total / scale), once displaced
+                scale *= m
+            check_width(top + 1, "threshold")  # before any component is built
+        members = basis_chain(moduli, sparsify)
         return from_periodic(zper.from_finite(members), family="basis_chain")
     if family == "hook":
         return gen_hook(field("rule", "factorial"))

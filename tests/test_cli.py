@@ -349,6 +349,8 @@ def test_wrong_typed_or_missing_field_is_usage_error(capsys, text, field):
         ('{"family":"weyl","alpha":"3/10","theta":1e999}', "theta"),
         ('{"family":"three_density","alpha":"1/2","beta":"1/2","gamma":1e999}', "gamma"),
         ('{"family":"three_density","alpha":"1/2","beta":"x","gamma":"1/2"}', "beta"),
+        # malformed before its exponent, which alone would exceed the cap
+        ('{"family":"weyl","alpha":"3/10","theta":"x1e-400000"}', "theta"),
     ],
 )
 def test_a_bad_rational_is_a_usage_error_naming_its_field(capsys, text, field):
@@ -437,6 +439,64 @@ def test_weyl_block_is_refused_before_any_lane(capsys, spec, named):
     assert peak < 4 << 20
 
 
+@pytest.mark.parametrize("field", ["theta", "alpha", "beta", "gamma"])
+def test_a_rational_with_a_huge_exponent_is_refused_before_it_is_parsed(capsys, field):
+    # Fraction("1e-4000000") alone forms 10^4000000, over 13 million bits
+    spec = {"family": "three_density", "alpha": "1/2", "beta": "1/3", "gamma": "1/2"}
+    spec[field] = "1e-4000000"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gen", json.dumps(spec), "--horizon", "10")
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and out == ""
+    assert err == (
+        f"limit exceeded: field {field!r}: decimal exponent 4000000 exceeds cap 315652, "
+        "past which 10^|e| is wider than 1048576 bits\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "moduli, bits", [([1048576], 1048596), ([524288, 2], 524196)], ids=["one", "two"]
+)
+def test_a_sparsified_basis_chain_is_refused_before_any_component(capsys, moduli, bits):
+    # every displaced element a + 2^a * cofactor * m would be formed first
+    spec = json.dumps({"family": "basis_chain", "moduli": moduli, "sparsify": True})
+    code, out, err, peak = run_traced(capsys, "gen", spec)
+    assert code == 3 and out == ""
+    assert f"threshold of {bits} bits exceeds cap 1048576" in err
+    assert peak < 4 << 20
+
+
+def nested_unions(depth: int, leaf: dict) -> str:
+    for _ in range(depth):
+        leaf = {"family": "union", "of": [leaf, {"progressions": [[1, 3]]}]}
+    return json.dumps(leaf)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # built: a union of a sampled part recurses once per level
+        ["gen", nested_unions(250, {"family": "weyl", "theta": "sqrt2", "alpha": "1/2"})],
+        ["density", nested_unions(250, {"family": "weyl", "theta": "sqrt2", "alpha": "1/2"})],
+        # loaded: json.loads recurses once per level
+        ["gen", '{"family":"union","of":[' * 600 + '{"progressions":[[1,3]]}' + "]}" * 600],
+    ],
+    ids=["gen-built", "density-built", "loaded"],
+)
+def test_a_deeply_nested_description_exits_three(capsys, argv):
+    code, out, err = run(capsys, *argv, "--horizon", "100")
+    assert code == 3 and out == ""
+    assert "Traceback" not in err
+    limit = sys.getrecursionlimit()
+    assert err == f"limit exceeded: set description nested past the recursion limit {limit}\n"
+
+
+def test_a_nested_description_under_the_limit_runs(capsys):
+    spec = nested_unions(150, {"family": "weyl", "theta": "sqrt2", "alpha": "1/2"})
+    code, out, _ = run(capsys, "gen", spec, "--horizon", "100")
+    assert code == 0 and out
+
+
 def test_weyl_block_of_a_long_theta_builds_under_the_cap(capsys):
     # P is about 3340: 256 lanes (horizon 255) fit the cap, 512 (horizon 256) do not
     spec = '{"family":"weyl","theta":"1e-1000","alpha":"1/2"}'
@@ -463,8 +523,9 @@ def test_weyl_block_of_a_long_theta_builds_under_the_cap(capsys):
         # an infinite periodic set checks its horizon before the tail is tiled
         (["gen", '{"progressions":[[1,2]]}', "--horizon", "2000000"],
          "periodic horizon 2000000 exceeds cap 1048575"),
-        (["sumset", '{"progressions":[[1,4]]}', '{"progressions":[[1,3]]}', "--horizon", "2000000",
-          "--format", "csv"], "periodic horizon 2000000 exceeds cap 1048575"),
+        # the JSON report lists the members of an exact sum; its csv rows need none
+        (["sumset", '{"progressions":[[1,4]]}', '{"progressions":[[1,3]]}', "--horizon", "2000000"],
+         "periodic horizon 2000000 exceeds cap 1048575"),
         (["gen", '{"family":"three_density","alpha":"1/2","beta":"1/2","gamma":"1/2"}',
           "--horizon", "1000000000"], "three_density horizon 1000000000 exceeds cap 1048575"),
     ],
@@ -548,6 +609,18 @@ def test_sampled_sum_over_cap_exits_before_any_summand_is_listed(capsys, enumera
     assert enumerated == ["sumset"]
 
 
+def test_exact_sum_csv_lists_no_members_at_any_horizon(capsys):
+    sets = ('{"progressions":[[1,2]]}', '{"progressions":[[0,3]]}')
+    code, small, _ = run(capsys, "sumset", *sets, "--horizon", "1000", "--format", "csv")
+    assert code == 0
+    code, large, _ = run(capsys, "sumset", *sets, "--horizon", "2000000", "--format", "csv")
+    assert code == 0 and large == small
+    # a sampled sum's residues are read off its members, so its horizon is checked
+    code, out, err = run(capsys, "sumset", WEYL, WEYL, "--horizon", "2000000", "--format", "csv")
+    assert code == 3 and out == ""
+    assert "sumset horizon 2000000 exceeds cap 1048575" in err
+
+
 def test_exact_sum_profiles_take_a_horizon_over_the_cap(capsys):
     # b_alpha + x0 has exact profiles mod 2^k, so no sampled sum is listed
     code, out, _ = run(
@@ -567,8 +640,10 @@ def test_a_chain_past_the_cap_exits_three_naming_the_depth(capsys, depth):
     start = time.perf_counter()
     code, out, err = run(capsys, "density", '{"family":"x0"}', "--depth", depth)
     assert code == 3 and out == ""
-    assert f"--depth {depth} exceeds cap 1048576" in err
-    assert "modulus at depth 21 has 22 bits" in err
+    assert err == (
+        f"limit exceeded: depth {depth} exceeds cap 1048576: "
+        "the powers_of_two chain's modulus at depth 21 has 22 bits\n"
+    )
     assert max(map(len, re.findall(r"\d+", err))) <= 7
     assert time.perf_counter() - start < 1
 

@@ -283,7 +283,8 @@ class TestChainReport:
 
 
 class TestChainCap:
-    """A chain modulus over the dense cap is refused before any profile."""
+    """A chain modulus over the dense cap cannot be built, so no reader is
+    handed one and none reads a profile for it."""
 
     DK = gen.gen_d_k((1, 3), rule="double_gap")  # exact profiles mod 2^e
     HOOK = gen.gen_hook()  # sampled residues
@@ -315,20 +316,38 @@ class TestChainCap:
             (dens, "attained_residues"),
         ):
             monkeypatch.setattr(owner, name, recorder(name, getattr(owner, name)))
-        deep = dens.modulus_chain("powers_of_two", 25)
-        with pytest.raises(LimitExceededError, match="chain modulus"):
-            report(desc, deep)
+        refusal = "depth 25 exceeds cap 1048576: the powers_of_two chain's modulus at depth 21"
+        with pytest.raises(LimitExceededError, match=refusal):
+            report(desc, dens.modulus_chain("powers_of_two", 25))
+        with pytest.raises(LimitExceededError, match="chain modulus 2097152 exceeds cap 1048576"):
+            report(desc, dens.ModulusChain("powers_of_two", tuple(1 << n for n in range(1, 22))))
         assert calls == []
 
     def test_a_chain_modulus_past_2_to_the_64_is_named_by_its_bit_length(self):
         # its decimal has 6021 digits, more than str() converts by default
         with pytest.raises(LimitExceededError, match="chain modulus of 20001 bits exceeds cap 1048576"):
-            dens.buck_upper(self.HOOK, dens.modulus_chain("powers_of_two", 20000))
+            dens.ModulusChain("powers_of_two", tuple(1 << n for n in range(1, 20001)))
 
     def test_exact_periodic_path_ignores_the_chain(self):
         odds3 = gen.from_periodic(per.from_progressions([(1, 3)]))
-        est = dens.buck_upper(odds3, dens.modulus_chain("factorial", 12))
+        est = dens.buck_upper(odds3, dens.modulus_chain("factorial", 9))
         assert est.kind == "exact" and est.value == Fraction(1, 3)
+
+    @pytest.mark.parametrize(
+        "kind, deepest",
+        [
+            ("factorial", tuple(math.factorial(n) for n in range(1, 10))),
+            ("primorial", (2, 6**2, 30**3)),
+            ("powers_of_two", tuple(1 << n for n in range(1, 21))),
+            ("powers_of_four", tuple(1 << 2 * n for n in range(1, 11))),
+        ],
+    )
+    def test_the_first_modulus_past_the_cap_is_refused_at_any_depth(self, kind, deepest):
+        assert dens.modulus_chain(kind, len(deepest)).values == deepest
+        for depth in (len(deepest) + 1, 10**5):
+            refusal = f"depth {depth} exceeds cap 1048576: the {kind} chain's modulus at depth"
+            with pytest.raises(LimitExceededError, match=f"{refusal} {len(deepest) + 1} has"):
+                dens.modulus_chain(kind, depth)
 
 
 class TestPeriodicDensitiesAgree:

@@ -244,6 +244,22 @@ class TestWeyl:
         with pytest.raises(ValueError):
             gen.gen_weyl("tau", Fraction(1, 2))
 
+    @pytest.mark.parametrize("text", ["1e-315652", "1E+315652", "0.5e-31_5652", "1e-000000315652"])
+    def test_an_exponent_whose_power_fits_the_cap_parses(self, text):
+        # 10^315652 has 1048574 bits; 10^315653 has 1048577
+        mantissa, _, exponent = text.lower().partition("e")
+        assert gen._rational(text, "gamma") == Fraction(mantissa) * Fraction(10) ** int(exponent)
+
+    @pytest.mark.parametrize(
+        "text, shown",
+        [("1e-315653", "315653"), ("1e315653", "315653"), ("2.5E-0004_000_000", "4000000"),
+         ("1e-" + "9" * 50, "of 50 digits")],
+    )
+    def test_an_exponent_past_the_cap_is_refused_by_its_digits(self, text, shown):
+        refusal = f"field 'alpha': decimal exponent {shown} exceeds cap 315652"
+        with pytest.raises(LimitExceededError, match=refusal):
+            gen._rational(text, "alpha")
+
     @pytest.mark.parametrize(
         "theta, alpha, expected",
         [
