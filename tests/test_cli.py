@@ -432,7 +432,7 @@ def test_b_alpha_period_is_refused_before_any_progression(capsys):
     ids=["weyl-theta", "weyl-alpha", "three_density"],
 )
 def test_weyl_block_is_refused_before_any_lane(capsys, spec, named):
-    # P is over 53,000 bits: 4096 lanes of P // 8 + 1 bytes each
+    # P is over 53,000 bits: 4096 values of n of P // 8 + 1 bytes each
     code, out, err, peak = run_traced(capsys, "gen", json.dumps(spec), "--horizon", "100000")
     assert code == 3 and out == ""
     assert re.search(f"weyl block of {named}, width [0-9]+ exceeds cap 1048576", err)
@@ -498,7 +498,7 @@ def test_a_nested_description_under_the_limit_runs(capsys):
 
 
 def test_weyl_block_of_a_long_theta_builds_under_the_cap(capsys):
-    # P is about 3340: 256 lanes (horizon 255) fit the cap, 512 (horizon 256) do not
+    # P is about 3340: 256 values of n (horizon 255) fit the cap, 512 (horizon 256) do not
     spec = '{"family":"weyl","theta":"1e-1000","alpha":"1/2"}'
     code, out, _ = run(capsys, "gen", spec, "--horizon", "255")
     assert code == 0 and out.split() == [str(n) for n in range(256)]

@@ -297,7 +297,8 @@ class TestWeyl:
     @pytest.mark.parametrize("theta", [*sorted(QUADRATIC_THETAS), "0.1", "22/7", "1/3"])
     @pytest.mark.parametrize("alpha", ["1/1000", "2/7", "1/2", "999/1000"])
     def test_lane_listing_matches_the_test_per_n(self, theta, alpha):
-        # every block boundary of WEYL_LANES = 4096 lanes
+        # block boundaries of the builder's blocks: 4095 to 4097 around 64 blocks
+        # of B = 64, and 12289 one past 96 blocks of B = 128
         w = gen.gen_weyl(theta, alpha)
         listed = list(filter(weyl_member(theta, alpha), range(12290)))
         for horizon in (0, 1, 4095, 4096, 4097, 12289):
@@ -306,6 +307,64 @@ class TestWeyl:
         horizon = (1 << 20) - 1
         s, mask, bound = gen._weyl_kernel(theta, Fraction(alpha))(horizon.bit_length())
         assert w.members(horizon) == [n for n in range(horizon + 1) if (s * n & mask) < bound]
+
+    # the builder's block size is a power of two B from 8 to 1024 under the cap;
+    # it switches to B at horizon B^2 / 2 and keeps it below 2 B^2
+    BLOCK_EDGES = sorted(
+        {*range(10)} | {b * k + d for b in (8 << i for i in range(8)) for k in (1, b // 2, b, 2 * b)
+                        for d in (-1, 0, 1) if b * k + d < MAX_MODULUS}
+    )
+
+    @pytest.mark.parametrize(
+        "theta, alpha",
+        # 999/1000 wraps the interval of almost every block, 1/1000 leaves most
+        # blocks empty, and a rational theta ties keys in the builder's table
+        [("golden", "2/7"), ("sqrt2", "999/1000"), ("sqrt3", "1/1000"),
+         ("1/3", "1/2"), ("22/7", "999/1000"), ("0.1", "1/1000"), ("0.1", "999/1000")],
+    )
+    def test_block_edges_match_the_test_per_n(self, theta, alpha):
+        w, member = gen.gen_weyl(theta, alpha), weyl_member(theta, alpha)
+        kernels = gen._weyl_kernel(theta, Fraction(alpha))
+        by_bits = {}  # the per-n test at each bit length, as digits of n < 2^L
+        for horizon in self.BLOCK_EDGES:
+            bits = horizon.bit_length()
+            if bits not in by_bits:
+                s, mask, bound = kernels(bits)
+                by_bits[bits] = "".join("1" if (s * n & mask) < bound else "0" for n in range(1 << bits))
+            assert w.members_mask(horizon) == int(by_bits[bits][horizon::-1], 2), horizon
+        defined = "".join("1" if member(n) else "0" for n in range(8194))
+        for horizon in filter((8193).__ge__, self.BLOCK_EDGES):
+            assert w.members_mask(horizon) == int(defined[horizon::-1], 2), horizon
+
+    @given(
+        st.sampled_from([*sorted(QUADRATIC_THETAS), "0.1", "22/7", "1/3", "2/3", "5/8"]),
+        st.integers(2, 50).flatmap(lambda b: st.builds(Fraction, st.integers(1, b - 1), st.just(b))),
+        st.integers(0, 20000),
+    )
+    def test_any_alpha_matches_the_definition(self, theta, alpha, horizon):
+        member = weyl_member(theta, alpha)
+        digits = "".join("1" if member(n) else "0" for n in reversed(range(horizon + 1)))
+        assert gen.gen_weyl(theta, alpha).members_mask(horizon) == int(digits, 2)
+
+    @pytest.mark.parametrize("p", range(1, 15))
+    def test_a_narrow_modulus_hits_every_end_of_the_interval(self, p):
+        # with P <= 14 keys tie and land on both ends of [-c, -c + bound) often
+        rng, mask = random.Random(p), (1 << p) - 1
+        for _ in range(40):
+            s, bound, horizon = rng.randrange(1 << p), rng.randrange((1 << p) + 1), rng.randrange(3000)
+            digits = "".join("1" if (s * n & mask) < bound else "0" for n in reversed(range(horizon + 1)))
+            assert gen._weyl_mask(s, mask, bound, horizon) == int(digits, 2), (s, bound, horizon)
+
+    def test_the_widest_mask_stays_under_a_mebibyte(self):
+        # the key table, the blocks' bytes and the mask take about 0.75 MiB
+        w = gen.gen_weyl("golden", "2/7")
+        tracemalloc.start()
+        try:
+            built = w.members_mask((1 << 20) - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built.bit_length() <= 1 << 20 and peak < 1 << 20
 
     def test_horizon_past_the_cap_refused_before_any_lane(self, monkeypatch):
         def built(*args):
@@ -877,7 +936,7 @@ def test_members_are_the_members_by_membership(build, horizon, reference):
 @pytest.mark.parametrize("build, horizon, reference", FAMILIES)
 def test_members_mask_is_the_mask_by_membership(build, horizon, reference):
     # the mask of the reference listing, as a binary numeral: no zmod kernel;
-    # the horizons straddle byte, word and WEYL_LANES = 4096 block boundaries
+    # the horizons straddle byte, word and Weyl block boundaries (B = 8 to 128)
     desc = build()
     for h in (0, 1, 7, 8, 63, 64, 4095, 4096, 4097, 12289):
         listed = set(reference(h))
