@@ -367,7 +367,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except LimitExceededError as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except RecursionError:  # only a set description nests: its JSON, its parse or its build
+    except RecursionError:  # only a set description nests: its JSON or its parse
         limit = sys.getrecursionlimit()
         print(
             f"limit exceeded: set description nested past the recursion limit {limit}",

@@ -42,13 +42,15 @@ class SetDescription:
     attained ones a certified subset), or None where the family has no
     exact profile (every modulus by default).  ``periodic_form`` is set when
     X is exactly eventually periodic, in which case :func:`from_periodic`
-    gives a profile at every modulus.
+    gives a profile at every modulus.  ``parts`` are the flat parts of a
+    union or sum with no periodic form, spliced into any that nests it.
     """
 
     family: str
     builder: Callable[[int], Union[int, list[int]]]
     profile_fn: Callable[[int], Optional[ModularProfile]] = lambda m: None
     periodic_form: Optional[EventuallyPeriodicSet] = None
+    parts: tuple[SetDescription, ...] = ()
     _built: dict = field(default_factory=dict, init=False, repr=False)
 
     def profile(self, m: int) -> Optional[ModularProfile]:
@@ -737,6 +739,45 @@ def map_distinct(fn: Callable[[SetDescription], T], descs: list[SetDescription])
     return [done[d] for d in descs]
 
 
+def _combination(
+    family: str, parts: list[SetDescription], periodic: Callable, build: Callable, rule: Callable
+) -> SetDescription:
+    """The union or sum of ``parts``: exact when every part is periodic, else
+    ``build`` and ``rule`` (on the parts' profiles) over the flat parts.
+
+    A part of the same family with ``parts`` is replaced by them; one with a
+    periodic form stays whole, keeping its exact cofinite classes.  No output
+    changes: union, sum and OR are associative, and as cyclic sums distribute
+    over unions, a spliced sum S's term cof_S + (the others' att) is the
+    union of its parts' flat terms.
+    """
+    if not parts:
+        raise ValueError(f"{family} of no descriptions")
+    if len(parts) == 1:
+        return parts[0]
+    if all(p.periodic_form is not None for p in parts):
+        return from_periodic(periodic([p.periodic_form for p in parts]), family=family)
+    flat = tuple(q for p in parts for q in (p.parts if p.family == family and p.parts else (p,)))
+    return SetDescription(family, partial(build, flat), partial(_profile, rule, flat), parts=flat)
+
+
+def _profile(rule: Callable, parts: tuple[SetDescription, ...], m: int) -> Optional[ModularProfile]:
+    profs = map_distinct(lambda p: p.profile(m), parts)  # a repeated part is read once
+    return None if None in profs else rule(profs, m)  # exact only where every part is
+
+
+def _union_build(parts: tuple[SetDescription, ...], horizon: int) -> Union[int, list[int]]:
+    if horizon < MAX_MODULUS:
+        return reduce(or_, (p.members_mask(horizon) for p in parts))
+    # past the cap only listed parts (hook) and finite sets build, so listing is cheap
+    return sorted(set().union(*(p.members(horizon) for p in parts)))
+
+
+def _union_rule(profs: list[ModularProfile], m: int) -> ModularProfile:
+    fields = zip(*((pr.attained, pr.cofinitely_attained) for pr in profs))
+    return ModularProfile(*(reduce(ResidueSet.union, f) for f in fields))
+
+
 def union_description(parts: list[SetDescription]) -> SetDescription:
     """Pointwise union, formed exactly when every part is periodic.
 
@@ -744,34 +785,25 @@ def union_description(parts: list[SetDescription]) -> SetDescription:
     residues, and for cofinite ones a certified subset that misses a class
     the parts cover only jointly.
     """
-    if not parts:
-        raise ValueError("union of no descriptions")
-    if len(parts) == 1:
-        return parts[0]
-    if all(p.periodic_form is not None for p in parts):
-        eps = parts[0].periodic_form
-        for p in parts[1:]:
-            eps = zper.union(eps, p.periodic_form)
-        return from_periodic(eps, family="union")
+    return _combination("union", parts, partial(reduce, zper.union), _union_build, _union_rule)
 
-    def profile(m: int) -> Optional[ModularProfile]:
-        profs = [p.profile(m) for p in parts]
-        if None in profs:  # no exact profile without one for every part
-            return None
-        fields = zip(*((pr.attained, pr.cofinitely_attained) for pr in profs))
-        return ModularProfile(*(reduce(ResidueSet.union, f) for f in fields))
 
-    def build(horizon: int) -> Union[int, list[int]]:
-        if horizon < MAX_MODULUS:
-            return reduce(or_, (p.members_mask(horizon) for p in parts))
-        # past the cap only listed parts (hook) and finite sets build, so listing is cheap
-        return sorted(set().union(*(p.members(horizon) for p in parts)))
+def _sumset_build(parts: tuple[SetDescription, ...], horizon: int) -> int:
+    check_horizon(horizon, "sumset horizon")
+    acc = parts[0].members_mask(horizon)
+    for other in parts[1:]:
+        acc = linear_sum_bits(acc, other.members_mask(horizon)) & ((1 << (horizon + 1)) - 1)
+    return acc
 
-    return SetDescription(
-        family="union",
-        profile_fn=profile,
-        builder=build,
-    )
+
+def _sumset_rule(profs: list[ModularProfile], m: int) -> ModularProfile:
+    att = [pr.attained.bits for pr in profs]
+    cof = 0
+    for i, pr in enumerate(profs):
+        others = att[:i] + att[i + 1 :]  # one attained class of every other part
+        if pr.cofinitely_attained.bits:
+            cof |= sumset_bits([pr.cofinitely_attained.bits] + others, m)
+    return ModularProfile(ResidueSet(m, sumset_bits(att, m)), ResidueSet(m, cof))
 
 
 def sumset_description(parts: list[SetDescription]) -> SetDescription:
@@ -784,38 +816,7 @@ def sumset_description(parts: list[SetDescription]) -> SetDescription:
     X_i holds every large n in its class, so the sum holds every large
     n + sum x_j.
     """
-    if not parts:
-        raise ValueError("sumset of no descriptions")
-    if len(parts) == 1:
-        return parts[0]
-    if all(p.periodic_form is not None for p in parts):
-        eps = zper.sumset([p.periodic_form for p in parts])
-        return from_periodic(eps, family="sumset")
-
-    def build(horizon: int) -> int:
-        check_horizon(horizon, "sumset horizon")
-        acc = parts[0].members_mask(horizon)
-        for other in parts[1:]:
-            acc = linear_sum_bits(acc, other.members_mask(horizon)) & ((1 << (horizon + 1)) - 1)
-        return acc
-
-    def profile(m: int) -> Optional[ModularProfile]:
-        profs = map_distinct(lambda p: p.profile(m), parts)
-        if None in profs:
-            return None
-        att = [pr.attained.bits for pr in profs]
-        cof = 0
-        for i, pr in enumerate(profs):
-            others = att[:i] + att[i + 1 :]  # one attained class of every other part
-            if pr.cofinitely_attained.bits:
-                cof |= sumset_bits([pr.cofinitely_attained.bits] + others, m)
-        return ModularProfile(ResidueSet(m, sumset_bits(att, m)), ResidueSet(m, cof))
-
-    return SetDescription(
-        family="sumset",
-        profile_fn=profile,
-        builder=build,
-    )
+    return _combination("sumset", parts, zper.sumset, _sumset_build, _sumset_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -832,9 +833,7 @@ def parse_description(obj: dict) -> SetDescription:
     """
     if not isinstance(obj, dict):
         raise ValueError("set description must be a JSON object")
-    if "family" not in obj:
-        return from_periodic(zper.from_json_dict(obj))
-    family = obj["family"]
+    family = obj.get("family", "periodic")
     field = partial(zper.json_field, obj)
     if family == "b_alpha":
         return gen_b_alpha(field("bits"))

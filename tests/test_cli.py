@@ -466,35 +466,33 @@ def test_a_sparsified_basis_chain_is_refused_before_any_component(capsys, moduli
     assert peak < 4 << 20
 
 
+WEYL_LEAF = {"family": "weyl", "theta": "sqrt2", "alpha": "1/2"}
+THIRDS = {"progressions": [[1, 3]]}
+
+
 def nested_unions(depth: int, leaf: dict) -> str:
     for _ in range(depth):
-        leaf = {"family": "union", "of": [leaf, {"progressions": [[1, 3]]}]}
+        leaf = {"family": "union", "of": [leaf, THIRDS]}
     return json.dumps(leaf)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # built: a union of a sampled part recurses once per level
-        ["gen", nested_unions(250, {"family": "weyl", "theta": "sqrt2", "alpha": "1/2"})],
-        ["density", nested_unions(250, {"family": "weyl", "theta": "sqrt2", "alpha": "1/2"})],
-        # loaded: json.loads recurses once per level
-        ["gen", '{"family":"union","of":[' * 600 + '{"progressions":[[1,3]]}' + "]}" * 600],
-    ],
-    ids=["gen-built", "density-built", "loaded"],
-)
-def test_a_deeply_nested_description_exits_three(capsys, argv):
-    code, out, err = run(capsys, *argv, "--horizon", "100")
+def test_a_deeply_nested_description_exits_three(capsys):
+    # json.loads recurses once per level
+    spec = '{"family":"union","of":[' * 600 + json.dumps(THIRDS) + "]}" * 600
+    code, out, err = run(capsys, "gen", spec, "--horizon", "100")
     assert code == 3 and out == ""
     assert "Traceback" not in err
     limit = sys.getrecursionlimit()
     assert err == f"limit exceeded: set description nested past the recursion limit {limit}\n"
 
 
-def test_a_nested_description_under_the_limit_runs(capsys):
-    spec = nested_unions(150, {"family": "weyl", "theta": "sqrt2", "alpha": "1/2"})
-    code, out, _ = run(capsys, "gen", spec, "--horizon", "100")
-    assert code == 0 and out
+@pytest.mark.parametrize("command", ["gen", "density"])
+def test_a_nested_description_under_the_limit_runs(capsys, command):
+    # a nested union is spliced flat as it is built: 250 levels are 251 parts
+    flat = json.dumps({"family": "union", "of": [WEYL_LEAF] + [THIRDS] * 250})
+    nested = run(capsys, command, nested_unions(250, WEYL_LEAF), "--horizon", "100")
+    assert nested[0] == 0 and nested[1]
+    assert run(capsys, command, flat, "--horizon", "100") == nested
 
 
 def test_weyl_block_of_a_long_theta_builds_under_the_cap(capsys):

@@ -615,6 +615,51 @@ class TestCombinators:
         )
         assert set(prof.attained.members) == expect
 
+    def test_union_profile_reads_a_repeated_part_once(self):
+        calls = Counter()
+
+        def counted(name, eps):
+            def profile_fn(m):
+                calls[name] += 1
+                return eps.modular_profile(m)
+
+            return gen.SetDescription(name, builder=eps.members_mask, profile_fn=profile_fn)
+
+        x = counted("x", per.from_progressions([(1, 4)]))
+        y = counted("y", per.from_progressions([(2, 4)]))
+        prof = gen.union_description([x, x, y]).profile(4)
+        assert calls == {"x": 1, "y": 1}
+        assert prof.attained.members == prof.cofinitely_attained.members == (1, 2)
+
+    @pytest.mark.parametrize(
+        "leaf", [gen.gen_x0, lambda: gen.gen_weyl("sqrt2", "3/10")], ids=["x0", "weyl"]
+    )
+    @pytest.mark.parametrize(
+        "combine", [gen.union_description, gen.sumset_description], ids=["union", "sum"]
+    )
+    def test_a_deep_nesting_is_spliced_flat(self, leaf, combine):
+        x, thirds = leaf(), gen.from_periodic(per.from_progressions([(0, 3)]))
+        nested = x
+        for _ in range(2000):
+            nested = combine([nested, thirds])
+        flat = combine([x] + [thirds] * 2000)
+        assert nested.parts == flat.parts and len(flat.parts) == 2001
+        # 3N + 3N = 3N, so either is x combined with 3N once
+        if combine is gen.union_description:
+            expect = x.members_mask(100) | thirds.members_mask(100)
+        else:
+            expect = sum(1 << n for n in brute_sumset_members(x.members(100), thirds.members(100), 100))
+        assert nested.members_mask(100) == flat.members_mask(100) == expect
+        once = combine([x, thirds])
+        for m in (2, 4, 8, 16):
+            assert nested.profile(m) == flat.profile(m) == once.profile(m), m
+
+    def test_a_periodic_inner_union_is_not_spliced(self):
+        evens = gen.union_description([gen.from_periodic(per.from_progressions([(r, 4)])) for r in (0, 2)])
+        u = gen.union_description([evens, gen.gen_x0()])
+        assert u.parts[0] is evens and len(u.parts) == 2  # whole: its exact cofinite class 0 mod 2 stays
+        assert u.profile(2).cofinitely_attained.members == (0,)
+
     def test_sumset_members_match_enumeration(self):
         s = gen.sumset_description([gen.gen_x0(), gen.gen_b_alpha("1")])
         x0m = gen.gen_x0().members(60)
